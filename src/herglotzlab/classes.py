@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .optuple import HerglotzDatum, OperatorTuple
 from .pairing import CLAMP_EPS, AtomicMeasure, HerglotzMeasureFunction, R_GRID
@@ -273,6 +272,19 @@ class ClassMember:
     evaluator: object                       # has values_at
     measure: Optional[AtomicMeasure] = None
     datum: Optional[HerglotzDatum] = None
+
+    def __post_init__(self):
+        # The duality reductions pair against the full-mode, zero-constant
+        # transform of ``measure``; a measure-transform evaluator must be
+        # exactly that function.
+        ev = self.evaluator
+        if isinstance(ev, HerglotzMeasureFunction) and (
+                ev.mode != "full" or ev.t != 0.0 or ev.mu is not self.measure):
+            raise ValueError(
+                "a HerglotzMeasureFunction evaluator must be the full-mode, "
+                "zero-imaginary-constant transform of the member's measure "
+                f"(got mode={ev.mode!r}, imag_const={ev.t!r}, "
+                f"own measure: {ev.mu is self.measure})")
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         return values_at(self.evaluator, points)
@@ -625,6 +637,7 @@ def mplus_atom_fit_residual(f: TruncatedSeries, n_atoms: int = 8,
         diff = model_coeffs(pts, masses) - target
         return float(np.sum(np.abs(diff) ** 2))
 
+    import scipy.optimize
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(restarts):

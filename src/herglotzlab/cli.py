@@ -34,7 +34,7 @@ from .classes import (
 )
 from .fock import (
     DP_LIMIT_NORM,
-    POWER_ITER_TOL,
+    LANCZOS_TOL,
     SizeCapError,
     davidson_pitts_sweep,
 )
@@ -62,7 +62,7 @@ RESIDUAL_TOL = 1e-10
 
 TOLERANCES = {
     "gram_tol_scale": GRAM_TOL_SCALE,
-    "power_iteration_tol": POWER_ITER_TOL,
+    "lanczos_tol": LANCZOS_TOL,
     "residual_tol": RESIDUAL_TOL,
     "duality_min_re": -1e-9,
 }
@@ -191,6 +191,9 @@ def cmd_davidson_pitts(cfg: RunConfig) -> dict:
     L_full = int(p.get("L_full", 16))
     N_sym = int(p.get("N_sym", 16))
     sweep_values = p.get("L_sweep", list(range(4, L_full + 1)))
+    if not isinstance(sweep_values, list):
+        raise InputError(f"L_sweep must be a JSON list of word lengths, "
+                         f"got {sweep_values!r}")
     table = davidson_pitts_sweep(sweep_values, N_sym)
     norms = [row["norm_sym_calculus"] for row in table["rows"]]
     last = table["rows"][-1]
@@ -202,6 +205,7 @@ def cmd_davidson_pitts(cfg: RunConfig) -> dict:
         "norm_sym_calculus": last["norm_sym_calculus"],
         "iters": last["iters"],
         "residual": last["residual"],
+        "converged": all(row["converged"] for row in table["rows"]),
         "sweep": table["rows"],
         "nondecreasing": bool(all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))),
         "gap": gap,

@@ -2,8 +2,11 @@
 
 The full Fock side carries left creation operators on words over {1..d}; the
 symmetric side carries the coordinate shifts on the normalized monomial
-basis.  Sparse structure is one nonzero per column, stored as index arrays so
-matvecs never materialize a matrix product.
+basis.  Words are never stored: in graded lexicographic order the word
+(j+1) w, with w of grade k and rank r and j = 0..d-1, sits at
+fock_count(d, k) + j d^k + r, so each creation operator, and each word of
+a polynomial in them, acts by one contiguous slice copy per grade.
+Matrix-free norms run Lanczos on A*A with full reorthogonalization.
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .series import enumerate_multiindices, simplex_size, weight
 
 BASIS_SIZE_CAP = 10 ** 6
 
-POWER_ITER_TOL = 1e-10
-POWER_ITER_MAX = 5000
+LANCZOS_TOL = 1e-10
+LANCZOS_MAX_STEPS = 300
+LANCZOS_BREAKDOWN = 1e-12      # relative size of the new Krylov direction
 
 DP_POLY_NAME = "z1 + z1*z2"
 # Word algebra for p = z1 + z1 z2 on isometries with orthogonal ranges:
@@ -48,13 +51,17 @@ def fock_count(d: int, L: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Word basis with per-letter creation maps as column-to-row indices."""
+    """Word basis in graded lexicographic order, addressed by arithmetic.
+
+    Grade k occupies indices offsets[k] .. offsets[k+1].  Prepending the
+    word p = (i1..im) (letters 0-based) to grade k lands in the block of d^k
+    indices starting at offsets[k+m] + rank(p) d^k, in the same order, where
+    rank(p) reads p as base-d digits.
+    """
 
     d: int
     L: int
-    words: tuple
-    index: dict
-    creation_rows: tuple    # per letter j: rows[c] = index of (j+1,) + words[c]
+    offsets: tuple          # offsets[k] = fock_count(d, k - 1), k = 0..L+1
 
     @classmethod
     def create(cls, d: int, L: int) -> "FockBasis":
@@ -66,33 +73,59 @@ class FockBasis:
             raise SizeCapError(
                 f"basis for d={d}, L={L} has {fock_count(d, L)} words, "
                 f"cap is {BASIS_SIZE_CAP}")
-        words = fock_words(d, L)
-        index = {w: i for i, w in enumerate(words)}
-        n_prev = fock_count(d, L - 1)
-        rows = []
-        for j in range(1, d + 1):
-            r = np.fromiter((index[(j,) + w] for w in words[:n_prev]),
-                            dtype=np.int64, count=n_prev)
-            r.setflags(write=False)
-            rows.append(r)
-        return cls(d, L, words, index, tuple(rows))
+        return cls(d, L, (0,) + tuple(fock_count(d, k) for k in range(L + 1)))
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return self.offsets[-1]
+
+    def _blocks(self, word: tuple, K: int):
+        """(slice of grade k, slice of word + grade k) for k <= K that stay
+        within the basis."""
+        o, d, m = self.offsets, self.d, len(word)
+        rank = 0
+        for letter in word:
+            rank = rank * d + letter
+        for k in range(min(K, self.L - m) + 1):
+            t = o[k + m] + rank * d ** k
+            yield slice(o[k], o[k + 1]), slice(t, t + d ** k)
+
+    def creation_rows(self, j: int) -> np.ndarray:
+        """rows[c] = index of letter j prepended to word c, for |word c| < L."""
+        return np.concatenate([np.arange(dst.start, dst.stop)
+                               for _, dst in self._blocks((j,), self.L)])
+
+    def apply_words(self, terms: dict, v: np.ndarray) -> np.ndarray:
+        """sum_p c_p L_p v for the word polynomial ``terms`` {p: c_p}, where
+        p = (i1..im) acts as L_i1 ... L_im.  v may cover grades 0..K only
+        (len(v) = offsets[K+1]); the result covers the whole basis."""
+        if len(v) not in self.offsets:
+            raise ValueError(f"a vector of length {len(v)} does not end at a "
+                             f"grade boundary of {self.offsets}")
+        K = self.offsets.index(len(v)) - 1
+        out = np.zeros(self.size, np.result_type(v, *terms.values()))
+        for word, c in terms.items():
+            for src, dst in self._blocks(word, K):
+                out[dst] += c * v[src]
+        return out
+
+    def apply_words_adjoint(self, terms: dict, v: np.ndarray,
+                            K: int = None) -> np.ndarray:
+        """The adjoint of ``apply_words``, compressed to grades 0..K (all
+        grades by default)."""
+        K = self.L if K is None else K
+        out = np.zeros(self.offsets[K + 1], np.result_type(v, *terms.values()))
+        for word, c in terms.items():
+            for src, dst in self._blocks(word, K):
+                out[src] += np.conj(c) * v[dst]
+        return out
 
     def apply_creation(self, j: int, v: np.ndarray) -> np.ndarray:
         """L_j v: word w -> j w for |w| < L, top grade to zero."""
-        rows = self.creation_rows[j]
-        out = np.zeros_like(v)
-        out[rows] = v[: len(rows)]
-        return out
+        return self.apply_words({(j,): 1.0}, v)
 
     def apply_creation_adjoint(self, j: int, v: np.ndarray) -> np.ndarray:
-        rows = self.creation_rows[j]
-        out = np.zeros_like(v)
-        out[: len(rows)] = v[rows]
-        return out
+        return self.apply_words_adjoint({(j,): 1.0}, v)
 
 
 def creation_operators(d: int, L: int) -> list:
@@ -101,15 +134,13 @@ def creation_operators(d: int, L: int) -> list:
     Exactly one unit entry per column below the top grade; the top grade is
     compressed to zero.
     """
+    import scipy.sparse as sp
     basis = FockBasis.create(d, L)
     n = basis.size
-    ops = []
-    for j in range(d):
-        rows = basis.creation_rows[j]
-        cols = np.arange(len(rows))
-        data = np.ones(len(rows))
-        ops.append(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
-    return ops
+    cols = np.arange(basis.offsets[L])
+    data = np.ones(len(cols))
+    return [sp.csr_matrix((data, (basis.creation_rows(j), cols)), shape=(n, n))
+            for j in range(d)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,15 +193,22 @@ class NormResult:
     converged: bool
 
 
-def operator_norm(A, method: str = "auto", iters: int = POWER_ITER_MAX,
-                  tol: float = POWER_ITER_TOL, x0: np.ndarray = None) -> NormResult:
+def operator_norm(A, method: str = "auto", iters: int = LANCZOS_MAX_STEPS,
+                  tol: float = LANCZOS_TOL, x0: np.ndarray = None) -> NormResult:
     """Largest singular value.
 
-    Dense arrays go through LAPACK unless method forces power iteration;
-    anything exposing matvec/rmatvec (or scipy sparse) is handled matrix-free
-    by power iteration on A*A.  Non-convergence is reported, not raised.
+    Dense arrays go through LAPACK unless method forces Lanczos; anything
+    exposing matvec/rmatvec (or a sparse matrix with ``tocsr``) is handled
+    matrix-free by Lanczos on A*A with full reorthogonalization, started
+    from x0 (a fixed random vector if None).  It stops at breakdown (the
+    new direction is below LANCZOS_BREAKDOWN times ||A*A q||), when the
+    Ritz residual bound beta_k |s_k| falls to tol * theta, or after
+    ``iters`` steps; the Krylov basis grows one vector per step.  ``iters``
+    reports the steps taken, ``residual`` the true ||A*A x - theta x|| /
+    theta of the Ritz vector x, and ``converged`` whether that residual is
+    within tol.  Non-convergence is reported, not raised.
     """
-    if method not in ("auto", "dense-svd", "power-iteration"):
+    if method not in ("auto", "dense-svd", "lanczos"):
         raise ValueError(f"unknown norm method {method!r}")
     if isinstance(A, np.ndarray) and method in ("auto", "dense-svd"):
         s = np.linalg.svd(A, compute_uv=False)
@@ -180,39 +218,42 @@ def operator_norm(A, method: str = "auto", iters: int = POWER_ITER_MAX,
     if isinstance(A, np.ndarray):
         mv = lambda v: A @ v
         rmv = lambda v: A.conj().T @ v
-        n = A.shape[1]
-    elif sp.issparse(A):
+    elif hasattr(A, "tocsr"):
         AH = A.conj().T.tocsr()
         mv = lambda v: A @ v
         rmv = lambda v: AH @ v
-        n = A.shape[1]
     else:
-        mv, rmv, n = A.matvec, A.rmatvec, A.shape[1]
+        mv, rmv = A.matvec, A.rmatvec
+    n = A.shape[1]
 
-    rng = np.random.default_rng(0)
-    x = x0.astype(complex).copy() if x0 is not None else (
-        rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    x /= np.linalg.norm(x)
-    lam_prev = None
-    lam = 0.0
-    it = 0
-    for it in range(1, iters + 1):
-        y = mv(x)
-        lam = float(np.vdot(y, y).real)     # = ||A x||^2, x normalized
-        z = rmv(y)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return NormResult(0.0, it, 0.0, True)
-        x = z / nz
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(lam, 1e-300):
+    if x0 is None:
+        rng = np.random.default_rng(0)
+        x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q = np.asarray(x0) / np.linalg.norm(x0)
+    basis, alpha, beta = [], [], []
+    theta, s = 0.0, np.ones(1)
+    for _ in range(min(iters, n)):
+        basis.append(q)
+        w = np.array(rmv(mv(q)))
+        w_norm = float(np.linalg.norm(w))
+        alpha.append(float(np.vdot(q, w).real))
+        for u in basis:         # full reorthogonalization, one Gram-Schmidt pass
+            w -= np.vdot(u, w) * u
+        b = float(np.linalg.norm(w))
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        vals, vecs = np.linalg.eigh(T)
+        theta, s = max(float(vals[-1]), 0.0), vecs[:, -1]
+        # breakdown: what is left of A*A q is rounding noise, so the Krylov
+        # space is invariant to working precision
+        if b <= LANCZOS_BREAKDOWN * w_norm or b * abs(s[-1]) <= tol * theta:
             break
-        lam_prev = lam
-    y = mv(x)
-    z = rmv(y)
-    resid = float(np.linalg.norm(z - lam * x) / max(lam, 1e-300))
-    converged = it < iters or (
-        lam_prev is not None and abs(lam - lam_prev) <= tol * max(lam, 1e-300))
-    return NormResult(math.sqrt(max(lam, 0.0)), it, resid, converged)
+        beta.append(b)
+        q = w / b
+
+    x = sum(c * u for c, u in zip(s, basis))
+    x /= np.linalg.norm(x)
+    resid = float(np.linalg.norm(rmv(mv(x)) - theta * x) / max(theta, 1e-300))
+    return NormResult(math.sqrt(theta), len(basis), resid, resid <= tol)
 
 
 # -- the separation experiment -------------------------------------------
@@ -232,82 +273,80 @@ def _sym_shift_norm(N_sym: int) -> float:
     return float(np.linalg.svd(block, compute_uv=False)[0])
 
 
+# The symmetrized z1 + z1 z2 as a word polynomial, letters 0-based:
+# T1 + (T1 T2 + T2 T1) / 2.
+DP_WORDS = {(0,): 1.0, (0, 1): 0.5, (1, 0): 0.5}
+
+
 class _DPFullRestriction:
-    """x -> P A* A P x for A = T1 + (T1 T2 + T2 T1)/2 on a word basis built
-    two grades above the domain, so the domain never feels the truncation."""
+    """The symmetrized p restricted to words of length <= L_domain, as a map
+    into a word basis built two grades higher, so images never feel the
+    truncation."""
 
     def __init__(self, L_domain: int):
         self.basis = FockBasis.create(2, L_domain + 2)
-        self.n_domain = fock_count(2, L_domain)
-        self.shape = (self.basis.size, self.basis.size)
-
-    def _apply(self, v):
-        b = self.basis
-        t1v = b.apply_creation(0, v)
-        t2v = b.apply_creation(1, v)
-        return t1v + 0.5 * (b.apply_creation(0, t2v) + b.apply_creation(1, t1v))
-
-    def _apply_adjoint(self, v):
-        b = self.basis
-        t1s = b.apply_creation_adjoint(0, v)
-        t2s = b.apply_creation_adjoint(1, v)
-        return (t1s
-                + 0.5 * (b.apply_creation_adjoint(1, t1s)
-                         + b.apply_creation_adjoint(0, t2s)))
+        self.L_domain = L_domain
+        self.shape = (self.basis.size, self.basis.offsets[L_domain + 1])
 
     def matvec(self, v):
-        w = v.copy()
-        w[self.n_domain:] = 0.0
-        return self._apply(w)
+        return self.basis.apply_words(DP_WORDS, v)
 
     def rmatvec(self, v):
-        w = self._apply_adjoint(v)
-        w[self.n_domain:] = 0.0
-        return w
+        return self.basis.apply_words_adjoint(DP_WORDS, v, self.L_domain)
 
     def vacuum(self) -> np.ndarray:
-        x = np.zeros(self.basis.size, dtype=complex)
+        x = np.zeros(self.shape[1])
         x[0] = 1.0
         return x
 
 
 def davidson_pitts(L_full: int = 16, N_sym: int = 16,
-                   tol: float = POWER_ITER_TOL,
-                   max_iters: int = POWER_ITER_MAX) -> dict:
+                   tol: float = LANCZOS_TOL,
+                   max_iters: int = LANCZOS_MAX_STEPS) -> dict:
     """Both norms of p = z1 + z1 z2: the commuting shift calculus on the
     monomial basis and the symmetrized calculus on the word basis.
 
     Reported values are exact norms of the operators restricted to the
     stated degree/length, which increase with the truncation parameter; the
     word-side limit is sqrt(5/2) (the squared norm is 5/2, from the word
-    algebra identity in the module header).
+    algebra identity in the module header).  This is the one-row case of
+    ``davidson_pitts_sweep``.
     """
-    norm_shift = _sym_shift_norm(N_sym)
-    op = _DPFullRestriction(L_full)
-    res = operator_norm(op, method="power-iteration", iters=max_iters, tol=tol,
-                        x0=op.vacuum())
-    return {
-        "L_full": L_full,
-        "N_sym": N_sym,
-        "norm_sym_shift": norm_shift,
-        "norm_sym_calculus": res.value,
-        "iters": res.iters,
-        "residual": res.residual,
-    }
+    table = davidson_pitts_sweep([L_full], N_sym, tol, max_iters)
+    row = table["rows"][0]
+    return {"L_full": row["L"], "N_sym": N_sym,
+            "norm_sym_shift": table["norm_sym_shift"],
+            **{key: row[key] for key in
+               ("norm_sym_calculus", "iters", "residual", "converged")}}
 
 
 def davidson_pitts_sweep(L_values: Sequence[int], N_sym: int = 16,
-                         tol: float = POWER_ITER_TOL,
-                         max_iters: int = POWER_ITER_MAX) -> dict:
-    """Norm table across word lengths with a single shift-side computation."""
+                         tol: float = LANCZOS_TOL,
+                         max_iters: int = LANCZOS_MAX_STEPS) -> dict:
+    """Norm table across word lengths with a single shift-side computation.
+
+    The word lengths and the basis size cap are checked before any work:
+    an empty sweep or a length below 1 raises ValueError, a largest basis
+    (two grades above the largest length) over the cap raises SizeCapError.
+    Each row runs Lanczos from the vacuum, whose Krylov space is exhausted
+    after L + 1 steps.
+    """
+    L_values = [int(L) for L in L_values]
+    if not L_values or min(L_values) < 1:
+        raise ValueError(f"word lengths must be a non-empty list of integers "
+                         f">= 1, got {L_values}")
+    words = fock_count(2, max(L_values) + 2)
+    if words > BASIS_SIZE_CAP:
+        raise SizeCapError(f"L={max(L_values)} needs a basis of {words} words, "
+                           f"cap is {BASIS_SIZE_CAP}")
     norm_shift = _sym_shift_norm(N_sym)
     rows = []
     for L in L_values:
         op = _DPFullRestriction(L)
-        res = operator_norm(op, method="power-iteration", iters=max_iters,
-                            tol=tol, x0=op.vacuum())
-        rows.append({"L": int(L), "norm_sym_calculus": res.value,
-                     "iters": res.iters, "residual": res.residual})
+        res = operator_norm(op, method="lanczos", iters=max_iters, tol=tol,
+                            x0=op.vacuum())
+        rows.append({"L": L, "norm_sym_calculus": res.value, "iters": res.iters,
+                     "residual": res.residual, "converged": res.converged})
     return {"N_sym": N_sym, "norm_sym_shift": norm_shift, "rows": rows,
             "limit_norm": DP_LIMIT_NORM}
 

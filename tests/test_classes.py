@@ -232,6 +232,37 @@ class TestGenerators:
         assert "O+" in kinds and "S+" in kinds
 
 
+class TestClassMemberBacking:
+    def _measure(self):
+        zeta = np.array([0.6, 0.8j])
+        return AtomicMeasure(zeta[None, :], np.array([0.7]), "boundary")
+
+    @pytest.mark.parametrize("make", [
+        lambda mu: HerglotzMeasureFunction(mu, mode="half"),
+        lambda mu: HerglotzMeasureFunction(mu, imag_const=0.3),
+        lambda mu: HerglotzMeasureFunction(
+            AtomicMeasure(mu.points.copy(), mu.weights.copy(), "boundary")),
+    ], ids=["half-mode", "imag-const", "other-measure"])
+    def test_rejects_evaluator_that_is_not_the_backing_transform(self, make):
+        mu = self._measure()
+        with pytest.raises(ValueError):
+            ClassMember("M+", 2, make(mu), measure=mu)
+
+    def test_rejects_measure_evaluator_without_backing(self):
+        mu = self._measure()
+        with pytest.raises(ValueError):
+            ClassMember("M+", 2, HerglotzMeasureFunction(mu))
+
+    def test_accepts_consistent_members(self):
+        mu = self._measure()
+        own = ClassMember("M+", 2, HerglotzMeasureFunction(mu), measure=mu)
+        kernel = ClassMember("O+", 2, BoundaryKernel(mu.points[0]), measure=mu)
+        pts = 0.5 * mu.points
+        assert np.allclose(own.values_at(pts), 0.7 * kernel.values_at(pts))
+        assert generate_member("M+", 3).measure is not None
+        assert opool_member(3).measure is not None
+
+
 class TestDualitySweeps:
     def test_trivial_constant_pair(self):
         one = TruncatedSeries.constant(2, 4, 1.0)

@@ -107,6 +107,28 @@ class TestDavidsonPittsCommand:
         assert lines[0].startswith("L,")
         assert len(lines) == 1 + len(res["sweep"])
 
+    def test_report_carries_convergence(self, tmp_path):
+        code, report = run_cli(
+            ["davidson-pitts", "--param", "L_sweep=[4, 6]", "--param", "N_sym=4"],
+            tmp_path)
+        assert code == 0
+        res = report["results"]
+        assert res["converged"] is True
+        assert [row["converged"] for row in res["sweep"]] == [True, True]
+        assert [row["iters"] for row in res["sweep"]] == [5, 7]
+        assert "lanczos_tol" in report["tolerances"]
+
+    def test_empty_sweep_exit_2(self, tmp_path):
+        code = main(["davidson-pitts", "--param", "L_sweep=[]",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+
+    def test_bad_sweep_values_exit_2(self, tmp_path):
+        for spec in ("L_sweep=[0, 4]", "L_sweep=5"):
+            code = main(["davidson-pitts", "--param", spec,
+                         "--out", str(tmp_path / "x.json")])
+            assert code == 2, spec
+
     def test_cap_exceeded_exit_3(self, tmp_path):
         code = main(["davidson-pitts", "--param", "L_full=25",
                      "--out", str(tmp_path / "x.json")])
@@ -203,6 +225,15 @@ class TestConsoleEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(out.read_text())["command"] == "duality"
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, herglotzlab.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_stdin_series(self, tmp_path):
         one = TruncatedSeries.constant(2, 3, 1.0)

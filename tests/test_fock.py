@@ -37,6 +37,18 @@ class TestWordBasis:
         with pytest.raises(SizeCapError):
             FockBasis.create(2, 21)
 
+    def test_creation_rows_match_word_enumeration(self):
+        # the index arithmetic against an explicit word -> index dictionary
+        for d, L in ((2, 5), (3, 4)):
+            words = fock_words(d, L)
+            index = {w: i for i, w in enumerate(words)}
+            basis = FockBasis.create(d, L)
+            assert basis.size == len(words)
+            below_top = words[: fock_count(d, L - 1)]
+            for j in range(d):
+                expect = [index[(j + 1,) + w] for w in below_top]
+                assert basis.creation_rows(j).tolist() == expect
+
 
 class TestCreationOperators:
     def test_prepend_on_vacuum(self):
@@ -80,6 +92,23 @@ class TestCreationOperators:
             assert np.allclose(basis.apply_creation_adjoint(j, v),
                                ops[j].conj().T @ v)
 
+    def test_word_polynomial_matches_sparse_products(self):
+        # a domain of grades <= 3 inside a basis of grade 5; complex weights
+        basis = FockBasis.create(2, 5)
+        L1, L2 = creation_operators(2, 5)
+        terms = {(0,): 1.0, (0, 1): 0.5, (1, 0): 0.5j, (1, 1, 0): -2.0}
+        A = L1 + 0.5 * (L1 @ L2) + 0.5j * (L2 @ L1) - 2.0 * (L2 @ L2 @ L1)
+        m, n = fock_count(2, 3), basis.size
+        rng = np.random.default_rng(1)
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        padded = np.concatenate([v, np.zeros(n - m)])
+        assert np.allclose(basis.apply_words(terms, v), A @ padded)
+        assert np.allclose(basis.apply_words_adjoint(terms, u, 3),
+                           (A.conj().T @ u)[:m])
+        with pytest.raises(ValueError):
+            basis.apply_words(terms, v[:-1])
+
 
 class TestDshift:
     def test_univariate_unilateral_shift(self):
@@ -119,13 +148,37 @@ class TestOperatorNorm:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
         dense = operator_norm(A, method="dense-svd")
-        power = operator_norm(A, method="power-iteration", tol=1e-14)
+        power = operator_norm(A, method="lanczos", tol=1e-14)
         assert abs(dense.value - power.value) < 1e-8
         assert power.converged
 
+    def test_unknown_method(self):
+        with pytest.raises(ValueError):
+            operator_norm(np.eye(3), method="power-iteration")
+
+    def test_lanczos_breakdown_on_small_invariant_space(self):
+        # A*A = diag(4, 1, 1, 1): the start vector e0 + e1 spans a
+        # two-dimensional Krylov space, so Lanczos breaks down after 2 steps
+        A = np.diag([2.0, 1.0, 1.0, 1.0])
+        x0 = np.array([1.0, 1.0, 0.0, 0.0])
+        res = operator_norm(A, method="lanczos", x0=x0)
+        assert res.iters == 2
+        assert abs(res.value - 2.0) < 1e-15
+        assert res.converged and res.residual <= 1e-15
+        # breakdown, not the tolerance, ends the run
+        assert operator_norm(A, method="lanczos", x0=x0, tol=0.0).iters == 2
+
+    def test_step_cap_reports_nonconvergence(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((40, 40))
+        res = operator_norm(A, method="lanczos", iters=2)
+        assert res.iters == 2
+        assert not res.converged
+        assert res.residual > 1e-10
+
     def test_sparse_input(self):
         L1, _ = creation_operators(2, 6)
-        res = operator_norm(L1, method="power-iteration")
+        res = operator_norm(L1, method="lanczos")
         assert abs(res.value - 1.0) < 1e-8
 
 
@@ -141,6 +194,40 @@ class TestSeparationExperiment:
             out = davidson_pitts(L_full=L, N_sym=4)
             oracle = math.sqrt(1.5 + math.cos(math.pi / (L + 2)))
             assert abs(out["norm_sym_calculus"] - oracle) < 1e-7
+
+    def test_sweep_pinned_to_closed_form(self):
+        # from the vacuum the Krylov space is exhausted after L + 1 steps
+        table = davidson_pitts_sweep(range(4, 17), N_sym=16)
+        assert [row["L"] for row in table["rows"]] == list(range(4, 17))
+        for row in table["rows"]:
+            L = row["L"]
+            closed = math.sqrt(1.5 + math.cos(math.pi / (L + 2)))
+            assert abs(row["norm_sym_calculus"] - closed) <= 1e-12, L
+            assert row["iters"] == L + 1
+            assert row["converged"] is True
+            assert row["residual"] <= 1e-12
+
+    def test_one_row_case_of_sweep(self):
+        out = davidson_pitts(L_full=7, N_sym=6)
+        row = davidson_pitts_sweep([7], N_sym=6)["rows"][0]
+        assert out["L_full"] == 7 and out["N_sym"] == 6
+        for key in ("norm_sym_calculus", "iters", "residual", "converged"):
+            assert out[key] == row[key]
+
+    @pytest.mark.parametrize("L_values", [[], [0, 4], [4, -1]])
+    def test_sweep_rejects_bad_lengths(self, L_values):
+        with pytest.raises(ValueError):
+            davidson_pitts_sweep(L_values)
+
+    def test_sweep_cap_checked_before_any_work(self, monkeypatch):
+        import herglotzlab.fock as fock
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the cap check")
+        monkeypatch.setattr(fock, "_sym_shift_norm", fail)
+        monkeypatch.setattr(fock, "_DPFullRestriction", fail)
+        with pytest.raises(SizeCapError):
+            fock.davidson_pitts_sweep([4, 5, 18])
 
     def test_sweep_nondecreasing(self):
         table = davidson_pitts_sweep(range(4, 11), N_sym=8)
