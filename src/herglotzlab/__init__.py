@@ -41,7 +41,6 @@ from .optuple import (
 )
 from .fock import (
     FockBasis,
-    SymFockBasis,
     creation_operators,
     cuntz_state_herglotz,
     cuntz_state_word,

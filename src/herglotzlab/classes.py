@@ -15,13 +15,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .optuple import HerglotzDatum, OperatorTuple
-from .pairing import CLAMP_EPS, AtomicMeasure, HerglotzMeasureFunction, R_GRID
-from .series import (
-    TruncatedSeries,
-    enumerate_multiindices,
-    simplex_size,
-    weight,
+from .pairing import (
+    CLAMP_EPS,
+    R_GRID,
+    AtomicMeasure,
+    HerglotzMeasureFunction,
+    herglotz_of_measure,
 )
+from .series import TruncatedSeries, _monomial_sums, weight_array
 
 DEFAULT_POINTS = 25
 DEFAULT_RADIUS_CAP = 0.95
@@ -205,19 +206,13 @@ def kT_test(T: OperatorTuple, pts: PointSet, tol: Optional[float] = None,
 
 def extreme_h(zeta: Sequence[complex], N: int) -> TruncatedSeries:
     """Truncation of (1 + <z, zeta>) / (1 - <z, zeta>) for |zeta| = 1:
-    c_0 = 1 and c_alpha = 2 w(alpha) conj(zeta)^alpha."""
+    c_0 = 1 and c_alpha = 2 w(alpha) conj(zeta)^alpha, the transform of the
+    unit point mass at zeta."""
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(zeta) - 1.0) > 1e-12:
         raise ValueError("extreme kernel point must lie on the unit sphere")
-    d = len(zeta)
-    c = np.zeros(simplex_size(d, N), dtype=complex)
-    c[0] = 1.0
-    conj_z = np.conj(zeta)
-    for i, alpha in enumerate(enumerate_multiindices(d, N)):
-        if i == 0:
-            continue
-        c[i] = 2.0 * weight(alpha) * np.prod(conj_z ** np.asarray(alpha))
-    return TruncatedSeries(d, N, c, from_boundary_measure=True)
+    return herglotz_of_measure(
+        AtomicMeasure(zeta[None, :], np.ones(1), "boundary"), 0.0, N)
 
 
 class BoundaryKernel:
@@ -291,7 +286,6 @@ class ClassMember:
 
     def series(self, N: int) -> TruncatedSeries:
         from .optuple import herglotz_taylor
-        from .pairing import herglotz_of_measure
         if self.datum is not None:
             return herglotz_taylor(self.datum, N)
         if self.measure is not None:
@@ -609,17 +603,11 @@ def mplus_atom_fit_residual(f: TruncatedSeries, n_atoms: int = 8,
     nothing about non-atomic measures.
     """
     d, N = f.d, f.N
-    alphas = enumerate_multiindices(d, N)
     target = f.coeffs
-    weights_arr = np.array([weight(a) for a in alphas], dtype=float)
-    alpha_mat = np.array(alphas)
+    weights_arr = weight_array(d, N)
 
     def model_coeffs(points: np.ndarray, masses: np.ndarray) -> np.ndarray:
-        conj_pts = np.conj(points)
-        monos = np.ones((len(points), len(alphas)), dtype=complex)
-        for j in range(d):
-            monos *= conj_pts[:, j][:, None] ** alpha_mat[:, j][None, :]
-        c = 2.0 * weights_arr * (masses @ monos)
+        c = 2.0 * weights_arr * _monomial_sums(np.conj(points), masses, N)
         c[0] = masses.sum()
         return c
 

@@ -188,9 +188,8 @@ def cmd_herglotz(cfg: RunConfig) -> dict:
 
 def cmd_davidson_pitts(cfg: RunConfig) -> dict:
     p = cfg.params
-    L_full = int(p.get("L_full", 16))
     N_sym = int(p.get("N_sym", 16))
-    sweep_values = p.get("L_sweep", list(range(4, L_full + 1)))
+    sweep_values = p.get("L_sweep", list(range(4, int(p.get("L_full", 16)) + 1)))
     if not isinstance(sweep_values, list):
         raise InputError(f"L_sweep must be a JSON list of word lengths, "
                          f"got {sweep_values!r}")
@@ -199,7 +198,7 @@ def cmd_davidson_pitts(cfg: RunConfig) -> dict:
     last = table["rows"][-1]
     gap = last["norm_sym_calculus"] - table["norm_sym_shift"]
     return {
-        "L_full": L_full,
+        "L_full": max(row["L"] for row in table["rows"]),
         "N_sym": N_sym,
         "norm_sym_shift": table["norm_sym_shift"],
         "norm_sym_calculus": last["norm_sym_calculus"],

@@ -18,9 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import enumerate_multiindices, simplex_size, weight
+from .series import _exponents, _parents, grade_array, simplex_size
 
 BASIS_SIZE_CAP = 10 ** 6
+SHIFT_BYTES_CAP = 1 << 27      # the two dense shifts of _sym_shift_norm
 
 LANCZOS_TOL = 1e-10
 LANCZOS_MAX_STEPS = 300
@@ -143,26 +144,6 @@ def creation_operators(d: int, L: int) -> list:
             for j in range(d)]
 
 
-@dataclass(frozen=True, eq=False)
-class SymFockBasis:
-    """Monomial basis of the ball space with norms sqrt(alpha!/|alpha|!)."""
-
-    d: int
-    N: int
-
-    @property
-    def monomials(self) -> tuple:
-        return enumerate_multiindices(self.d, self.N)
-
-    @property
-    def norms(self) -> np.ndarray:
-        return np.array([math.sqrt(1.0 / weight(a)) for a in self.monomials])
-
-    @property
-    def size(self) -> int:
-        return simplex_size(self.d, self.N)
-
-
 def dshift_operators(d: int, N: int) -> list:
     """Coordinate multiplication operators on the normalized monomial basis.
 
@@ -171,17 +152,13 @@ def dshift_operators(d: int, N: int) -> list:
     """
     if d < 1 or N < 1:
         raise ValueError("need d >= 1, N >= 1")
-    alphas = enumerate_multiindices(d, N)
-    idx = {a: i for i, a in enumerate(alphas)}
-    m = len(alphas)
+    m = simplex_size(d, N)
+    parents, exps, grades = _parents(d, N), _exponents(d, N), grade_array(d, N)
     ops = [np.zeros((m, m), dtype=complex) for _ in range(d)]
-    for i, a in enumerate(alphas):
-        k = sum(a)
-        if k == N:
-            continue
-        for j in range(d):
-            target = a[:j] + (a[j] + 1,) + a[j + 1:]
-            ops[j][idx[target], i] = math.sqrt((a[j] + 1) / (k + 1))
+    for j, S in enumerate(ops):
+        # S_j e_parent = sqrt(beta_j / |beta|) e_beta for beta = parent + e_j
+        beta = np.nonzero(parents[:, j] >= 0)[0]
+        S[beta, parents[beta, j]] = np.sqrt(exps[beta, j] / grades[beta])
     return ops
 
 
@@ -264,8 +241,13 @@ def _sym_shift_norm(N_sym: int) -> float:
 
     The shifts are built two grades higher so images never hit the
     compression edge; the restriction norm is then exact and nondecreasing
-    in N_sym.
+    in N_sym.  Shifts over SHIFT_BYTES_CAP raise SizeCapError before any
+    work.
     """
+    nbytes = 2 * simplex_size(2, N_sym + 2) ** 2 * np.dtype(complex).itemsize
+    if nbytes > SHIFT_BYTES_CAP:
+        raise SizeCapError(f"N_sym={N_sym} needs {nbytes} bytes of dense shifts, "
+                           f"cap is {SHIFT_BYTES_CAP}")
     S = dshift_operators(2, N_sym + 2)
     A = S[0] + S[0] @ S[1]
     m = simplex_size(2, N_sym)
@@ -327,7 +309,8 @@ def davidson_pitts_sweep(L_values: Sequence[int], N_sym: int = 16,
 
     The word lengths and the basis size cap are checked before any work:
     an empty sweep or a length below 1 raises ValueError, a largest basis
-    (two grades above the largest length) over the cap raises SizeCapError.
+    (two grades above the largest length) over the cap, or shift-side
+    matrices over SHIFT_BYTES_CAP, raises SizeCapError.
     Each row runs Lanczos from the vacuum, whose Krylov space is exhausted
     after L + 1 steps.
     """

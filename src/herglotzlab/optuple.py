@@ -18,8 +18,10 @@ from .pairing import qr_pair
 from .series import (
     DimensionMismatchError,
     TruncatedSeries,
+    _parent_steps,
+    _parents,
     enumerate_multiindices,
-    index_map,
+    simplex_size,
     weight,
 )
 
@@ -250,20 +252,16 @@ def herglotz_taylor(D: HerglotzDatum, N: int) -> TruncatedSeries:
     independent cross-check.
     """
     d, n = D.tuple.d, D.tuple.n
-    alphas = enumerate_multiindices(d, N)
-    idx = index_map(d, N)
-    U = np.zeros((len(alphas), n), dtype=complex)
+    parents = _parents(d, N).tolist()         # index of alpha - e_j, or -1
+    U = np.zeros((len(parents), n), dtype=complex)
     U[0] = D.xi
-    coeffs = np.zeros(len(alphas), dtype=complex)
+    coeffs = np.zeros(len(parents), dtype=complex)
     coeffs[0] = np.vdot(D.xi, D.xi).real + 1j * D.t
-    for i, alpha in enumerate(alphas):
-        if i == 0:
-            continue
+    for i in range(1, len(parents)):
         acc = np.zeros(n, dtype=complex)
-        for j in range(d):
-            if alpha[j] > 0:
-                parent = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-                acc += D.tuple.matrices[j] @ U[idx[parent]]
+        for j, parent in enumerate(parents[i]):
+            if parent >= 0:
+                acc += D.tuple.matrices[j] @ U[parent]
         U[i] = acc
         coeffs[i] = 2.0 * np.vdot(D.xi, acc)
     return TruncatedSeries(d, N, coeffs)
@@ -335,16 +333,11 @@ def commuting_calculus(p: TruncatedSeries, T: OperatorTuple,
             f"tuple is not commuting: max commutator norm {worst:.3e}")
     if p.d != T.d:
         raise DimensionMismatchError(f"dimension mismatch: {p.d} vs {T.d}")
-    alphas = enumerate_multiindices(p.d, p.N)
-    idx = index_map(p.d, p.N)
-    powers = np.zeros((len(alphas), T.n, T.n), dtype=complex)
+    steps_j, steps_parent = _parent_steps(p.d, p.N)
+    powers = np.zeros((simplex_size(p.d, p.N), T.n, T.n), dtype=complex)
     powers[0] = np.eye(T.n)
-    for i, alpha in enumerate(alphas):
-        if i == 0:
-            continue
-        j = next(q for q, v in enumerate(alpha) if v > 0)
-        parent = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-        powers[i] = T.matrices[j] @ powers[idx[parent]]
+    for i in range(1, len(powers)):
+        powers[i] = T.matrices[steps_j[i]] @ powers[steps_parent[i]]
     return np.tensordot(p.coeffs, powers, axes=(0, 0))
 
 

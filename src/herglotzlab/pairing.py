@@ -19,10 +19,10 @@ from .series import (
     DimensionMismatchError,
     SeriesDomainError,
     TruncatedSeries,
-    enumerate_multiindices,
+    _monomial_sums,
     grade_array,
     simplex_size,
-    weight,
+    weight_array,
     weight_ratio_array,
 )
 
@@ -235,15 +235,9 @@ def herglotz_of_measure(mu: AtomicMeasure, imag_const: float = 0.0,
         raise ValueError(f"unknown transform mode {mode!r}")
     kernel_scale = 2.0 if mode == "full" else 1.0
     d = mu.d
-    c = np.zeros(simplex_size(d, N), dtype=complex)
+    moments = _monomial_sums(np.conj(mu.points), mu.weights, N)
+    c = kernel_scale * weight_array(d, N) * moments
     c[0] = (kernel_scale / 2.0) * mu.mass + 1j * imag_const
-    if len(mu.points):
-        conj_pts = np.conj(mu.points)
-        for i, alpha in enumerate(enumerate_multiindices(d, N)):
-            if i == 0:
-                continue
-            mono = np.prod(conj_pts ** np.asarray(alpha), axis=1)
-            c[i] = kernel_scale * weight(alpha) * np.sum(mu.weights * mono)
     return TruncatedSeries(d, N, c,
                            from_boundary_measure=(mu.support == "boundary"))
 

@@ -24,7 +24,7 @@ MAX_DEGREE = 16
 DEFAULT_DEGREE = 10
 WEIGHT_DEGREE_CAP = 20
 
-_EVAL_CHUNK = 65536
+_EVAL_BYTES = 4 << 20          # monomial table per point chunk
 
 
 class DimensionMismatchError(ValueError):
@@ -45,17 +45,6 @@ def simplex_size(d: int, N: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _grade_tuples(d: int, k: int) -> tuple:
-    if d == 1:
-        return ((k,),)
-    out = []
-    for a in range(k, -1, -1):
-        for rest in _grade_tuples(d - 1, k - a):
-            out.append((a,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def enumerate_multiindices(d: int, N: int) -> tuple:
     """All multi-indices with |alpha| <= N in the canonical graded order.
 
@@ -66,10 +55,7 @@ def enumerate_multiindices(d: int, N: int) -> tuple:
         raise DimensionMismatchError(f"dimension must be >= 1, got {d}")
     if N < 0:
         raise DegreeCapError(f"degree must be >= 0, got {N}")
-    out = []
-    for k in range(N + 1):
-        out.extend(_grade_tuples(d, k))
-    return tuple(out)
+    return tuple(map(tuple, _exponents(d, N).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -80,20 +66,12 @@ def index_map(d: int, N: int) -> dict:
 @lru_cache(maxsize=None)
 def grade_slices(d: int, N: int) -> tuple:
     """(start, end) index ranges of each grade 0..N in the enumeration."""
-    out = []
-    start = 0
-    for k in range(N + 1):
-        size = len(_grade_tuples(d, k))
-        out.append((start, start + size))
-        start += size
-    return tuple(out)
+    return tuple((simplex_size(d, k - 1), simplex_size(d, k)) for k in range(N + 1))
 
 
 @lru_cache(maxsize=None)
 def grade_array(d: int, N: int) -> np.ndarray:
-    g = np.empty(simplex_size(d, N), dtype=np.int64)
-    for k, (a, b) in enumerate(grade_slices(d, N)):
-        g[a:b] = k
+    g = _exponents(d, N).sum(axis=1)
     g.setflags(write=False)
     return g
 
@@ -116,52 +94,127 @@ def weight(alpha: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def weight_ratio_array(d: int, N: int) -> np.ndarray:
-    """alpha!/|alpha|! = 1/weight(alpha) per index, as float64."""
-    arr = np.array(
-        [1.0 / weight(a) for a in enumerate_multiindices(d, N)], dtype=float
-    )
-    arr.setflags(write=False)
-    return arr
+def _exponents(d: int, N: int) -> np.ndarray:
+    """(m, d) array of the multi-indices in enumeration order.  Grade k is,
+    for j = 0..d-1 in turn, e_j plus each index of grade k - 1 whose first
+    j entries are zero, so every grade descends lexicographically."""
+    unit = np.eye(d, dtype=np.int64)
+    grades = [np.zeros((1, d), dtype=np.int64)]
+    for _ in range(N):
+        prev = grades[-1]
+        grades.append(np.concatenate(
+            [prev[~prev[:, :j].any(axis=1)] + unit[j] for j in range(d)]))
+    e = np.concatenate(grades)
+    e.setflags(write=False)
+    return e
+
+
+@lru_cache(maxsize=None)
+def _codes(d: int, N: int) -> tuple:
+    """(radix, codes, lookup): the mixed-radix code sum_j alpha_j (N+1)^j of
+    each index, and a dense array of (N+1)^d entries mapping codes back to
+    indices.  No coordinate exceeds N, so codes of multi-indices add."""
+    radix = (N + 1) ** np.arange(d, dtype=np.int64)
+    codes = _exponents(d, N) @ radix
+    lookup = np.full((N + 1) ** d, -1, dtype=np.int64)
+    lookup[codes] = np.arange(len(codes))
+    for arr in (radix, codes, lookup):
+        arr.setflags(write=False)
+    return radix, codes, lookup
+
+
+@lru_cache(maxsize=None)
+def _parents(d: int, N: int) -> np.ndarray:
+    """(m, d) array: the index of alpha - e_j, or -1 where alpha_j = 0
+    (those entries read an unrelated code and are masked)."""
+    radix, codes, lookup = _codes(d, N)
+    out = np.where(_exponents(d, N) > 0, lookup[codes[:, None] - radix], -1)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _parent_steps(d: int, N: int) -> tuple:
     """For each index i > 0: (variable j, index of alpha - e_j) with j the
     first nonzero coordinate.  Drives monomial-table recursions."""
-    idx = index_map(d, N)
-    steps_j = np.zeros(simplex_size(d, N), dtype=np.int64)
-    steps_parent = np.zeros(simplex_size(d, N), dtype=np.int64)
-    for i, a in enumerate(enumerate_multiindices(d, N)):
-        if i == 0:
-            continue
-        j = next(p for p, v in enumerate(a) if v > 0)
-        parent = a[:j] + (a[j] - 1,) + a[j + 1:]
-        steps_j[i] = j
-        steps_parent[i] = idx[parent]
+    steps_j = np.argmax(_exponents(d, N) > 0, axis=1)
+    steps_parent = np.maximum(_parents(d, N)[np.arange(len(steps_j)), steps_j], 0)
     steps_j.setflags(write=False)
     steps_parent.setflags(write=False)
     return steps_j, steps_parent
 
 
 @lru_cache(maxsize=None)
+def weight_array(d: int, N: int) -> np.ndarray:
+    """weight(alpha) per index, exact, as float64."""
+    if N > WEIGHT_DEGREE_CAP:
+        raise DegreeCapError(f"degree {N} exceeds the exact-weight cap {WEIGHT_DEGREE_CAP}")
+    fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=np.int64)
+    exps = _exponents(d, N)
+    arr = (fact[exps.sum(axis=1)] // fact[exps].prod(axis=1)).astype(float)
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=None)
+def weight_ratio_array(d: int, N: int) -> np.ndarray:
+    """alpha!/|alpha|! = 1/weight(alpha) per index, as float64."""
+    arr = 1.0 / weight_array(d, N)
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=None)
 def _product_table(d: int, N: int) -> tuple:
     """Per index i, the output indices of alpha_i + beta for every beta with
     |beta| <= N - |alpha_i| (betas are the prefix of the enumeration)."""
-    idx = index_map(d, N)
-    alphas = enumerate_multiindices(d, N)
+    _, codes, lookup = _codes(d, N)
     table = []
-    for a in alphas:
-        rem = N - sum(a)
-        row = np.fromiter(
-            (idx[tuple(x + y for x, y in zip(a, b))]
-             for b in enumerate_multiindices(d, rem)),
-            dtype=np.int64,
-            count=simplex_size(d, rem),
-        )
-        row.setflags(write=False)
-        table.append(row)
+    for k, (a, b) in enumerate(grade_slices(d, N)):
+        block = lookup[codes[a:b, None] + codes[:simplex_size(d, N - k)]]
+        block.setflags(write=False)
+        table.extend(block)
     return tuple(table)
+
+
+def _monomial_chunks(Z: np.ndarray, N: int):
+    """Monomial tables of the rows of Z, |alpha| <= N, in point chunks.
+
+    Yields (lo, P) with P[i, p] = Z[lo + p] ** alpha_i, monomial-major, so
+    each monomial's values are contiguous.  A chunk holds at most
+    _EVAL_BYTES of table, and each grade is filled by one numpy op from the
+    grade below along the steps of _parent_steps.
+    """
+    npts, d = Z.shape
+    m = simplex_size(d, N)
+    steps_j, steps_parent = _parent_steps(d, N)
+    slices = grade_slices(d, N)[1:]
+    ZT = np.asarray(Z, dtype=complex).T
+    step = max(1, _EVAL_BYTES // (16 * m))
+    for lo in range(0, npts, step):
+        chunk = np.ascontiguousarray(ZT[:, lo:lo + step])
+        P = np.empty((m, chunk.shape[1]), dtype=complex)
+        P[0] = 1.0
+        for a, b in slices:
+            np.multiply(P[steps_parent[a:b]], chunk[steps_j[a:b]], out=P[a:b])
+        yield lo, P
+
+
+def _monomial_sums(Z: np.ndarray, w: np.ndarray, N: int) -> np.ndarray:
+    """sum_p w_p Z[p] ** alpha for each alpha with |alpha| <= N."""
+    out = np.zeros(simplex_size(Z.shape[1], N), dtype=complex)
+    for lo, P in _monomial_chunks(Z, N):
+        out += P @ w[lo:lo + P.shape[1]]
+    return out
+
+
+def _add_products(out: np.ndarray, c: np.ndarray, u: np.ndarray,
+                  lo: int, hi: int, table: tuple) -> None:
+    """out[alpha_i + beta] += c_i u_beta for the nonzero c_i, lo <= i < hi,
+    one index i at a time in ascending order."""
+    for i in np.nonzero(c[lo:hi])[0] + lo:
+        row = table[i]
+        out[row] += c[i] * u[: len(row)]
 
 
 def _check_caps(d: int, N: int) -> None:
@@ -263,11 +316,8 @@ class TruncatedSeries:
         m = simplex_size(self.d, N)
         cf = self.coeffs[:m]
         cg = other.coeffs[:m]
-        table = _product_table(self.d, N)
         out = np.zeros(m, dtype=complex)
-        for i in np.nonzero(cf)[0]:
-            row = table[i]
-            out[row] += cf[i] * cg[: len(row)]
+        _add_products(out, cf, cg, 0, m, _product_table(self.d, N))
         return TruncatedSeries(self.d, N, out)
 
     def __add__(self, other):
@@ -306,26 +356,19 @@ class TruncatedSeries:
     def grade_values(self, points: np.ndarray) -> np.ndarray:
         """Values of each homogeneous part: array of shape (N+1, npoints).
 
-        Monomials are built by single-variable recursion over the shared
-        enumeration; grades are then contracted separately so callers can
-        reweight them (dilations, radial operators) without re-evaluating.
+        Monomials come from the chunked table of _monomial_chunks; grades
+        are contracted separately so callers can reweight them (dilations,
+        radial operators) without re-evaluating.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
         if pts.shape[1] != self.d:
             raise DimensionMismatchError(
                 f"points have {pts.shape[1]} coordinates, series has d={self.d}")
-        m = simplex_size(self.d, self.N)
-        steps_j, steps_parent = _parent_steps(self.d, self.N)
         slices = grade_slices(self.d, self.N)
         out = np.empty((self.N + 1, pts.shape[0]), dtype=complex)
-        for lo in range(0, pts.shape[0], _EVAL_CHUNK):
-            chunk = pts[lo:lo + _EVAL_CHUNK]
-            P = np.empty((chunk.shape[0], m), dtype=complex)
-            P[:, 0] = 1.0
-            for i in range(1, m):
-                P[:, i] = P[:, steps_parent[i]] * chunk[:, steps_j[i]]
+        for lo, P in _monomial_chunks(pts, self.N):
             for k, (a, b) in enumerate(slices):
-                out[k, lo:lo + chunk.shape[0]] = P[:, a:b] @ self.coeffs[a:b]
+                out[k, lo:lo + P.shape[1]] = self.coeffs[a:b] @ P[a:b]
         return out
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
@@ -386,15 +429,15 @@ def _divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     if abs(u0) < 1e-12:
         raise SeriesDomainError("division pole: denominator constant term ~ 0")
     table = _product_table(num.d, N)
+    slices = grade_slices(num.d, N)
     res = np.zeros(m, dtype=complex)
+    conv = np.zeros(m, dtype=complex)      # (res so far) * u
     res[0] = v[0] / u0
     for k in range(1, N + 1):
-        a, b = grade_slices(num.d, N)[k]
-        # grade-k part of (res so far) * u; res entries in grades >= k are 0
-        conv = np.zeros(m, dtype=complex)
-        for i in np.nonzero(res)[0]:
-            row = table[i]
-            conv[row] += res[i] * u[: len(row)]
+        # grade k - 1 of res is final: add its products, after those of
+        # the lower grades, so each entry sums in ascending index order
+        _add_products(conv, res, u, *slices[k - 1], table)
+        a, b = slices[k]
         res[a:b] = (v[a:b] - conv[a:b]) / u0
     return TruncatedSeries(num.d, N, res)
 

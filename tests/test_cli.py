@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 from herglotzlab.cli import main
 from herglotzlab.series import TruncatedSeries
@@ -133,6 +135,28 @@ class TestDavidsonPittsCommand:
         code = main(["davidson-pitts", "--param", "L_full=25",
                      "--out", str(tmp_path / "x.json")])
         assert code == 3
+
+    def test_shift_cap_checked_before_any_work(self, tmp_path):
+        # N_sym = 150 would need about 4.4 GB of dense shift matrices
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main(["davidson-pitts", "--param", "N_sym=150",
+                         "--out", str(tmp_path / "x.json")])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert elapsed < 1.0
+        assert peak < 4 * 2 ** 20
+
+    def test_l_full_is_the_largest_swept_length(self, tmp_path):
+        code, report = run_cli(
+            ["davidson-pitts", "--param", "L_sweep=[4, 6]", "--param", "N_sym=4"],
+            tmp_path)
+        assert code == 0
+        assert report["results"]["L_full"] == 6
 
 
 class TestDualityCommand:

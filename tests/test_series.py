@@ -1,21 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herglotzlab import series
+from herglotzlab.pairing import AtomicMeasure, herglotz_of_measure
 from herglotzlab.series import (
     DegreeCapError,
     DimensionMismatchError,
     SeriesDomainError,
     TruncatedSeries,
+    _divide,
+    _parent_steps,
+    _parents,
+    _product_table,
     cayley,
     compose_univariate,
     enumerate_multiindices,
+    grade_slices,
     index_map,
     simplex_size,
     weight,
+    weight_array,
 )
 
 
@@ -335,3 +344,148 @@ class TestCapsAndJson:
                            f.multiply(g).coeffs)
         with pytest.raises(ValueError):
             series_arith(f, g, "divide")
+
+
+# -- the monomial engine, against independent oracles -----------------------
+
+
+def _ball_points(d, n, seed, radius=0.9):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z * radius * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / (2 * d))
+
+
+def _grade_by_recursion(d, k):
+    """Grade k in descending lexicographic order, by recursion on d."""
+    if d == 1:
+        return [(k,)]
+    return [(a,) + rest for a in range(k, -1, -1) for rest in _grade_by_recursion(d - 1, k - a)]
+
+
+def _product_table_by_tuples(d, N):
+    """The product table built from tuple sums and the index dict."""
+    idx = index_map(d, N)
+    return [np.array([idx[tuple(x + y for x, y in zip(a, b))]
+                      for b in enumerate_multiindices(d, N - sum(a))], dtype=np.int64)
+            for a in enumerate_multiindices(d, N)]
+
+
+def _divide_full_recompute(num, den):
+    """num/den recomputing the whole convolution of the quotient so far
+    with den at every grade."""
+    N = min(num.N, den.N)
+    m = simplex_size(num.d, N)
+    v, u = num.coeffs[:m], den.coeffs[:m]
+    table = _product_table_by_tuples(num.d, N)
+    res = np.zeros(m, dtype=complex)
+    res[0] = v[0] / u[0]
+    for k in range(1, N + 1):
+        a, b = grade_slices(num.d, N)[k]
+        conv = np.zeros(m, dtype=complex)
+        for i in np.nonzero(res)[0]:
+            row = table[i]
+            conv[row] += res[i] * u[: len(row)]
+        res[a:b] = (v[a:b] - conv[a:b]) / u[0]
+    return res
+
+
+class TestMonomialEngine:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_enumeration_matches_tuple_recursion(self, d):
+        expect = [a for k in range(17) for a in _grade_by_recursion(d, k)]
+        assert list(enumerate_multiindices(d, 16)) == expect
+
+    @pytest.mark.parametrize("d,N", [(1, 16), (2, 10), (3, 12), (4, 16)])
+    def test_product_table_matches_tuple_oracle(self, d, N):
+        table = _product_table(d, N)
+        oracle = _product_table_by_tuples(d, N)
+        assert len(table) == len(oracle)
+        assert all(np.array_equal(row, ref) for row, ref in zip(table, oracle))
+
+    @pytest.mark.parametrize("d,N", [(1, 16), (3, 12), (4, 16)])
+    def test_parents_and_weights_match_tuple_oracle(self, d, N):
+        idx = index_map(d, N)
+        parents = _parents(d, N)
+        steps_j, steps_parent = _parent_steps(d, N)
+        for i, a in enumerate(enumerate_multiindices(d, N)[1:], start=1):
+            expect = [idx[a[:j] + (a[j] - 1,) + a[j + 1:]] if a[j] else -1
+                      for j in range(d)]
+            assert parents[i].tolist() == expect
+            j = next(p for p, v in enumerate(a) if v > 0)
+            assert (steps_j[i], steps_parent[i]) == (j, expect[j])
+        exact = [weight(a) for a in enumerate_multiindices(d, N)]
+        assert weight_array(d, N).tolist() == exact
+
+    def test_weight_array_cap(self):
+        assert weight_array(2, 20).tolist() == [
+            weight(a) for a in enumerate_multiindices(2, 20)]
+        with pytest.raises(DegreeCapError):
+            weight_array(2, 21)
+
+    @pytest.mark.parametrize("d,N", [(2, 10), (3, 12), (4, 16)])
+    def test_grade_values_against_direct_products(self, d, N):
+        f = random_series(d, N, 50 + d)
+        pts = _ball_points(d, 120, seed=d)
+        exps = np.array(enumerate_multiindices(d, N))
+        monos = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)   # (npts, m)
+        terms = monos * f.coeffs
+        got = f.grade_values(pts)
+        for k, (a, b) in enumerate(grade_slices(d, N)):
+            scale = np.abs(terms[:, a:b]).sum(axis=1)
+            assert np.all(np.abs(got[k] - terms[:, a:b].sum(axis=1)) <= 1e-14 * scale)
+
+    def test_chunk_width_changes_values_only_by_rounding(self, monkeypatch):
+        f = random_series(3, 12, 60)
+        pts = _ball_points(3, 50, seed=61)
+        whole = f.grade_values(pts)
+        # three points per chunk, the last chunk short; the contraction may
+        # round differently for another chunk width
+        monkeypatch.setattr(series, "_EVAL_BYTES", 3 * 16 * simplex_size(3, 12))
+        chunked = f.grade_values(pts)
+        assert np.abs(chunked - whole).max() <= 1e-15 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("d,N", [(2, 8), (3, 10), (4, 16)])
+    def test_divide_bit_identical_to_full_recompute(self, d, N):
+        rng = np.random.default_rng(d * 100 + N)
+        m = simplex_size(d, N)
+        num = random_series(d, N, d + N, scale=0.3)
+        den_c = 0.2 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        den_c[rng.uniform(size=m) < 0.3] = 0.0      # some zero coefficients
+        den_c[0] = 1.1 - 0.4j
+        den = TruncatedSeries(d, N, den_c)
+        assert np.array_equal(_divide(num, den).coeffs, _divide_full_recompute(num, den))
+        # a quotient with exact zeros takes the nonzero-only path
+        phi = TruncatedSeries.coordinate(d, N, 0).scale(0.5)
+        one = TruncatedSeries.constant(d, N, 1.0)
+        assert np.array_equal(cayley(phi, "schur_to_herglotz").coeffs,
+                              _divide_full_recompute(one.add(phi), one.add(phi.scale(-1.0))))
+
+    @pytest.mark.parametrize("mode", ["full", "half"])
+    def test_herglotz_of_measure_against_per_index_formula(self, mode):
+        d, N = 4, 16
+        rng = np.random.default_rng(70)
+        pts = rng.standard_normal((150, d)) + 1j * rng.standard_normal((150, d))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        mu = AtomicMeasure(pts, rng.uniform(0.1, 1.0, 150), "boundary")
+        g = herglotz_of_measure(mu, 0.25, N, mode=mode)     # 150 atoms: 3 chunks
+        scale = 2.0 if mode == "full" else 1.0
+        expect = np.empty(simplex_size(d, N), dtype=complex)
+        expect[0] = scale / 2.0 * mu.mass + 0.25j
+        for i, alpha in enumerate(enumerate_multiindices(d, N)[1:], start=1):
+            mono = np.prod(np.conj(pts) ** np.asarray(alpha), axis=1)
+            expect[i] = scale * weight(alpha) * np.sum(mu.weights * mono)
+        assert np.allclose(g.coeffs, expect, rtol=1e-13, atol=0.0)
+        assert g.from_boundary_measure
+
+    def test_values_at_memory_is_bounded(self):
+        d, N = 4, 16
+        f = random_series(d, N, 80, scale=0.1)
+        pts = _ball_points(d, 20000, seed=81, radius=0.3)
+        tracemalloc.start()
+        try:
+            f.values_at(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
