@@ -18,6 +18,7 @@ from .pairing import qr_pair
 from .series import (
     DimensionMismatchError,
     TruncatedSeries,
+    _check_caps,
     _parent_steps,
     _parents,
     enumerate_multiindices,
@@ -252,6 +253,7 @@ def herglotz_taylor(D: HerglotzDatum, N: int) -> TruncatedSeries:
     independent cross-check.
     """
     d, n = D.tuple.d, D.tuple.n
+    _check_caps(d, N)
     parents = _parents(d, N).tolist()         # index of alpha - e_j, or -1
     U = np.zeros((len(parents), n), dtype=complex)
     U[0] = D.xi

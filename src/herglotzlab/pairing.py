@@ -19,6 +19,7 @@ from .series import (
     DimensionMismatchError,
     SeriesDomainError,
     TruncatedSeries,
+    _check_caps,
     _monomial_sums,
     grade_array,
     simplex_size,
@@ -235,6 +236,7 @@ def herglotz_of_measure(mu: AtomicMeasure, imag_const: float = 0.0,
         raise ValueError(f"unknown transform mode {mode!r}")
     kernel_scale = 2.0 if mode == "full" else 1.0
     d = mu.d
+    _check_caps(d, N)
     moments = _monomial_sums(np.conj(mu.points), mu.weights, N)
     c = kernel_scale * weight_array(d, N) * moments
     c[0] = (kernel_scale / 2.0) * mu.mass + 1j * imag_const
@@ -280,6 +282,8 @@ def pairing_vs_measure_check(f: TruncatedSeries, mu: AtomicMeasure, r: float,
     The factor kappa on the measure side comes from the doubled constant
     term of the pairing; with it the identity is exact for polynomials.
     """
+    if mu.d != f.d:
+        raise DimensionMismatchError(f"dimension mismatch: series {f.d} vs measure {mu.d}")
     g = herglotz_of_measure(mu, 0.0, N=f.N, mode=mode)
     lhs = qr_pair(f, g, r)
     kappa = 2.0 if mode == "full" else 1.0

@@ -58,6 +58,7 @@ from .series import (
     cayley,
     compose_univariate,
     enumerate_multiindices,
+    index_of,
     weight,
 )
 
@@ -70,9 +71,8 @@ ZERO2 = np.zeros((2, 2), dtype=complex)
 def _series(d, N, entries):
     f = TruncatedSeries.zero(d, N)
     c = f.coeffs.copy()
-    from .series import index_map
     for alpha, v in entries.items():
-        c[index_map(d, N)[alpha]] = v
+        c[index_of(d, N, alpha)] = v
     return TruncatedSeries(d, N, c)
 
 
@@ -337,9 +337,7 @@ def _checks():
         S1 = dshift_operators(1, 4)[0]
         vals = S1[np.nonzero(S1)]
         S = dshift_operators(2, 4)
-        from .series import index_map
-        idx = index_map(2, 4)
-        entry = S[0][idx[(1, 1)], idx[(0, 1)]]
+        entry = S[0][index_of(2, 4, (1, 1)), index_of(2, 4, (0, 1))]
         norm_ok = all(np.linalg.norm(Sj, 2) <= 1 + 1e-12 for Sj in S)
         return (np.allclose(vals, 1.0) and abs(entry - 2 ** -0.5) < 1e-15
                 and norm_ok)

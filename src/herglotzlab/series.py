@@ -58,9 +58,14 @@ def enumerate_multiindices(d: int, N: int) -> tuple:
     return tuple(map(tuple, _exponents(d, N).tolist()))
 
 
-@lru_cache(maxsize=None)
-def index_map(d: int, N: int) -> dict:
-    return {a: i for i, a in enumerate(enumerate_multiindices(d, N))}
+def index_of(d: int, N: int, alpha: Sequence[int]) -> int:
+    """Position of alpha in enumerate_multiindices(d, N), read off the
+    code lookup of _codes; KeyError if alpha is not in that simplex."""
+    alpha = tuple(alpha)
+    if len(alpha) != d or min(alpha, default=0) < 0 or sum(alpha) > N:
+        raise KeyError(alpha)
+    radix, _, lookup = _codes(d, N)
+    return int(lookup[sum(a * int(r) for a, r in zip(alpha, radix))])
 
 
 @lru_cache(maxsize=None)
@@ -83,14 +88,20 @@ def weight(alpha: Sequence[int]) -> int:
     if any((not isinstance(a, (int, np.integer))) or a < 0 for a in alpha):
         raise ValueError(f"multi-index entries must be nonnegative ints: {alpha}")
     k = sum(int(a) for a in alpha)
+    fact = _factorials(k)
+    return int(fact[k] // fact[list(alpha)].prod())
+
+
+@lru_cache(maxsize=None)
+def _factorials(k: int) -> np.ndarray:
+    """0!, ..., k! as int64, exact up to the exact-weight cap (20! < 2^63;
+    a product of part factorials never exceeds the factorial of the sum)."""
     if k > WEIGHT_DEGREE_CAP:
         raise DegreeCapError(
-            f"|alpha| = {k} exceeds the exact-weight cap {WEIGHT_DEGREE_CAP}"
-        )
-    w = math.factorial(k)
-    for a in alpha:
-        w //= math.factorial(int(a))
-    return w
+            f"|alpha| = {k} exceeds the exact-weight cap {WEIGHT_DEGREE_CAP}")
+    fact = np.array([math.factorial(i) for i in range(k + 1)], dtype=np.int64)
+    fact.setflags(write=False)
+    return fact
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +124,10 @@ def _exponents(d: int, N: int) -> np.ndarray:
 def _codes(d: int, N: int) -> tuple:
     """(radix, codes, lookup): the mixed-radix code sum_j alpha_j (N+1)^j of
     each index, and a dense array of (N+1)^d entries mapping codes back to
-    indices.  No coordinate exceeds N, so codes of multi-indices add."""
+    indices.  No coordinate exceeds N, so codes of multi-indices add.  The
+    lookup has at most d! times as many entries as there are indices, so
+    the dimension is held to the series cap before it is built."""
+    _check_dimension(d)
     radix = (N + 1) ** np.arange(d, dtype=np.int64)
     codes = _exponents(d, N) @ radix
     lookup = np.full((N + 1) ** d, -1, dtype=np.int64)
@@ -147,9 +161,7 @@ def _parent_steps(d: int, N: int) -> tuple:
 @lru_cache(maxsize=None)
 def weight_array(d: int, N: int) -> np.ndarray:
     """weight(alpha) per index, exact, as float64."""
-    if N > WEIGHT_DEGREE_CAP:
-        raise DegreeCapError(f"degree {N} exceeds the exact-weight cap {WEIGHT_DEGREE_CAP}")
-    fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=np.int64)
+    fact = _factorials(N)
     exps = _exponents(d, N)
     arr = (fact[exps.sum(axis=1)] // fact[exps].prod(axis=1)).astype(float)
     arr.setflags(write=False)
@@ -217,9 +229,15 @@ def _add_products(out: np.ndarray, c: np.ndarray, u: np.ndarray,
         out[row] += c[i] * u[: len(row)]
 
 
-def _check_caps(d: int, N: int) -> None:
+def _check_dimension(d: int) -> None:
     if not 1 <= d <= MAX_DIMENSION:
         raise DegreeCapError(f"dimension {d} outside supported range 1..{MAX_DIMENSION}")
+
+
+def _check_caps(d: int, N: int) -> None:
+    """Dimension and degree caps of a truncation; callers that build
+    tables for a (d, N) from user input check these first."""
+    _check_dimension(d)
     if not 0 <= N <= MAX_DEGREE:
         raise DegreeCapError(f"degree {N} outside supported range 0..{MAX_DEGREE}")
 
@@ -267,7 +285,7 @@ class TruncatedSeries:
                  value: complex = 1.0) -> "TruncatedSeries":
         alpha = tuple(int(a) for a in alpha)
         c = np.zeros(simplex_size(d, N), dtype=complex)
-        c[index_map(d, N)[alpha]] = value
+        c[index_of(d, N, alpha)] = value
         return cls(d, N, c)
 
     @classmethod
@@ -279,7 +297,7 @@ class TruncatedSeries:
     # -- basic accessors ----------------------------------------------
 
     def coeff(self, alpha: Sequence[int]) -> complex:
-        return complex(self.coeffs[index_map(self.d, self.N)[tuple(alpha)]])
+        return complex(self.coeffs[index_of(self.d, self.N, alpha)])
 
     @property
     def constant_term(self) -> complex:
@@ -396,13 +414,13 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, obj: dict) -> "TruncatedSeries":
         d, N = int(obj["d"]), int(obj["N"])
+        _check_caps(d, N)
         c = np.zeros(simplex_size(d, N), dtype=complex)
-        idx = index_map(d, N)
         for entry in obj.get("coeffs", []):
             alpha = tuple(int(a) for a in entry["alpha"])
             if sum(alpha) > N:
                 raise DegreeCapError(f"coefficient {alpha} beyond declared degree {N}")
-            c[idx[alpha]] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
+            c[index_of(d, N, alpha)] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
         return cls(d, N, c)
 
 

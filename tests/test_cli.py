@@ -21,6 +21,30 @@ def series_file(tmp_path, name, series):
     return str(path)
 
 
+def json_file(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def traced_main(args):
+    """Exit code, wall seconds and tracemalloc peak bytes of one CLI run."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(args)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, elapsed, peak
+
+
+# nine variables: over the dimension cap of the series layer, whose dense
+# code lookup alone would be 11^9 entries at the default degree
+D9_POINT = [[1.0, 0.0]] + [[0.0, 0.0]] * 8
+
+
 class TestPairCommand:
     def test_constants_give_doubled_column(self, tmp_path):
         one = TruncatedSeries.constant(2, 4, 1.0)
@@ -66,8 +90,40 @@ class TestPairCommand:
     def test_missing_input_exit_2(self):
         assert main(["pair"]) == 2
 
+    def test_measure_dimension_checked_before_any_work(self, tmp_path):
+        f = series_file(tmp_path, "f.json", TruncatedSeries.coordinate(2, 6, 0))
+        mfile = json_file(tmp_path, "mu.json", {
+            "points": [D9_POINT], "weights": [1.0], "support": "boundary"})
+        code, elapsed, peak = traced_main(
+            ["pair", "--param", f"f=\"{f}\"", "--param", f"g=\"{f}\"",
+             "--param", f"measure=\"{mfile}\"", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert elapsed < 1.0
+        assert peak < 4 * 2 ** 20
+
+    def test_series_caps_checked_before_any_work(self, tmp_path):
+        f = json_file(tmp_path, "f.json", {"d": 9, "N": 16, "coeffs": [
+            {"alpha": [1] + [0] * 8, "re": 1.0, "im": 0.0}]})
+        code, elapsed, peak = traced_main(
+            ["pair", "--param", f"f=\"{f}\"", "--param", f"g=\"{f}\"",
+             "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert elapsed < 1.0
+        assert peak < 4 * 2 ** 20
+
 
 class TestHerglotzCommand:
+    def test_dimension_cap_checked_before_any_taylor_table(self, tmp_path):
+        datum = {"d": 9, "n": 1, "matrices": [[[[0.1, 0.0]]]] * 9,
+                 "xi": [[1.0, 0.0]], "t": 0.0}
+        dfile = json_file(tmp_path, "datum.json", datum)
+        code, elapsed, peak = traced_main(
+            ["herglotz", "--param", f"datum=\"{dfile}\"",
+             "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert elapsed < 2.0
+        assert peak < 8 * 2 ** 20
+
     def _datum_file(self, tmp_path):
         e12 = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
@@ -138,15 +194,8 @@ class TestDavidsonPittsCommand:
 
     def test_shift_cap_checked_before_any_work(self, tmp_path):
         # N_sym = 150 would need about 4.4 GB of dense shift matrices
-        tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            code = main(["davidson-pitts", "--param", "N_sym=150",
-                         "--out", str(tmp_path / "x.json")])
-            elapsed = time.perf_counter() - start
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, elapsed, peak = traced_main(
+            ["davidson-pitts", "--param", "N_sym=150", "--out", str(tmp_path / "x.json")])
         assert code == 3
         assert elapsed < 1.0
         assert peak < 4 * 2 ** 20

@@ -17,7 +17,7 @@ from herglotzlab.fock import (
     fock_words,
     operator_norm,
 )
-from herglotzlab.series import index_map
+from herglotzlab.series import index_of
 
 
 class TestWordBasis:
@@ -118,8 +118,7 @@ class TestDshift:
 
     def test_monomial_norm_ratio(self):
         S = dshift_operators(2, 4)
-        idx = index_map(2, 4)
-        assert abs(S[0][idx[(1, 1)], idx[(0, 1)]] - 2 ** -0.5) < 1e-15
+        assert abs(S[0][index_of(2, 4, (1, 1)), index_of(2, 4, (0, 1))] - 2 ** -0.5) < 1e-15
 
     def test_contractive(self):
         for Sj in dshift_operators(2, 6):

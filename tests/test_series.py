@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herglotzlab import series
-from herglotzlab.pairing import AtomicMeasure, herglotz_of_measure
+from herglotzlab.optuple import HerglotzDatum, OperatorTuple, herglotz_taylor
+from herglotzlab.pairing import (
+    AtomicMeasure,
+    herglotz_of_measure,
+    pairing_vs_measure_check,
+)
 from herglotzlab.series import (
     DegreeCapError,
     DimensionMismatchError,
@@ -21,7 +26,7 @@ from herglotzlab.series import (
     compose_univariate,
     enumerate_multiindices,
     grade_slices,
-    index_map,
+    index_of,
     simplex_size,
     weight,
     weight_array,
@@ -31,7 +36,7 @@ from herglotzlab.series import (
 def make_series(d, N, entries):
     c = np.zeros(simplex_size(d, N), dtype=complex)
     for alpha, v in entries.items():
-        c[index_map(d, N)[alpha]] = v
+        c[index_of(d, N, alpha)] = v
     return TruncatedSeries(d, N, c)
 
 
@@ -221,7 +226,6 @@ class TestRadialDerivative:
         # independent oracle: sum_j z_j d/dz_j via explicit coefficient shifts
         f = random_series(2, 5, 10)
         d, N = f.d, f.N
-        idx = index_map(d, N)
         acc = np.zeros_like(np.asarray(f.coeffs))
         for i, alpha in enumerate(enumerate_multiindices(d, N)):
             for j in range(d):
@@ -363,9 +367,14 @@ def _grade_by_recursion(d, k):
     return [(a,) + rest for a in range(k, -1, -1) for rest in _grade_by_recursion(d - 1, k - a)]
 
 
+def _index_dict(d, N):
+    """Multi-index -> position, from the enumeration alone."""
+    return {a: i for i, a in enumerate(enumerate_multiindices(d, N))}
+
+
 def _product_table_by_tuples(d, N):
     """The product table built from tuple sums and the index dict."""
-    idx = index_map(d, N)
+    idx = _index_dict(d, N)
     return [np.array([idx[tuple(x + y for x, y in zip(a, b))]
                       for b in enumerate_multiindices(d, N - sum(a))], dtype=np.int64)
             for a in enumerate_multiindices(d, N)]
@@ -405,7 +414,7 @@ class TestMonomialEngine:
 
     @pytest.mark.parametrize("d,N", [(1, 16), (3, 12), (4, 16)])
     def test_parents_and_weights_match_tuple_oracle(self, d, N):
-        idx = index_map(d, N)
+        idx = _index_dict(d, N)
         parents = _parents(d, N)
         steps_j, steps_parent = _parent_steps(d, N)
         for i, a in enumerate(enumerate_multiindices(d, N)[1:], start=1):
@@ -416,6 +425,31 @@ class TestMonomialEngine:
             assert (steps_j[i], steps_parent[i]) == (j, expect[j])
         exact = [weight(a) for a in enumerate_multiindices(d, N)]
         assert weight_array(d, N).tolist() == exact
+
+    @pytest.mark.parametrize("d,N", [(1, 16), (3, 12), (4, 16)])
+    def test_index_of_matches_enumeration(self, d, N):
+        for i, a in enumerate(enumerate_multiindices(d, N)):
+            assert index_of(d, N, a) == i
+        for bad in [(N + 1,) + (0,) * (d - 1), (-1,) + (1,) * (d - 1), (0,) * (d + 1)]:
+            with pytest.raises(KeyError):
+                index_of(d, N, bad)
+
+    def test_dimension_cap_checked_before_any_table(self):
+        # the code lookup of _codes has (N+1)^d entries: 11^9 at d=9, N=10
+        with pytest.raises(DegreeCapError):
+            _parents(9, 10)
+        D = HerglotzDatum(OperatorTuple(0.1 * np.ones((9, 1, 1))), np.ones(1))
+        with pytest.raises(DegreeCapError):
+            herglotz_taylor(D, 10)
+        with pytest.raises(DegreeCapError):
+            herglotz_taylor(HerglotzDatum(OperatorTuple(np.zeros((2, 1, 1))), np.ones(1)), 17)
+        point = np.zeros((1, 9), dtype=complex)
+        point[0, 0] = 1.0
+        mu = AtomicMeasure(point, np.ones(1), "boundary")
+        with pytest.raises(DegreeCapError):
+            herglotz_of_measure(mu, 0.0, 10)
+        with pytest.raises(DimensionMismatchError):
+            pairing_vs_measure_check(TruncatedSeries.coordinate(2, 4, 0), mu, 0.5)
 
     def test_weight_array_cap(self):
         assert weight_array(2, 20).tolist() == [
