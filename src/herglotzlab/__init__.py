@@ -11,7 +11,6 @@ from .series import (
     cayley,
     compose_univariate,
     enumerate_multiindices,
-    series_arith,
     weight,
 )
 from .pairing import (

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .optuple import HerglotzDatum, OperatorTuple
 from .pairing import (
-    CLAMP_EPS,
     R_GRID,
     AtomicMeasure,
     HerglotzMeasureFunction,
     herglotz_of_measure,
+    sphere_sample,
 )
 from .series import TruncatedSeries, _monomial_sums, weight_array
 
@@ -63,8 +64,7 @@ def random_pointset(d: int, n: int = DEFAULT_POINTS,
                     seed: int = 0) -> PointSet:
     """n distinct points, uniform directions with ball-volume radii."""
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = sphere_sample(d, n, rng)
     radii = radius_cap * rng.random(n) ** (1.0 / (2 * d))
     return PointSet(dirs * radii[:, None], seed, radius_cap)
 
@@ -73,8 +73,7 @@ def boundary_biased_pointset(d: int, n: int = DEFAULT_POINTS,
                              seed: int = 0) -> PointSet:
     """Points with radii in the boundary band; violations concentrate there."""
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = sphere_sample(d, n, rng)
     lo, hi = BOUNDARY_BIASED_RANGE
     radii = rng.uniform(lo, hi, n)
     return PointSet(dirs * radii[:, None], seed, hi)
@@ -204,40 +203,28 @@ def kT_test(T: OperatorTuple, pts: PointSet, tol: Optional[float] = None,
 # -- extreme kernel functions ----------------------------------------------
 
 
+def _unit_mass(zeta: Sequence[complex], what: str) -> AtomicMeasure:
+    """The unit point mass at zeta, an extreme ray of M+; |zeta| = 1."""
+    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
+    if abs(np.linalg.norm(zeta) - 1.0) > 1e-12:
+        raise ValueError(f"{what} point must lie on the unit sphere")
+    return AtomicMeasure(zeta[None, :], np.ones(1), "boundary")
+
+
 def extreme_h(zeta: Sequence[complex], N: int) -> TruncatedSeries:
     """Truncation of (1 + <z, zeta>) / (1 - <z, zeta>) for |zeta| = 1:
     c_0 = 1 and c_alpha = 2 w(alpha) conj(zeta)^alpha, the transform of the
     unit point mass at zeta."""
-    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(zeta) - 1.0) > 1e-12:
-        raise ValueError("extreme kernel point must lie on the unit sphere")
-    return herglotz_of_measure(
-        AtomicMeasure(zeta[None, :], np.ones(1), "boundary"), 0.0, N)
+    return herglotz_of_measure(_unit_mass(zeta, "extreme kernel"), 0.0, N)
 
 
-class BoundaryKernel:
-    """Exact evaluator of the boundary kernel function with pole clamping."""
+class BoundaryKernel(HerglotzMeasureFunction):
+    """Exact evaluator of the boundary kernel function
+    (1 + <z, zeta>) / (1 - <z, zeta>) for |zeta| = 1: the measure transform
+    of the unit point mass at zeta, with its pole clamping."""
 
     def __init__(self, zeta: Sequence[complex]):
-        zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(zeta) - 1.0) > 1e-12:
-            raise ValueError("boundary kernel point must lie on the unit sphere")
-        self.zeta = zeta
-        self.clamps = 0
-
-    @property
-    def d(self) -> int:
-        return len(self.zeta)
-
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        s = pts @ np.conj(self.zeta)
-        den = 1.0 - s
-        small = np.abs(den) < CLAMP_EPS
-        if np.any(small):
-            self.clamps += int(small.sum())
-            den = np.where(small, CLAMP_EPS * np.exp(1j * np.angle(den)), den)
-        return (1.0 + s) / den
+        super().__init__(_unit_mass(zeta, "boundary kernel"))
 
 
 class ShiftedBoundaryKernel:
@@ -259,27 +246,33 @@ class ShiftedBoundaryKernel:
 
 @dataclass(frozen=True, eq=False)
 class ClassMember:
-    """A generated member of one of the positive classes, with its exact
-    evaluator and the backing object the duality reductions need."""
+    """A generated member of one of the positive classes, read off its
+    backing: a measure, a Herglotz datum, or, for a sample with neither, its
+    evaluator."""
 
-    kind: str                               # "M+" | "R+" | "S+" | "O+"
-    d: int
-    evaluator: object                       # has values_at
-    measure: Optional[AtomicMeasure] = None
-    datum: Optional[HerglotzDatum] = None
+    kind: str               # "M+" | "R+" | "S+" | "O+"
+    backing: object         # AtomicMeasure | HerglotzDatum | has d and values_at
 
-    def __post_init__(self):
-        # The duality reductions pair against the full-mode, zero-constant
-        # transform of ``measure``; a measure-transform evaluator must be
-        # exactly that function.
-        ev = self.evaluator
-        if isinstance(ev, HerglotzMeasureFunction) and (
-                ev.mode != "full" or ev.t != 0.0 or ev.mu is not self.measure):
-            raise ValueError(
-                "a HerglotzMeasureFunction evaluator must be the full-mode, "
-                "zero-imaginary-constant transform of the member's measure "
-                f"(got mode={ev.mode!r}, imag_const={ev.t!r}, "
-                f"own measure: {ev.mu is self.measure})")
+    @property
+    def d(self) -> int:
+        return self.backing.d
+
+    @property
+    def measure(self) -> Optional[AtomicMeasure]:
+        return self.backing if isinstance(self.backing, AtomicMeasure) else None
+
+    @property
+    def datum(self) -> Optional[HerglotzDatum]:
+        return self.backing if isinstance(self.backing, HerglotzDatum) else None
+
+    @cached_property
+    def evaluator(self):
+        """The transform of a measure backing, the function the duality
+        reductions pair against, built once so that its clamp count
+        accumulates; otherwise the backing itself."""
+        if self.measure is not None:
+            return HerglotzMeasureFunction(self.measure)
+        return self.backing
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         return values_at(self.evaluator, points)
@@ -289,7 +282,7 @@ class ClassMember:
         if self.datum is not None:
             return herglotz_taylor(self.datum, N)
         if self.measure is not None:
-            return herglotz_of_measure(self.measure, 0.0, N, mode="full")
+            return herglotz_of_measure(self.measure, 0.0, N)
         raise TypeError(f"no series form for this {self.kind} member")
 
 
@@ -302,8 +295,7 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_boundary_measure(d: int, seed: int, max_atoms: int = 8) -> AtomicMeasure:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, max_atoms + 1))
-    pts = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = sphere_sample(d, n, rng)
     w = rng.uniform(0.2, 1.0, n)
     return AtomicMeasure(pts, w, "boundary")
 
@@ -325,8 +317,7 @@ def random_commuting_contraction(d: int, n: int, seed: int) -> OperatorTuple:
     with no boundary-atomic backing."""
     rng = np.random.default_rng(seed)
     if rng.random() < 0.5 or d < 2:
-        diag_rows = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        diag_rows /= np.linalg.norm(diag_rows, axis=1, keepdims=True)
+        diag_rows = sphere_sample(d, n, rng)
         radii = rng.random(n) ** (1.0 / (2 * d))
         diag_rows *= radii[:, None]
         mats = np.zeros((d, n, n), dtype=complex)
@@ -348,19 +339,19 @@ def generate_member(kind: str, seed: int, d: int = 2, n: int = 4,
     rng = np.random.default_rng(seed)
     if kind == "M+":
         mu = random_boundary_measure(d, seed, max_atoms)
-        return ClassMember("M+", d, HerglotzMeasureFunction(mu), measure=mu)
+        return ClassMember("M+", mu)
     if kind == "R+":
         T = random_commuting_contraction(d, n, seed)
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xi /= math.sqrt(n)
         datum = HerglotzDatum(T, xi, 0.0)
-        return ClassMember("R+", d, datum, datum=datum)
+        return ClassMember("R+", datum)
     if kind == "S+":
         T = random_row_contraction(d, n, seed)
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xi /= math.sqrt(n)
         datum = HerglotzDatum(T, xi, 0.0)
-        return ClassMember("S+", d, datum, datum=datum)
+        return ClassMember("S+", datum)
     raise ValueError(f"unknown class kind {kind!r}")
 
 
@@ -379,10 +370,9 @@ def opool_member(seed: int, d: int = 2) -> ClassMember:
         rng = np.random.default_rng(seed)
         zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         zeta /= np.linalg.norm(zeta)
-        mu = AtomicMeasure(zeta[None, :], np.array([1.0]), "boundary")
-        return ClassMember("O+", d, BoundaryKernel(zeta), measure=mu)
+        return ClassMember("O+", _unit_mass(zeta, "boundary kernel"))
     if d == 2:
-        return ClassMember("O+", d, ShiftedBoundaryKernel())
+        return ClassMember("O+", ShiftedBoundaryKernel())
     return generate_member("S+", seed + 1, d=d)
 
 
@@ -395,39 +385,41 @@ def qr_exact_vs_atoms(f: ClassMember, g: ClassMember, r: float) -> np.ndarray:
     return 2.0 * f.values_at(r * g.measure.points)
 
 
-def qr_exact_vs_measure(f: ClassMember, g: ClassMember, r: float) -> complex:
-    """Q_r(f, g) for measure-backed g with zero imaginary constant:
-    2 sum_j w_j f(r p_j), with f evaluated exactly."""
-    return complex(np.sum(g.measure.weights * qr_exact_vs_atoms(f, g, r)))
-
-
-def qr_exact_vs_commuting(f: ClassMember, g: ClassMember, r: float) -> complex:
-    """Q_r(f, g) for commuting datum-backed g through the joint resolvent.
+def qr_exact_vs_commuting(f: ClassMember, g: ClassMember,
+                          r_grid: Sequence[float]) -> list:
+    """Q_r(f, g) at each r of the grid for commuting datum-backed g, through
+    the joint resolvent.
 
     With f given by (T_f, xi_f) and g by (T_g, xi_g), the reflected dilate of
     f evaluated on T_g is the compression of the kernel at the Kronecker
     tuple sum_j T_gj (x) conj(T_fj); the pairing is twice the conjugate of
-    the resulting quadratic form.  Exact whenever the joint spectral radius
-    is below 1/r, which holds for weak-contractive f and ball-spectrum g.
+    the resulting quadratic form.  A measure-backed f contributes one such
+    form per atom.  Exact whenever the joint spectral radius is below 1/r,
+    which holds for weak-contractive f and ball-spectrum g.  The tuples do
+    not depend on r and are built once.
     """
+    Tg = g.datum.tuple
     if f.datum is not None:
-        Tg, Tf = g.datum.tuple, f.datum.tuple
+        Tf = f.datum.tuple
         M = sum(np.kron(Tg.matrices[j], np.conj(Tf.matrices[j]))
                 for j in range(Tg.d))
-        v = np.kron(g.datum.xi, np.conj(f.datum.xi))
-        y = np.linalg.solve(np.eye(M.shape[0], dtype=complex) - r * M, v)
-        val = 2.0 * np.vdot(v, y) - np.vdot(v, v)
-        return complex(2.0 * np.conj(val))
-    if f.measure is not None:
-        Tg = g.datum.tuple
-        xi = g.datum.xi
+        terms = [(1.0, M, np.kron(g.datum.xi, np.conj(f.datum.xi)))]
+        eye = np.eye(M.shape[0], dtype=complex)
+    elif f.measure is not None:
+        terms = [(wgt, sum(point[j] * Tg.matrices[j] for j in range(Tg.d)),
+                  g.datum.xi)
+                 for point, wgt in zip(f.measure.points, f.measure.weights)]
+        eye = np.eye(Tg.n, dtype=complex)
+    else:
+        raise TypeError("commuting reduction needs datum- or measure-backed f")
+    out = []
+    for r in r_grid:
         total = 0.0 + 0.0j
-        for point, wgt in zip(f.measure.points, f.measure.weights):
-            A = sum(point[j] * Tg.matrices[j] for j in range(Tg.d))
-            y = np.linalg.solve(np.eye(Tg.n, dtype=complex) - r * A, xi)
-            total += wgt * (2.0 * np.vdot(xi, y) - np.vdot(xi, xi))
-        return complex(2.0 * np.conj(total))
-    raise TypeError("commuting reduction needs datum- or measure-backed f")
+        for wgt, M, v in terms:
+            y = np.linalg.solve(eye - r * M, v)
+            total += wgt * (2.0 * np.vdot(v, y) - np.vdot(v, v))
+        out.append(complex(2.0 * np.conj(total)))
+    return out
 
 
 def duality_sweep(pairs: Sequence[tuple], r_grid: Sequence[float] = R_GRID) -> dict:
@@ -458,14 +450,16 @@ def duality_sweep(pairs: Sequence[tuple], r_grid: Sequence[float] = R_GRID) -> d
         boundary = g.measure is not None and g.measure.support == "boundary"
         if boundary:
             atoms += len(g.measure.weights)
-        for r in r_grid:
+        if g.measure is None:
+            if g.datum is None:
+                raise TypeError("sweep g-side needs a measure or datum backing")
+            commuting = qr_exact_vs_commuting(f, g, r_grid)
+        for i, r in enumerate(r_grid):
             if g.measure is not None:
                 per_atom = qr_exact_vs_atoms(f, g, r)
                 q = complex(np.sum(g.measure.weights * per_atom))
-            elif g.datum is not None:
-                q = qr_exact_vs_commuting(f, g, r)
             else:
-                raise TypeError("sweep g-side needs a measure or datum backing")
+                q = commuting[i]
             if q.real < min_re:
                 min_re = q.real
                 argmin = {"pair": k, "atom": None, "r": r, "value": q.real}
@@ -477,25 +471,6 @@ def duality_sweep(pairs: Sequence[tuple], r_grid: Sequence[float] = R_GRID) -> d
                     argmin = {"pair": k, "atom": j, "r": r, "value": min_re}
     return {"min_re": min_re, "argmin": argmin, "pairs": len(pairs),
             "atoms": atoms, "r_grid": list(r_grid)}
-
-
-def duality_sweep_series(pairs: Sequence[tuple], N: int,
-                         r_grid: Sequence[float] = R_GRID) -> dict:
-    """Same sweep through degree-N truncations and the coefficient pairing;
-    kept for cross-checking the exact reductions on tame samples.
-
-    It compares whole pairings only, so it agrees with ``duality_sweep``
-    only for interior-measure or datum-backed g, where that sweep tests no
-    boundary atoms on their own.
-    """
-    from .pairing import qr_pair
-    min_re = math.inf
-    for f, g in pairs:
-        fs, gs = f.series(N), g.series(N)
-        for r in r_grid:
-            q = qr_pair(fs, gs, r)
-            min_re = min(min_re, q.real)
-    return {"min_re": min_re, "pairs": len(pairs), "N": N}
 
 
 def sample_duality_pairs(kind_f: str, kind_g: str, trials: int, seed: int,

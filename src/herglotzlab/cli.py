@@ -2,7 +2,7 @@
 machine-readable reports.
 
 One executable with subcommands; configuration comes from an optional JSON
-file plus flag overrides (--seed, --out, --threads).  Reports embed the
+file plus flag overrides (--seed, --out, --csv).  Reports embed the
 config, the tool version, and the tolerance constants, and are identical
 for identical configs apart from the timing field.  Exit codes: 0 success,
 1 assertion failure, 2 malformed input, 3 resource cap exceeded.
@@ -79,13 +79,12 @@ class RunConfig:
     command: str
     seed: int = 0
     out: str = ""
-    threads: int = 1
     csv: str = ""
     params: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {"command": self.command, "seed": self.seed, "out": self.out,
-                "threads": self.threads, "csv": self.csv, "params": self.params}
+                "csv": self.csv, "params": self.params}
 
 
 def _load_json_value(spec):
@@ -221,6 +220,9 @@ def cmd_duality(cfg: RunConfig) -> dict:
     trials = int(p.get("trials", 200))
     d = int(p.get("d", 2))
     grid = p.get("r_grid", list(R_GRID))
+    if trials < 1 or not grid:
+        raise InputError(f"duality needs trials >= 1 and a non-empty r_grid, "
+                         f"got trials={trials}, r_grid={grid!r}")
     om = duality_sweep(sample_duality_pairs("O+", "M+", trials, cfg.seed, d=d), grid)
     sr = duality_sweep(sample_duality_pairs("S+", "R+", trials, cfg.seed + 10 ** 6, d=d), grid)
     rng = np.random.default_rng(cfg.seed)
@@ -351,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config file ('-' for stdin)")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None, help="report output path")
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--csv", default=None, help="tabular export path")
         sp.add_argument("--param", action="append", default=[],
                         metavar="KEY=JSON",
@@ -361,16 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     params = {}
-    seed, out, threads, csv = 0, "", 1, ""
+    seed, out, csv = 0, "", ""
     if args.config:
         obj = _load_json_value(args.config)
         params = dict(obj.get("params", {}))
         for key in obj:
-            if key not in ("command", "seed", "out", "threads", "csv", "params"):
+            if key not in ("command", "seed", "out", "csv", "params"):
                 params[key] = obj[key]
         seed = int(obj.get("seed", 0))
         out = obj.get("out", "")
-        threads = int(obj.get("threads", 1))
         csv = obj.get("csv", "")
     for spec in args.param:
         if "=" not in spec:
@@ -384,11 +384,9 @@ def _config_from_args(args) -> RunConfig:
         seed = args.seed
     if args.out is not None:
         out = args.out
-    if args.threads is not None:
-        threads = args.threads
     if args.csv is not None:
         csv = args.csv
-    return RunConfig(args.command, seed, out, threads, csv, params)
+    return RunConfig(args.command, seed, out, csv, params)
 
 
 def main(argv=None) -> int:

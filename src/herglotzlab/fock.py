@@ -11,7 +11,6 @@ Matrix-free norms run Lanczos on A*A with full reorthogonalization.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,14 +35,6 @@ DP_LIMIT_NORM = math.sqrt(2.5)
 
 class SizeCapError(ValueError):
     """A requested basis would exceed the size cap."""
-
-
-def fock_words(d: int, L: int) -> tuple:
-    """All words over {1..d} of length <= L, graded then lexicographic."""
-    out = []
-    for k in range(L + 1):
-        out.extend(itertools.product(range(1, d + 1), repeat=k))
-    return tuple(out)
 
 
 def fock_count(d: int, L: int) -> int:
@@ -374,20 +365,3 @@ def cuntz_state_herglotz(zeta: Sequence[complex], z: Sequence[complex],
         raise ValueError(f"divergence guard: |<z, zeta>| = {abs(s):.3f} >= 1")
     partial = sum(s ** k for k in range(K + 1))
     return complex(2.0 * partial - 1.0)
-
-
-def cuntz_state_herglotz_bruteforce(zeta: Sequence[complex],
-                                    z: Sequence[complex], K: int) -> complex:
-    """Word-by-word evaluation of the same partial sum through
-    cuntz_state_word; exponential in K, kept as an oracle for small K."""
-    zeta = _check_boundary(zeta)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    d = len(z)
-    total = 0.0 + 0.0j
-    for k in range(K + 1):
-        for word in itertools.product(range(1, d + 1), repeat=k):
-            zw = 1.0 + 0.0j
-            for letter in word:
-                zw *= z[letter - 1]
-            total += zw * cuntz_state_word(np.conj(zeta), word, ())
-    return complex(2.0 * total - 1.0)

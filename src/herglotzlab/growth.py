@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .classes import values_at
+from .pairing import sphere_sample
 
 DEFAULT_SAMPLES = 200000
 DEFAULT_R_GRID = (0.5, 0.9, 0.99, 0.999)
@@ -22,21 +23,6 @@ SLOPE_BOUNDED = 0.1
 SLOPE_DIVERGENT = 0.3
 
 _CHUNK = 50000
-
-
-def sphere_sample(d: int, n: int, seed: int = 0) -> np.ndarray:
-    """n i.i.d. uniform points on the unit sphere of C^d (normalized complex
-    Gaussians), deterministic per seed."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    while np.any(norms < 1e-12):
-        bad = norms[:, 0] < 1e-12
-        z[bad] = rng.standard_normal((bad.sum(), d)) + 1j * rng.standard_normal((bad.sum(), d))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-    return z / norms
 
 
 def hp_radial_mean(f, p: float, r: float, n: int = DEFAULT_SAMPLES,
@@ -50,7 +36,7 @@ def hp_radial_mean(f, p: float, r: float, n: int = DEFAULT_SAMPLES,
         raise ValueError("exponent must be positive")
     if not 0.0 < r < 1.0:
         raise ValueError("radius must be in (0, 1)")
-    zetas = sphere_sample(f.d if hasattr(f, "d") else _infer_d(f), n, seed)
+    zetas = sphere_sample(f.d, n, seed)
     total = 0.0
     total_sq = 0.0
     for lo in range(0, n, _CHUNK):
@@ -61,12 +47,6 @@ def hp_radial_mean(f, p: float, r: float, n: int = DEFAULT_SAMPLES,
     mean = total / n
     var = max(total_sq / n - mean ** 2, 0.0)
     return mean, math.sqrt(var / n)
-
-
-def _infer_d(f) -> int:
-    raise TypeError(
-        "evaluator does not expose its dimension; wrap it in an object with "
-        "a 'd' attribute and a values_at method")
 
 
 @dataclass(frozen=True)

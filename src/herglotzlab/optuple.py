@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pairing import qr_pair
+from .pairing import qr_pair, sphere_sample
 from .series import (
     DimensionMismatchError,
     TruncatedSeries,
@@ -159,9 +159,7 @@ def is_weak_row_contraction(T: OperatorTuple, tol: float = 1e-9,
     """
     if samples < 1 or refine_steps < 0:
         raise ValueError("budget must be >= 1 sample")
-    rng = np.random.default_rng(seed)
-    zetas = rng.standard_normal((samples, T.d)) + 1j * rng.standard_normal((samples, T.d))
-    zetas /= np.linalg.norm(zetas, axis=1, keepdims=True)
+    zetas = sphere_sample(T.d, samples, seed)
     mats = T.zeta_dot_many(zetas)
     svals = np.linalg.svd(mats, compute_uv=False)[:, 0]
     order = np.argsort(svals)[::-1][:refine_top]

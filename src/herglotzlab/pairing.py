@@ -1,5 +1,5 @@
 """Weighted coefficient pairings, the two forms of the ball inner product,
-and transforms of atomic measures.
+transforms of atomic measures, and the seeded sphere sampler.
 
 The family Q_r pairs Taylor coefficients with weights r^|alpha| alpha!/|alpha|!
 and doubles the constant term.  For truncations the sums are finite and the
@@ -172,6 +172,24 @@ def radial_factorial_weights(d: int, N: int) -> np.ndarray:
     return out
 
 
+def sphere_sample(d: int, n: int,
+                  seed: int | np.random.Generator = 0) -> np.ndarray:
+    """n i.i.d. uniform points on the unit sphere of C^d (normalized complex
+    Gaussians), deterministic per seed.  A Generator passed as the seed is
+    drawn from in place, so the caller can keep drawing from it."""
+    if n < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    # regenerate the (measure-zero) degenerate rows rather than dividing by ~0
+    while np.any(norms < 1e-12):
+        bad = norms[:, 0] < 1e-12
+        z[bad] = rng.standard_normal((bad.sum(), d)) + 1j * rng.standard_normal((bad.sum(), d))
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+    return z / norms
+
+
 def h2d_inner_integral(f: TruncatedSeries, g: TruncatedSeries,
                        q: QuadratureSpec = QuadratureSpec()) -> IntegralEstimate:
     """Integral form of the ball inner product, as a Monte Carlo estimate.
@@ -187,8 +205,7 @@ def h2d_inner_integral(f: TruncatedSeries, g: TruncatedSeries,
     if f.d != g.d:
         raise DimensionMismatchError(f"dimension mismatch: {f.d} vs {g.d}")
     d = f.d
-    rng = np.random.default_rng(q.seed)
-    dirs = _sphere(rng, d, q.sphere_samples)
+    dirs = sphere_sample(d, q.sphere_samples, q.seed)
     x, w = np.polynomial.legendre.leggauss(q.radial_nodes)
     r = 0.5 * (x + 1.0)
     w = 0.5 * w
@@ -209,17 +226,6 @@ def h2d_inner_integral(f: TruncatedSeries, g: TruncatedSeries,
     stderr = float(np.sqrt(np.mean(np.abs(per_dir - mean) ** 2) / len(per_dir)))
     value = complex(f.coeffs[0] * np.conj(g.coeffs[0]) + prefactor * mean)
     return IntegralEstimate(value, prefactor * stderr)
-
-
-def _sphere(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    # regenerate the (measure-zero) degenerate rows rather than dividing by ~0
-    while np.any(norms < 1e-12):
-        bad = norms[:, 0] < 1e-12
-        z[bad] = rng.standard_normal((bad.sum(), d)) + 1j * rng.standard_normal((bad.sum(), d))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-    return z / norms
 
 
 def herglotz_of_measure(mu: AtomicMeasure, imag_const: float = 0.0,
@@ -245,16 +251,12 @@ def herglotz_of_measure(mu: AtomicMeasure, imag_const: float = 0.0,
 
 
 class HerglotzMeasureFunction:
-    """Exact evaluator for the measure transform; near-pole denominators are
+    """Exact evaluator of the measure transform
+    sum_j w_j (1 + <z, p_j>)/(1 - <z, p_j>); near-pole denominators are
     clamped at CLAMP_EPS and counted."""
 
-    def __init__(self, mu: AtomicMeasure, imag_const: float = 0.0,
-                 mode: str = "full"):
-        if mode not in ("full", "half"):
-            raise ValueError(f"unknown transform mode {mode!r}")
+    def __init__(self, mu: AtomicMeasure):
         self.mu = mu
-        self.t = imag_const
-        self.mode = mode
         self.clamps = 0
 
     @property
@@ -263,15 +265,13 @@ class HerglotzMeasureFunction:
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        scale = 1.0 if self.mode == "full" else 0.5
         ip = pts @ np.conj(self.mu.points.T)       # (m, natoms), <z, p_j>
         den = 1.0 - ip
         small = np.abs(den) < CLAMP_EPS
         if np.any(small):
             self.clamps += int(small.sum())
             den = np.where(small, CLAMP_EPS * np.exp(1j * np.angle(den)), den)
-        vals = ((1.0 + ip) / den) @ self.mu.weights
-        return scale * vals + 1j * self.t
+        return ((1.0 + ip) / den) @ self.mu.weights
 
 
 def pairing_vs_measure_check(f: TruncatedSeries, mu: AtomicMeasure, r: float,

@@ -424,17 +424,6 @@ class TruncatedSeries:
         return cls(d, N, c)
 
 
-def series_arith(f: TruncatedSeries, g, op: str) -> TruncatedSeries:
-    """Named dispatcher: op is one of 'add', 'scale', 'multiply'."""
-    if op == "add":
-        return f.add(g)
-    if op == "scale":
-        return f.scale(g)
-    if op == "multiply":
-        return f.multiply(g)
-    raise ValueError(f"unknown series operation {op!r}")
-
-
 def _divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     """Grade-recursive back-substitution for num/den, exact at truncation
     order.  Requires den(0) != 0."""

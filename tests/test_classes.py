@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,13 @@ from herglotzlab.classes import (
     PreconditionError,
     boundary_biased_pointset,
     duality_sweep,
-    duality_sweep_series,
     extreme_h,
     generate_member,
     gram_min_eig,
     kT_test,
     mplus_atom_fit_residual,
     opool_member,
+    qr_exact_vs_commuting,
     random_pointset,
     sample_duality_pairs,
     schur_test,
@@ -36,6 +38,22 @@ from test_series import make_series
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 ZERO2 = np.zeros((2, 2), dtype=complex)
+
+
+def duality_sweep_series(pairs, N, r_grid):
+    """The duality sweep through degree-N truncations and the coefficient
+    pairing, an oracle for the exact reductions on tame samples.
+
+    It compares whole pairings only, so it agrees with ``duality_sweep``
+    only for interior-measure or datum-backed g, where that sweep tests no
+    boundary atoms on their own.
+    """
+    min_re = math.inf
+    for f, g in pairs:
+        fs, gs = f.series(N), g.series(N)
+        for r in r_grid:
+            min_re = min(min_re, qr_pair(fs, gs, r).real)
+    return {"min_re": min_re, "pairs": len(pairs), "N": N}
 
 
 class _AffineZ1:
@@ -215,7 +233,7 @@ class TestGenerators:
     def test_nilpotent_example_function(self):
         D = HerglotzDatum(OperatorTuple(np.array([E12, ZERO2])),
                           np.array([2 ** -0.5, 2 ** -0.5]), 0.0)
-        s = ClassMember("R+", 2, D, datum=D).series(4)
+        s = ClassMember("R+", D).series(4)
         assert abs(s.coeff((1, 0)) - 1.0) < 1e-14
         assert abs(s.constant_term - 1.0) < 1e-14
         rest = [abs(c) for i, c in enumerate(s.coeffs) if i not in (0, 1)]
@@ -237,30 +255,37 @@ class TestClassMemberBacking:
         zeta = np.array([0.6, 0.8j])
         return AtomicMeasure(zeta[None, :], np.array([0.7]), "boundary")
 
-    @pytest.mark.parametrize("make", [
-        lambda mu: HerglotzMeasureFunction(mu, mode="half"),
-        lambda mu: HerglotzMeasureFunction(mu, imag_const=0.3),
-        lambda mu: HerglotzMeasureFunction(
-            AtomicMeasure(mu.points.copy(), mu.weights.copy(), "boundary")),
-    ], ids=["half-mode", "imag-const", "other-measure"])
-    def test_rejects_evaluator_that_is_not_the_backing_transform(self, make):
-        mu = self._measure()
-        with pytest.raises(ValueError):
-            ClassMember("M+", 2, make(mu), measure=mu)
-
-    def test_rejects_measure_evaluator_without_backing(self):
-        mu = self._measure()
-        with pytest.raises(ValueError):
-            ClassMember("M+", 2, HerglotzMeasureFunction(mu))
-
     def test_accepts_consistent_members(self):
         mu = self._measure()
-        own = ClassMember("M+", 2, HerglotzMeasureFunction(mu), measure=mu)
-        kernel = ClassMember("O+", 2, BoundaryKernel(mu.points[0]), measure=mu)
+        own = ClassMember("M+", mu)
+        kernel = ClassMember("O+", AtomicMeasure(mu.points, np.ones(1), "boundary"))
         pts = 0.5 * mu.points
         assert np.allclose(own.values_at(pts), 0.7 * kernel.values_at(pts))
+        assert own.d == 2 and own.measure is mu and own.datum is None
         assert generate_member("M+", 3).measure is not None
         assert opool_member(3).measure is not None
+
+    def test_measure_evaluator_is_the_transform_of_the_backing(self):
+        # M+ members and the O+ pool's point masses (slot 3) are evaluated
+        # by the transform of their own measure, built once
+        members = [generate_member("M+", s) for s in range(3)]
+        members += [opool_member(s) for s in (3, 8, 13)]
+        for m in members:
+            assert isinstance(m.evaluator, HerglotzMeasureFunction)
+            assert m.evaluator.mu is m.measure
+            assert m.evaluator is m.evaluator
+        assert all(len(m.measure.weights) == 1 for m in members[3:])
+
+    def test_datum_and_sample_backings(self):
+        m = generate_member("R+", 4)
+        assert m.evaluator is m.backing is m.datum
+        assert m.measure is None and m.d == 2
+        sample = opool_member(4)
+        assert sample.evaluator is sample.backing
+        assert sample.measure is None and sample.datum is None
+        assert sample.d == 2
+        with pytest.raises(TypeError):
+            sample.series(4)
 
 
 class TestDualitySweeps:
@@ -271,8 +296,8 @@ class TestDualitySweeps:
     def test_kernel_against_own_atom(self):
         zeta = np.array([0.8, 0.6], dtype=complex)
         mu = AtomicMeasure(zeta[None, :], np.array([1.0]), "boundary")
-        f = ClassMember("O+", 2, BoundaryKernel(zeta), measure=mu)
-        g = ClassMember("M+", 2, BoundaryKernel(zeta), measure=mu)
+        f = ClassMember("O+", mu)
+        g = ClassMember("M+", mu)
         out = duality_sweep([(f, g)], r_grid=(0.1, 0.5, 0.9))
         # 2 h(r zeta) stays real and positive on its own ray
         assert out["min_re"] > 2.0
@@ -285,15 +310,36 @@ class TestDualitySweeps:
         pairs = sample_duality_pairs("S+", "R+", 40, 18, d=2)
         assert duality_sweep(pairs)["min_re"] >= -1e-9
 
+    def test_commuting_route_matches_series_route(self):
+        # datum-backed f against commuting g: the Kronecker resolvent on a
+        # grid against the coefficient pairing, where the tail is negligible
+        grid = (0.2, 0.5, 0.9)
+        for k in range(4):
+            f = generate_member("S+", 40 + k, d=2, n=3)
+            g = generate_member("R+", 50 + k, d=2, n=3)
+            exact = qr_exact_vs_commuting(f, g, grid)
+            fs, gs = f.series(16), g.series(16)
+            for r, q in zip(grid, exact):
+                assert abs(q - qr_pair(fs, gs, r)) < 1e-10
+
+    def test_commuting_tuples_built_once_per_pair(self, monkeypatch):
+        calls = []
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
+        pairs = sample_duality_pairs("S+", "R+", 3, 5, d=2)
+        out = duality_sweep(pairs)
+        # d terms of the Kronecker tuple and one vector per pair, for all r
+        assert len(calls) == 3 * (2 + 1)
+        assert len(out["r_grid"]) == 20
+
     def test_exact_route_matches_series_route_for_tame_pairs(self):
-        from herglotzlab.pairing import HerglotzMeasureFunction
         rng = np.random.default_rng(19)
         pairs = []
         for k in range(4):
             pts = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             pts = 0.4 * pts / np.linalg.norm(pts, axis=1, keepdims=True)
             mu = AtomicMeasure(pts, rng.uniform(0.5, 1.0, 2), "interior")
-            f = ClassMember("M+", 2, HerglotzMeasureFunction(mu), measure=mu)
+            f = ClassMember("M+", mu)
             m = generate_member("R+", 20 + k, d=2, n=3)
             pairs.append((f, m))
         exact = duality_sweep(pairs, r_grid=(0.2, 0.5, 0.8))
@@ -313,6 +359,26 @@ class TestExtremePoints:
         mu = AtomicMeasure(zeta[None, :], np.array([1.0]), "boundary")
         assert np.allclose(extreme_h(zeta, 7).coeffs,
                            herglotz_of_measure(mu, 0.0, 7).coeffs)
+
+    def test_boundary_kernel_is_point_mass_transform(self):
+        rng = np.random.default_rng(24)
+        for d in (1, 2, 3, 4):
+            zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            zeta /= np.linalg.norm(zeta)
+            mu = AtomicMeasure(zeta[None, :], np.ones(1), "boundary")
+            pts = random_pointset(d, 500, radius_cap=0.999, seed=d).points
+            h = BoundaryKernel(zeta)
+            assert h.d == d
+            assert np.array_equal(h.values_at(pts),
+                                  HerglotzMeasureFunction(mu).values_at(pts))
+        # one point at the pole is clamped and counted, the rest are not
+        h = BoundaryKernel(zeta)
+        near = np.vstack([zeta * (1.0 - 1e-14), 0.5 * zeta])
+        vals = h.values_at(near)
+        assert h.clamps == 1
+        assert np.isfinite(vals).all() and abs(vals[0]) > 1e11
+        with pytest.raises(ValueError):
+            BoundaryKernel(0.5 * zeta)
 
     def test_matches_word_state_limit(self):
         from herglotzlab.fock import cuntz_state_herglotz
@@ -377,7 +443,7 @@ class TestChainEvidence:
             def values_at(self, pts):
                 return 1.0 + 3.0 * np.asarray(pts)[:, 0]
 
-        f = ClassMember("O+", 2, Affine())
+        f = ClassMember("O+", Affine())
         pairs = [(f, generate_member("M+", 1500 + k, d=2)) for k in range(20)]
         swept = duality_sweep(pairs)
         pts = random_pointset(2, 400, seed=1600).points
@@ -389,7 +455,7 @@ class TestChainEvidence:
         # the sweep tests each boundary atom as a unit point mass: for
         # f = 1 + 3 z1 the witness is the atom with the least Re p_1, at the
         # largest r, and the sweep evaluates f once per (pair, r)
-        f = ClassMember("O+", 2, _AffineZ1())
+        f = ClassMember("O+", _AffineZ1())
         pairs = [(f, generate_member("M+", 1500 + k, d=2)) for k in range(20)]
         swept = duality_sweep(pairs)
         argmin = swept["argmin"]
@@ -408,10 +474,10 @@ class TestChainEvidence:
         # interior atoms are not point masses of M+, so only the whole
         # pairing 2 sum_j w_j f(r p_j) = 2 (2 - 1.2 r) enters the minimum,
         # although the atom at -0.9 alone would pair negative
-        f = ClassMember("O+", 2, _AffineZ1())
+        f = ClassMember("O+", _AffineZ1())
         mu = AtomicMeasure(np.array([[-0.9, 0.0], [0.5, 0.2]], dtype=complex),
                            np.array([1.0, 1.0]), "interior")
-        g = ClassMember("M+", 2, HerglotzMeasureFunction(mu), measure=mu)
+        g = ClassMember("M+", mu)
         swept = duality_sweep([(f, g)])
         assert swept["argmin"]["atom"] is None
         assert swept["argmin"]["pair"] == 0 and swept["argmin"]["r"] == 0.99

@@ -133,6 +133,13 @@ class TestHerglotzCommand:
         path.write_text(json.dumps(datum))
         return str(path)
 
+    def test_no_points_exit_2(self, tmp_path):
+        # no sample points: the report would carry "re_min_sampled": Infinity
+        code, report = run_cli(
+            ["herglotz", "--param", f"datum=\"{self._datum_file(tmp_path)}\"",
+             "--param", "points=0"], tmp_path)
+        assert code == 2 and report is None
+
     def test_nilpotent_report(self, tmp_path):
         code, report = run_cli(
             ["herglotz", "--param", f"datum=\"{self._datum_file(tmp_path)}\"",
@@ -219,6 +226,13 @@ class TestDualityCommand:
         assert res["sr"]["min_re"] >= -1e-9
         assert res["rs_identity_max_residual"] <= 1e-10
 
+    def test_no_pairs_or_radii_exit_2(self, tmp_path):
+        # a sweep over no pairs or no radii has no minimum; the report would
+        # carry "min_re": Infinity, which is not JSON
+        for bad in ("trials=0", "trials=-1", "r_grid=[]"):
+            code, report = run_cli(["duality", "--param", bad], tmp_path)
+            assert code == 2 and report is None
+
 
 class TestMembershipCommand:
     def test_boundary_kernel_passes(self, tmp_path):
@@ -227,6 +241,11 @@ class TestMembershipCommand:
             tmp_path)
         assert code == 0
         assert report["results"]["all_pass"]
+
+    def test_no_points_exit_2(self, tmp_path):
+        # an empty Gram used to end in a ZeroDivisionError traceback
+        code, report = run_cli(["membership", "--param", "points=0"], tmp_path)
+        assert code == 2 and report is None
 
 
 class TestGrowthCommand:
@@ -261,10 +280,10 @@ class TestReproducibility:
     def test_same_seed_same_results_any_thread_count(self, tmp_path):
         args = ["duality", "--param", "trials=6", "--param", "identity_trials=2",
                 "--seed", "11"]
-        _, rep1 = run_cli(args + ["--threads", "1"], tmp_path, "a.json")
-        _, rep2 = run_cli(args + ["--threads", "4"], tmp_path, "b.json")
+        _, rep1 = run_cli(args, tmp_path, "a.json")
+        _, rep2 = run_cli(args, tmp_path, "b.json")
         assert rep1["results"] == rep2["results"]
-        _, rep3 = run_cli(args + ["--threads", "1"], tmp_path, "c.json")
+        _, rep3 = run_cli(args, tmp_path, "c.json")
         for rep in (rep1, rep3):
             del rep["timing_s"]
             del rep["config"]["out"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,16 +9,41 @@ from herglotzlab.fock import (
     SizeCapError,
     creation_operators,
     cuntz_state_herglotz,
-    cuntz_state_herglotz_bruteforce,
     cuntz_state_word,
     davidson_pitts,
     davidson_pitts_sweep,
     dshift_operators,
     fock_count,
-    fock_words,
     operator_norm,
 )
 from herglotzlab.series import index_of
+
+
+# -- independent oracles: explicit word enumeration ------------------------
+
+
+def fock_words(d, L):
+    """All words over {1..d} of length <= L, graded then lexicographic."""
+    out = []
+    for k in range(L + 1):
+        out.extend(itertools.product(range(1, d + 1), repeat=k))
+    return tuple(out)
+
+
+def cuntz_state_herglotz_bruteforce(zeta, z, K):
+    """Word-by-word evaluation of the degree-K partial sum of the kernel
+    transform in the boundary state, through cuntz_state_word; exponential
+    in K, an oracle for small K."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    d = len(z)
+    total = 0.0 + 0.0j
+    for k in range(K + 1):
+        for word in itertools.product(range(1, d + 1), repeat=k):
+            zw = 1.0 + 0.0j
+            for letter in word:
+                zw *= z[letter - 1]
+            total += zw * cuntz_state_word(np.conj(zeta), word, ())
+    return complex(2.0 * total - 1.0)
 
 
 class TestWordBasis:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from herglotzlab.classes import BoundaryKernel, generate_member
+from herglotzlab.classes import BoundaryKernel, generate_member, random_pointset
 from herglotzlab.growth import (
     growth_profile,
     hp_radial_mean,
@@ -31,6 +31,16 @@ class TestSphereSample:
 
     def test_deterministic(self):
         assert np.allclose(sphere_sample(2, 50, seed=9), sphere_sample(2, 50, seed=9))
+
+    def test_generator_seed_keeps_its_stream(self):
+        # a caller's Generator is drawn from in place, so the caller can keep
+        # drawing from it: random_pointset takes its radii after the sample
+        rng = np.random.default_rng(9)
+        dirs = sphere_sample(2, 50, rng)
+        radii = 0.95 * rng.random(50) ** (1.0 / 4)
+        assert np.array_equal(dirs, sphere_sample(2, 50, seed=9))
+        assert np.array_equal(random_pointset(2, 50, seed=9).points,
+                              dirs * radii[:, None])
 
 
 class TestRadialMean:

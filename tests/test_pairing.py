@@ -257,8 +257,8 @@ class TestDualityPositivitySample:
     def test_series_route_agrees_on_interior_scaled_atoms(self):
         # cross-check the exact reduction against the coefficient pairing
         # where the truncation tail is negligible
-        from herglotzlab.classes import ClassMember
-        from herglotzlab.classes import duality_sweep, duality_sweep_series
+        from herglotzlab.classes import ClassMember, duality_sweep
+        from test_classes import duality_sweep_series
         rng = np.random.default_rng(31)
         pairs = []
         for k in range(5):
@@ -268,8 +268,8 @@ class TestDualityPositivitySample:
             pts2 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
             pts2 = 0.45 * pts2 / np.linalg.norm(pts2, axis=1, keepdims=True)
             mu_g = AtomicMeasure(pts2, rng.uniform(0.2, 1.0, 3), "interior")
-            f = ClassMember("M+", 2, HerglotzMeasureFunction(mu_f), measure=mu_f)
-            g = ClassMember("M+", 2, HerglotzMeasureFunction(mu_g), measure=mu_g)
+            f = ClassMember("M+", mu_f)
+            g = ClassMember("M+", mu_g)
             pairs.append((f, g))
         exact = duality_sweep(pairs, r_grid=(0.3, 0.6, 0.9))
         series = duality_sweep_series(pairs, N=16, r_grid=(0.3, 0.6, 0.9))

@@ -338,17 +338,6 @@ class TestCapsAndJson:
         assert f.coeff((1, 0)) == 2.0 - 1.0j
         assert f.coeff((0, 1)) == 0.0
 
-    def test_named_dispatcher(self):
-        from herglotzlab.series import series_arith
-        f = random_series(2, 3, 40)
-        g = random_series(2, 3, 41)
-        assert np.allclose(series_arith(f, g, "add").coeffs, f.add(g).coeffs)
-        assert np.allclose(series_arith(f, 2j, "scale").coeffs, f.scale(2j).coeffs)
-        assert np.allclose(series_arith(f, g, "multiply").coeffs,
-                           f.multiply(g).coeffs)
-        with pytest.raises(ValueError):
-            series_arith(f, g, "divide")
-
 
 # -- the monomial engine, against independent oracles -----------------------
 
