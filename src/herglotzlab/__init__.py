@@ -35,8 +35,6 @@ from .optuple import (
     is_row_contraction,
     is_weak_row_contraction,
     rs_duality_residual,
-    sym_monomial,
-    sym_poly,
 )
 from .fock import (
     FockBasis,

@@ -3,14 +3,14 @@
 A tuple T = (T_1, ..., T_d) of n x n matrices plays the role of a row
 contraction; <z, T> denotes z_1 T_1 + ... + z_d T_d.  The kernel
 H(z, T) = 2 (I - <z, T>)^{-1} - I generates functions of positive real part,
-and the Taylor coefficients of <H(z,T) xi, xi> are word sums over T that the
-symmetrized calculus reproduces by brute-force enumeration.
+and the Taylor coefficients of <H(z,T) xi, xi> are word sums over T, computed
+by a vector recursion over multi-indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,12 +21,8 @@ from .series import (
     _check_caps,
     _parent_steps,
     _parents,
-    enumerate_multiindices,
     simplex_size,
-    weight,
 )
-
-WORD_DEGREE_CAP = 12
 
 
 class SingularPencilError(ArithmeticError):
@@ -247,8 +243,7 @@ def herglotz_taylor(D: HerglotzDatum, N: int) -> TruncatedSeries:
     U_0 = xi and U_alpha = sum_j T_j U_(alpha - e_j) accumulates every word
     with content alpha exactly once, so c_alpha = 2 <U_alpha, xi> for
     alpha != 0 and c_0 = ||xi||^2 + i t.  Cost is polynomial in the simplex
-    size, unlike the factorial word enumeration kept in sym_monomial as an
-    independent cross-check.
+    size, where enumerating the words themselves is factorial in |alpha|.
     """
     d, n = D.tuple.d, D.tuple.n
     _check_caps(d, N)
@@ -267,60 +262,7 @@ def herglotz_taylor(D: HerglotzDatum, N: int) -> TruncatedSeries:
     return TruncatedSeries(d, N, coeffs)
 
 
-# -- symmetrized and commuting functional calculus -----------------------
-
-
-def _distinct_words(alpha: Sequence[int]) -> Iterator[tuple]:
-    """All distinct words with letter multiplicities alpha (0-based letters)."""
-    counts = list(alpha)
-    word = []
-
-    def rec():
-        if not any(counts):
-            yield tuple(word)
-            return
-        for j, c in enumerate(counts):
-            if c > 0:
-                counts[j] -= 1
-                word.append(j)
-                yield from rec()
-                word.pop()
-                counts[j] += 1
-
-    yield from rec()
-
-
-def sym_monomial(alpha: Sequence[int], T: OperatorTuple) -> np.ndarray:
-    """Average of T_w over all distinct words w with content alpha:
-    (alpha!/|alpha|!) * sum of the word products."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != T.d:
-        raise DimensionMismatchError(
-            f"multi-index has {len(alpha)} entries, tuple has d={T.d}")
-    k = sum(alpha)
-    if k > WORD_DEGREE_CAP:
-        raise ValueError(
-            f"|alpha| = {k} exceeds the word-enumeration cap {WORD_DEGREE_CAP}")
-    if k == 0:
-        return np.eye(T.n, dtype=complex)
-    acc = np.zeros((T.n, T.n), dtype=complex)
-    for word in _distinct_words(alpha):
-        prod = T.matrices[word[0]]
-        for letter in word[1:]:
-            prod = prod @ T.matrices[letter]
-        acc += prod
-    return acc / weight(alpha)
-
-
-def sym_poly(p: TruncatedSeries, T: OperatorTuple) -> np.ndarray:
-    """Linear extension of sym_monomial: sum_alpha c_alpha (z^alpha)^sym(T)."""
-    if p.d != T.d:
-        raise DimensionMismatchError(f"dimension mismatch: {p.d} vs {T.d}")
-    acc = np.zeros((T.n, T.n), dtype=complex)
-    alphas = enumerate_multiindices(p.d, p.N)
-    for i in np.nonzero(p.coeffs)[0]:
-        acc += p.coeffs[i] * sym_monomial(alphas[i], T)
-    return acc
+# -- commuting functional calculus ---------------------------------------
 
 
 def commuting_calculus(p: TruncatedSeries, T: OperatorTuple,

@@ -1,11 +1,20 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
-from herglotzlab.cli import main
+import pytest
+
+from herglotzlab import cli
+from herglotzlab.cli import build_parser, main
+from herglotzlab.optuple import SingularPencilError
 from herglotzlab.series import TruncatedSeries
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, tmp_path, out_name="report.json"):
@@ -101,6 +110,15 @@ class TestPairCommand:
         assert elapsed < 1.0
         assert peak < 4 * 2 ** 20
 
+    def test_radius_outside_ball_exit_2(self, tmp_path, capsys):
+        # qr_pair's SeriesDomainError used to escape main as a traceback
+        f = series_file(tmp_path, "f.json", TruncatedSeries.coordinate(2, 4, 0))
+        code, report = run_cli(
+            ["pair", "--param", f"f=\"{f}\"", "--param", f"g=\"{f}\"",
+             "--param", "r_grid=[1.5]"], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_series_caps_checked_before_any_work(self, tmp_path):
         f = json_file(tmp_path, "f.json", {"d": 9, "N": 16, "coeffs": [
             {"alpha": [1] + [0] * 8, "re": 1.0, "im": 0.0}]})
@@ -139,6 +157,26 @@ class TestHerglotzCommand:
             ["herglotz", "--param", f"datum=\"{self._datum_file(tmp_path)}\"",
              "--param", "points=0"], tmp_path)
         assert code == 2 and report is None
+
+    def test_singular_pencil_counts_as_pointwise_failure(self, tmp_path, monkeypatch):
+        def singular(z, T):
+            raise SingularPencilError("I - <z, T> is numerically singular")
+        monkeypatch.setattr(cli, "herglotz_kernel", singular)
+        code, report = run_cli(
+            ["herglotz", "--param", f"datum=\"{self._datum_file(tmp_path)}\"",
+             "--param", "points=5"], tmp_path)
+        assert code == 0
+        assert report["results"]["pointwise_failures"] == 5
+
+    @pytest.mark.parametrize("name", ["herglotz_transform_many", "herglotz_kernel"])
+    def test_internal_errors_propagate(self, tmp_path, monkeypatch, name):
+        # a bug in the evaluation is not a pointwise failure of the datum
+        def broken(*args):
+            raise TypeError("broken")
+        monkeypatch.setattr(cli, name, broken)
+        with pytest.raises(TypeError):
+            main(["herglotz", "--param", f"datum=\"{self._datum_file(tmp_path)}\"",
+                  "--out", str(tmp_path / "x.json")])
 
     def test_nilpotent_report(self, tmp_path):
         code, report = run_cli(
@@ -233,6 +271,12 @@ class TestDualityCommand:
             code, report = run_cli(["duality", "--param", bad], tmp_path)
             assert code == 2 and report is None
 
+    def test_radius_outside_ball_exit_2(self, tmp_path, capsys):
+        code, report = run_cli(
+            ["duality", "--param", "trials=2", "--param", "r_grid=[1.5]"], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestMembershipCommand:
     def test_boundary_kernel_passes(self, tmp_path):
@@ -266,14 +310,6 @@ class TestGrowthCommand:
             tmp_path)
         assert code == 0
         assert csv_path.read_text().startswith("r,mean,stderr")
-
-
-class TestSelftestCommand:
-    def test_green(self, tmp_path):
-        code, report = run_cli(["selftest"], tmp_path)
-        assert code == 0
-        assert report["results"]["failures"] == 0
-        assert len(report["results"]["checks"]) >= 50
 
 
 class TestReproducibility:
@@ -336,3 +372,17 @@ class TestConsoleEntry:
              f"g={json.dumps(one.to_json())}"],
             input=payload, capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+def test_readme_commands_parse():
+    # every line of a fenced README block that runs the executable
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("herglotzlab ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README names a command the parser rejects: {line}")

@@ -18,11 +18,14 @@ from herglotzlab.optuple import (
     is_weak_row_contraction,
     re_herglotz_kernel,
     rs_duality_residual,
-    sym_monomial,
-    sym_poly,
 )
 from herglotzlab.pairing import qr_pair
-from herglotzlab.series import TruncatedSeries, enumerate_multiindices, weight
+from herglotzlab.series import (
+    DimensionMismatchError,
+    TruncatedSeries,
+    enumerate_multiindices,
+    weight,
+)
 
 from test_series import make_series, random_series
 
@@ -30,6 +33,66 @@ E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 ZERO2 = np.zeros((2, 2), dtype=complex)
+
+
+# -- symmetrized calculus by word enumeration ----------------------------
+# The independent oracle for herglotz_taylor's word-sum recursion and for
+# commuting_calculus: factorial in |alpha|, so capped.
+
+WORD_DEGREE_CAP = 12
+
+
+def _distinct_words(alpha):
+    """All distinct words with letter multiplicities alpha (0-based letters)."""
+    counts = list(alpha)
+    word = []
+
+    def rec():
+        if not any(counts):
+            yield tuple(word)
+            return
+        for j, c in enumerate(counts):
+            if c > 0:
+                counts[j] -= 1
+                word.append(j)
+                yield from rec()
+                word.pop()
+                counts[j] += 1
+
+    yield from rec()
+
+
+def sym_monomial(alpha, T: OperatorTuple) -> np.ndarray:
+    """Average of T_w over all distinct words w with content alpha:
+    (alpha!/|alpha|!) * sum of the word products."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != T.d:
+        raise DimensionMismatchError(
+            f"multi-index has {len(alpha)} entries, tuple has d={T.d}")
+    k = sum(alpha)
+    if k > WORD_DEGREE_CAP:
+        raise ValueError(
+            f"|alpha| = {k} exceeds the word-enumeration cap {WORD_DEGREE_CAP}")
+    if k == 0:
+        return np.eye(T.n, dtype=complex)
+    acc = np.zeros((T.n, T.n), dtype=complex)
+    for word in _distinct_words(alpha):
+        prod = T.matrices[word[0]]
+        for letter in word[1:]:
+            prod = prod @ T.matrices[letter]
+        acc += prod
+    return acc / weight(alpha)
+
+
+def sym_poly(p: TruncatedSeries, T: OperatorTuple) -> np.ndarray:
+    """Linear extension of sym_monomial: sum_alpha c_alpha (z^alpha)^sym(T)."""
+    if p.d != T.d:
+        raise DimensionMismatchError(f"dimension mismatch: {p.d} vs {T.d}")
+    acc = np.zeros((T.n, T.n), dtype=complex)
+    alphas = enumerate_multiindices(p.d, p.N)
+    for i in np.nonzero(p.coeffs)[0]:
+        acc += p.coeffs[i] * sym_monomial(alphas[i], T)
+    return acc
 
 
 def random_row_tuple(d, n, seed, target=None):
@@ -187,6 +250,16 @@ class TestTaylor:
             bound = 2 * np.vdot(xi, xi).real * rho ** 11 / (1 - rho)
             err = abs(s.evaluate(z) - herglotz_transform(D, z))
             assert err <= bound + 1e-12
+
+    def test_matches_word_enumeration(self):
+        # c_alpha = 2 w(alpha) <sym_monomial(alpha, T) xi, xi> for alpha != 0
+        rng = np.random.default_rng(11)
+        T = random_row_tuple(2, 3, 301)
+        xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        s = herglotz_taylor(HerglotzDatum(T, xi, 0.0), 6)
+        for i, alpha in enumerate(enumerate_multiindices(2, 6)[1:], start=1):
+            word_sum = weight(alpha) * sym_monomial(alpha, T)
+            assert abs(s.coeffs[i] - 2.0 * np.vdot(xi, word_sum @ xi)) < 1e-12
 
     def test_word_sum_regrouping(self):
         # sum over a grade of z^alpha w(alpha) sym_monomial = <z,T>^k

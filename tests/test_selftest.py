@@ -1,16 +1,17 @@
-"""Built-in sanity suite: one check per documented example value.
+"""Documented example values, one named check each.
 
-Runs without pytest so the CLI can gate deployments on it; each check is a
-named predicate with a short detail string on failure.
+Each check is a predicate over a small closed-form case across the modules;
+the test id is the check's name, so a failure names the example it broke.
 """
-
-from __future__ import annotations
 
 import math
 
 import numpy as np
+import pytest
 
-from .classes import (
+from herglotzlab.classes import (
+    BoundaryKernel,
+    PointSet,
     ShiftedBoundaryKernel,
     boundary_biased_pointset,
     extreme_h,
@@ -22,7 +23,7 @@ from .classes import (
     schwarz_probe,
     splus_test,
 )
-from .fock import (
+from herglotzlab.fock import (
     creation_operators,
     cuntz_state_herglotz,
     cuntz_state_word,
@@ -30,8 +31,8 @@ from .fock import (
     dshift_operators,
     operator_norm,
 )
-from .growth import growth_profile, hp_radial_mean, sphere_sample
-from .optuple import (
+from herglotzlab.growth import growth_profile, hp_radial_mean, sphere_sample
+from herglotzlab.optuple import (
     HerglotzDatum,
     OperatorTuple,
     commuting_calculus,
@@ -41,10 +42,8 @@ from .optuple import (
     is_commuting,
     is_row_contraction,
     is_weak_row_contraction,
-    sym_monomial,
-    sym_poly,
 )
-from .pairing import (
+from herglotzlab.pairing import (
     AtomicMeasure,
     QuadratureSpec,
     h2d_inner_integral,
@@ -53,7 +52,7 @@ from .pairing import (
     pairing_vs_measure_check,
     qr_pair,
 )
-from .series import (
+from herglotzlab.series import (
     TruncatedSeries,
     cayley,
     compose_univariate,
@@ -62,18 +61,8 @@ from .series import (
     weight,
 )
 
-E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-ZERO2 = np.zeros((2, 2), dtype=complex)
-
-
-def _series(d, N, entries):
-    f = TruncatedSeries.zero(d, N)
-    c = f.coeffs.copy()
-    for alpha, v in entries.items():
-        c[index_of(d, N, alpha)] = v
-    return TruncatedSeries(d, N, c)
+from test_optuple import E11, E12, E21, ZERO2, sym_monomial, sym_poly
+from test_series import make_series
 
 
 def _checks():
@@ -89,8 +78,8 @@ def _checks():
     yield ("weight (2,1)", lambda: weight((2, 1)) == 3)
 
     def mul_check():
-        one_plus = _series(1, 2, {(0,): 1, (1,): 1})
-        one_minus = _series(1, 2, {(0,): 1, (1,): -1})
+        one_plus = make_series(1, 2, {(0,): 1, (1,): 1})
+        one_minus = make_series(1, 2, {(0,): 1, (1,): -1})
         prod = one_plus.multiply(one_minus)
         return (abs(prod.coeff((0,)) - 1) < 1e-15
                 and abs(prod.coeff((1,))) < 1e-15
@@ -105,8 +94,8 @@ def _checks():
     yield ("add(z1, z2)", add_check)
 
     def telescope():
-        f = _series(1, 3, {(k,): 1 for k in range(4)})
-        g = _series(1, 3, {(0,): 1, (1,): -1})
+        f = make_series(1, 3, {(k,): 1 for k in range(4)})
+        g = make_series(1, 3, {(0,): 1, (1,): -1})
         prod = f.multiply(g)
         return abs(prod.coeff((0,)) - 1) < 1e-15 and all(
             abs(prod.coeff((k,))) < 1e-15 for k in (1, 2, 3))
@@ -125,7 +114,7 @@ def _checks():
     yield ("reflect involution", reflect_checks)
 
     def eval_checks():
-        f = _series(2, 2, {(0, 0): 1, (1, 0): 1})
+        f = make_series(2, 2, {(0, 0): 1, (1, 0): 1})
         return (abs(f.evaluate([0.5, 0.0]) - 1.5) < 1e-14
                 and abs(f.evaluate([0.0, 0.0]) - 1.0) < 1e-15)
     yield ("evaluate 1+z1", eval_checks)
@@ -145,16 +134,16 @@ def _checks():
 
     def cayley_hzeta():
         zeta = np.array([1.0, 0.0], dtype=complex)
-        phi = _series(2, 6, {(1, 0): 1.0})
+        phi = make_series(2, 6, {(1, 0): 1.0})
         f = cayley(phi, "schur_to_herglotz")
         target = extreme_h(zeta, 6)
         return np.allclose(f.coeffs, target.coeffs, atol=1e-12)
     yield ("cayley of <z,e1> is the boundary kernel", cayley_hzeta)
 
     def compose_checks():
-        ident = _series(1, 6, {(1,): 1.0})
-        phi = _series(2, 6, {(1, 0): 0.5, (0, 1): 0.5})
-        h = _series(1, 6, {(k,): (1.0 if k == 0 else 2.0) for k in range(7)})
+        ident = make_series(1, 6, {(1,): 1.0})
+        phi = make_series(2, 6, {(1, 0): 0.5, (0, 1): 0.5})
+        h = make_series(1, 6, {(k,): (1.0 if k == 0 else 2.0) for k in range(7)})
         direct = cayley(phi, "schur_to_herglotz")
         composed = compose_univariate(h, phi)
         return (np.allclose(compose_univariate(ident, phi).coeffs, phi.coeffs)
@@ -294,7 +283,7 @@ def _checks():
     yield ("symmetrized monomials", sym_checks)
 
     def sympoly_checks():
-        p = _series(2, 3, {(1, 0): 1.0, (1, 1): 1.0})
+        p = make_series(2, 3, {(1, 0): 1.0, (1, 1): 1.0})
         T = OperatorTuple(np.array([E11, E12]))
         expect = E11 + (E11 @ E12 + E12 @ E11) / 2.0
         const = TruncatedSeries.constant(2, 2, 3.0 - 1j)
@@ -303,10 +292,10 @@ def _checks():
     yield ("symmetrized polynomial calculus", sympoly_checks)
 
     def calculus_checks():
-        p = _series(2, 3, {(1, 0): 1.0, (1, 1): 1.0})
+        p = make_series(2, 3, {(1, 0): 1.0, (1, 1): 1.0})
         comm = OperatorTuple(np.array([np.diag([0.1, 0.4]), np.diag([0.2, 0.3])]))
         direct = np.diag([0.1 + 0.1 * 0.2, 0.4 + 0.4 * 0.3])
-        z1only = _series(2, 1, {(1, 0): 1.0})
+        z1only = make_series(2, 1, {(1, 0): 1.0})
         return (np.allclose(commuting_calculus(p, comm), direct)
                 and np.allclose(commuting_calculus(z1only, comm), comm.matrices[0])
                 and np.allclose(commuting_calculus(p, comm), sym_poly(p, comm)))
@@ -393,7 +382,6 @@ def _checks():
         pts = random_pointset(2, 20, seed=11)
         one = splus_test(TruncatedSeries.constant(2, 4, 1.0), pts)
         zeta = np.array([0.8, 0.6], dtype=complex)
-        from .classes import BoundaryKernel, PointSet
         h = splus_test(BoundaryKernel(zeta), pts)
         # Re of (1+2z1)/(1-2z1) turns negative past z1 = -1/2
         bad = lambda z: (1.0 + 2.0 * z[0]) / (1.0 - 2.0 * z[0])
@@ -406,8 +394,7 @@ def _checks():
         pts = random_pointset(2, 20, seed=13)
         zero = schur_test(TruncatedSeries.zero(2, 4), pts)
         coord = schur_test(TruncatedSeries.coordinate(2, 4, 0), pts)
-        from .classes import PointSet
-        amplified = schur_test(_series(2, 2, {(1, 0): 1.1}),
+        amplified = schur_test(make_series(2, 2, {(1, 0): 1.1}),
                                PointSet(np.array([[0.95, 0.0]]), 0, 0.95))
         return (zero.verdict == "pass" and coord.verdict == "pass"
                 and amplified.verdict == "fail")
@@ -441,17 +428,16 @@ def _checks():
         same = np.allclose(herglotz_of_measure(mu, 0.0, 6).coeffs, h.coeffs)
         z = np.array([0.45, 0.1j])
         lim = cuntz_state_herglotz(zeta, z, 300)
-        from .classes import BoundaryKernel
         exact = BoundaryKernel(zeta).values_at(z[None, :])[0]
         return slice_ok and same and abs(lim - exact) < 1e-10
     yield ("three routes to the boundary kernel agree", extreme_checks)
 
     def schwarz_checks():
-        good = _series(2, 4, {(1, 0): 1.0})
+        good = make_series(2, 4, {(1, 0): 1.0})
         rep_good = schwarz_probe(good, budget=60, seed=5)
-        probe = _series(2, 4, {(1, 0): 1.0, (0, 2): 0.5})
+        probe = make_series(2, 4, {(1, 0): 1.0, (0, 2): 0.5})
         rep_bad = schwarz_probe(probe, budget=200, seed=5)
-        slice_bad = _series(2, 4, {(1, 0): 1.0, (2, 0): 0.5})
+        slice_bad = make_series(2, 4, {(1, 0): 1.0, (2, 0): 0.5})
         rep_slice = schwarz_probe(slice_bad, budget=200, seed=5)
         return (rep_good.verdict == "pass" and rep_bad.verdict == "fail"
                 and rep_slice.verdict == "fail")
@@ -490,14 +476,10 @@ def _checks():
     yield ("shifted boundary kernel stays positive", opool_spot)
 
 
-def run_selftest() -> list:
-    out = []
-    for name, check in _checks():
-        try:
-            ok = bool(check())
-            detail = ""
-        except Exception as exc:   # noqa: BLE001 - report, don't crash the suite
-            ok = False
-            detail = f"{type(exc).__name__}: {exc}"
-        out.append({"name": name, "ok": ok, "detail": detail})
-    return out
+CHECKS = list(_checks())
+
+
+@pytest.mark.parametrize("check", [check for _, check in CHECKS],
+                         ids=[name for name, _ in CHECKS])
+def test_check(check):
+    assert check()
