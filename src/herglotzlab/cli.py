@@ -4,19 +4,22 @@ machine-readable reports.
 One executable with subcommands; configuration comes from an optional JSON
 file plus flag overrides (--seed, --out, --csv).  Reports embed the
 config, the tool version, and the tolerance constants, and are identical
-for identical configs apart from the timing field.  Exit codes: 0 success,
-2 malformed input or an input outside a function's domain, 3 resource cap
-exceeded.
+for identical configs apart from the timing field.  Each ``cmd_*`` takes the
+seed and its params as keyword arguments: its signature is the param schema.
+Exit codes: 0 success; 2 malformed input, an unknown or missing param, or an
+input outside a function's domain; 3 a resource cap (SizeCapError) exceeded.
+Any other exit, such as 1 with a traceback, is a bug.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,12 +36,7 @@ from .classes import (
     splus_test,
     values_at,
 )
-from .fock import (
-    DP_LIMIT_NORM,
-    LANCZOS_TOL,
-    SizeCapError,
-    davidson_pitts_sweep,
-)
+from .fock import DP_LIMIT_NORM, LANCZOS_TOL, davidson_pitts_sweep
 from .growth import DEFAULT_R_GRID, DEFAULT_SAMPLES, growth_profile
 from .optuple import (
     HerglotzDatum,
@@ -61,6 +59,7 @@ from .pairing import (
 from .series import (
     DEFAULT_DEGREE,
     SeriesDomainError,
+    SizeCapError,
     TruncatedSeries,
     simplex_size,
 )
@@ -70,6 +69,8 @@ TOLERANCES = {
     "lanczos_tol": LANCZOS_TOL,
     "duality_min_re": -1e-9,
 }
+
+DEFAULT_TARGET = {"kind": "extreme", "zeta": ((1.0, 0.0), (0.0, 0.0))}
 
 
 class InputError(ValueError):
@@ -86,19 +87,17 @@ class RunConfig:
     csv: str = ""
     params: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {"command": self.command, "seed": self.seed, "out": self.out,
-                "csv": self.csv, "params": self.params}
 
-
-def _load_json_value(spec):
+def _load_json_value(spec) -> dict:
     """Accept an inline object, a path, or '-' for stdin."""
-    if isinstance(spec, dict):
-        return spec
     if spec == "-":
-        return json.loads(sys.stdin.read())
-    with open(spec, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        spec = json.loads(sys.stdin.read())
+    elif isinstance(spec, str):
+        with open(spec, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise InputError(f"expected a JSON object, a path or '-', got {spec!r}")
+    return spec
 
 
 def _series_from(spec) -> TruncatedSeries:
@@ -112,15 +111,11 @@ def _c2(v: complex) -> list:
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_pair(cfg: RunConfig) -> dict:
-    p = cfg.params
-    if "f" not in p or "g" not in p:
-        raise InputError("pair needs series inputs 'f' and 'g'")
-    f = _series_from(p["f"])
-    g = _series_from(p["g"])
-    grid = p.get("r_grid", list(R_GRID))
+def cmd_pair(seed, f, g, r_grid=R_GRID, measure=None, mode="full"):
+    f = _series_from(f)
+    g = _series_from(g)
     q_values, identity_res, hermitian_res = [], 0.0, 0.0
-    for r in grid:
+    for r in r_grid:
         q = qr_pair(f, g, r)
         q_values.append(_c2(q))
         sr = math.sqrt(r)
@@ -130,33 +125,27 @@ def cmd_pair(cfg: RunConfig) -> dict:
         identity_res = max(identity_res, abs(q - ident))
         hermitian_res = max(hermitian_res, abs(q - np.conj(qr_pair(g, f, r))))
     results = {
-        "r_grid": list(grid),
+        "r_grid": list(r_grid),
         "q_values": q_values,
         "identity_residual_max": identity_res,
         "hermitian_residual_max": hermitian_res,
     }
-    if "measure" in p:
-        mu = AtomicMeasure.from_json(_load_json_value(p["measure"]))
-        mode = p.get("mode", "full")
+    if measure is not None:
+        mu = AtomicMeasure.from_json(_load_json_value(measure))
         res = max(pairing_vs_measure_check(f, mu, r, mode=mode)
-                  for r in grid if r < 1.0)
+                  for r in r_grid if r < 1.0)
         results["measure_residual_max"] = res
     return results
 
 
-def cmd_herglotz(cfg: RunConfig) -> dict:
-    p = cfg.params
-    if "datum" not in p:
-        raise InputError("herglotz needs a 'datum' input")
-    D = HerglotzDatum.from_json(_load_json_value(p["datum"]))
-    N = int(p.get("N", DEFAULT_DEGREE))
-    n_points = int(p.get("points", 200))
+def cmd_herglotz(seed, datum, N=DEFAULT_DEGREE, points=200):
+    D = HerglotzDatum.from_json(_load_json_value(datum))
     row_ok, row_eig = is_row_contraction(D.tuple)
-    weak = is_weak_row_contraction(D.tuple, seed=cfg.seed)
+    weak = is_weak_row_contraction(D.tuple, seed=seed)
     comm_ok, comm_norm = is_commuting(D.tuple)
-    pts = random_pointset(D.d, n_points, seed=cfg.seed).points
+    pts = random_pointset(D.d, int(points), seed=seed).points
     failures = 0
-    re_min = math.inf
+    re_min = None           # stays null when the batched transform fails
     fact_res = 0.0
     try:
         vals = herglotz_transform_many(D, pts)
@@ -173,7 +162,7 @@ def cmd_herglotz(cfg: RunConfig) -> dict:
             fact_res = max(fact_res, float(np.linalg.norm(H + H.conj().T - target, 2)))
         except (SingularPencilError, np.linalg.LinAlgError):
             failures += 1
-    series = herglotz_taylor(D, N)
+    series = herglotz_taylor(D, int(N))
     return {
         "predicates": {
             "row_contraction": {"ok": bool(row_ok), "min_eig": row_eig},
@@ -189,14 +178,14 @@ def cmd_herglotz(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_davidson_pitts(cfg: RunConfig) -> dict:
-    p = cfg.params
-    N_sym = int(p.get("N_sym", 16))
-    sweep_values = p.get("L_sweep", list(range(4, int(p.get("L_full", 16)) + 1)))
-    if not isinstance(sweep_values, list):
+def cmd_davidson_pitts(seed, N_sym=16, L_full=16, L_sweep=None):
+    N_sym = int(N_sym)
+    if L_sweep is None:
+        L_sweep = list(range(4, int(L_full) + 1))
+    if not isinstance(L_sweep, list):
         raise InputError(f"L_sweep must be a JSON list of word lengths, "
-                         f"got {sweep_values!r}")
-    table = davidson_pitts_sweep(sweep_values, N_sym)
+                         f"got {L_sweep!r}")
+    table = davidson_pitts_sweep(L_sweep, N_sym)
     norms = [row["norm_sym_calculus"] for row in table["rows"]]
     last = table["rows"][-1]
     gap = last["norm_sym_calculus"] - table["norm_sym_shift"]
@@ -219,23 +208,20 @@ def cmd_davidson_pitts(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_duality(cfg: RunConfig) -> dict:
-    p = cfg.params
-    trials = int(p.get("trials", 200))
-    d = int(p.get("d", 2))
-    grid = p.get("r_grid", list(R_GRID))
-    if trials < 1 or not grid:
+def cmd_duality(seed, trials=200, d=2, r_grid=R_GRID, identity_trials=20):
+    trials, d = int(trials), int(d)
+    if trials < 1 or not r_grid:
         raise InputError(f"duality needs trials >= 1 and a non-empty r_grid, "
-                         f"got trials={trials}, r_grid={grid!r}")
-    om = duality_sweep(sample_duality_pairs("O+", "M+", trials, cfg.seed, d=d), grid)
-    sr = duality_sweep(sample_duality_pairs("S+", "R+", trials, cfg.seed + 10 ** 6, d=d), grid)
-    rng = np.random.default_rng(cfg.seed)
+                         f"got trials={trials}, r_grid={r_grid!r}")
+    om = duality_sweep(sample_duality_pairs("O+", "M+", trials, seed, d=d), r_grid)
+    sr = duality_sweep(sample_duality_pairs("S+", "R+", trials, seed + 10 ** 6, d=d), r_grid)
+    rng = np.random.default_rng(seed)
     worst_ident = 0.0
     m = simplex_size(d, 6)
-    for k in range(int(p.get("identity_trials", 20))):
-        member = generate_member("R+", cfg.seed + 31 * k + 7, d=d, n=4)
+    for k in range(int(identity_trials)):
+        member = generate_member("R+", seed + 31 * k + 7, d=d, n=4)
         f = TruncatedSeries(d, 6, rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        for r in grid:
+        for r in r_grid:
             worst_ident = max(worst_ident,
                               rs_duality_residual(f, member.datum, r))
     return {
@@ -246,63 +232,53 @@ def cmd_duality(cfg: RunConfig) -> dict:
     }
 
 
-def _target_function(p: dict, seed: int):
-    spec = p.get("target", {"kind": "extreme", "zeta": [[1.0, 0.0], [0.0, 0.0]]})
+def _target_function(spec, seed: int):
+    if not isinstance(spec, dict):
+        raise InputError(f"target must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "extreme":
         zeta = np.array([complex(re, im) for re, im in spec["zeta"]])
-        return BoundaryKernel(zeta), None
+        return BoundaryKernel(zeta)
     if kind == "series":
-        return _series_from(spec["series"]), None
+        return _series_from(spec["series"])
     if kind == "datum":
-        D = HerglotzDatum.from_json(_load_json_value(spec["datum"]))
-        return D, D
+        return HerglotzDatum.from_json(_load_json_value(spec["datum"]))
     if kind == "sample":
-        member = generate_member(spec.get("class", "S+"), seed,
-                                 d=int(spec.get("d", 2)))
-        return member.evaluator, member.datum
+        return generate_member(spec.get("class", "S+"), seed,
+                               d=int(spec.get("d", 2))).evaluator
     raise InputError(f"unknown target kind {kind!r}")
 
 
-def cmd_membership(cfg: RunConfig) -> dict:
-    p = cfg.params
-    func, _ = _target_function(p, cfg.seed)
-    n_points = int(p.get("points", 25))
-    trials = int(p.get("trials", 8))
+def cmd_membership(seed, target=DEFAULT_TARGET, points=25, trials=8):
+    func = _target_function(target, seed)
+
+    class _Cayley:
+        d = func.d
+
+        @staticmethod
+        def values_at(points):
+            v = values_at(func, points)
+            return (v - 1.0) / (v + 1.0)
+
     reports = []
     all_pass = True
-    for k in range(trials):
+    for k in range(int(trials)):
         maker = random_pointset if k % 2 == 0 else boundary_biased_pointset
-        pts = maker(func.d, n_points, seed=cfg.seed + k)
+        pts = maker(func.d, int(points), seed=seed + k)
         rep = splus_test(func, pts)
         reports.append(rep.to_json())
         all_pass &= rep.verdict == "pass"
-        pts2 = maker(func.d, n_points, seed=cfg.seed + 1000 + k)
-
-        class _Cayley:
-            d = func.d
-
-            @staticmethod
-            def values_at(points):
-                v = values_at(func, points)
-                return (v - 1.0) / (v + 1.0)
-
+        pts2 = maker(func.d, int(points), seed=seed + 1000 + k)
         rep2 = schur_test(_Cayley, pts2)
         reports.append(rep2.to_json())
         all_pass &= rep2.verdict == "pass"
     return {"reports": reports, "all_pass": bool(all_pass)}
 
 
-def cmd_growth(cfg: RunConfig) -> dict:
-    p = cfg.params
-    func, _ = _target_function(p, cfg.seed)
-    profile = growth_profile(
-        func,
-        p=float(p.get("p", 1.0)),
-        r_grid=p.get("grid", list(DEFAULT_R_GRID)),
-        n=int(p.get("samples", DEFAULT_SAMPLES)),
-        seed=cfg.seed,
-    )
+def cmd_growth(seed, target=DEFAULT_TARGET, p=1.0, grid=DEFAULT_R_GRID,
+               samples=DEFAULT_SAMPLES):
+    func = _target_function(target, seed)
+    profile = growth_profile(func, p=float(p), r_grid=grid, n=int(samples), seed=seed)
     out = profile.to_json()
     return {"profile": out, "clamp_count": int(getattr(func, "clamps", 0))}
 
@@ -317,23 +293,26 @@ COMMANDS = {
 }
 
 
+def _davidson_pitts_csv(results: dict):
+    yield "L,norm_sym_calculus,norm_sym_shift,iters,residual"
+    for row in results["sweep"]:
+        yield (f"{row['L']},{row['norm_sym_calculus']!r},"
+               f"{results['norm_sym_shift']!r},{row['iters']},{row['residual']!r}")
+
+
+def _growth_csv(results: dict):
+    prof = results["profile"]
+    yield "r,mean,stderr"
+    for r, m, e in zip(prof["grid"], prof["means"], prof["stderr"]):
+        yield f"{r!r},{m!r},{e!r}"
+
+
+CSV_EXPORTS = {"davidson-pitts": _davidson_pitts_csv, "growth": _growth_csv}
+
+
 def _write_csv(path: str, command: str, results: dict) -> None:
-    lines = []
-    if command == "davidson-pitts":
-        lines.append("L,norm_sym_calculus,norm_sym_shift,iters,residual")
-        for row in results["sweep"]:
-            lines.append(f"{row['L']},{row['norm_sym_calculus']!r},"
-                         f"{results['norm_sym_shift']!r},{row['iters']},"
-                         f"{row['residual']!r}")
-    elif command == "growth":
-        prof = results["profile"]
-        lines.append("r,mean,stderr")
-        for r, m, e in zip(prof["grid"], prof["means"], prof["stderr"]):
-            lines.append(f"{r!r},{m!r},{e!r}")
-    else:
-        raise InputError(f"no CSV export for command {command!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(CSV_EXPORTS[command](results)) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,8 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "on the complex unit ball",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
+    for name, cmd in COMMANDS.items():
+        params = list(inspect.signature(cmd).parameters.values())[1:]
+        sp = sub.add_parser(name, epilog="params (--param KEY=JSON): " + ", ".join(
+            p.name if p.default is p.empty else f"{p.name}={json.dumps(p.default)}"
+            for p in params))
         sp.add_argument("--config", default=None,
                         help="JSON config file ('-' for stdin)")
         sp.add_argument("--seed", type=int, default=None)
@@ -386,32 +368,39 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        if cfg.csv and cfg.command not in CSV_EXPORTS:
+            raise InputError(f"no CSV export for command {cfg.command!r}")
+        cmd = COMMANDS[cfg.command]
+        try:
+            bound = inspect.signature(cmd).bind(cfg.seed, **cfg.params)
+        except TypeError as exc:
+            raise InputError(f"{cfg.command}: {exc}") from None
         start = time.time()
-        results = COMMANDS[cfg.command](cfg)
+        results = cmd(*bound.args, **bound.kwargs)
         elapsed = time.time() - start
-    except (InputError, json.JSONDecodeError, FileNotFoundError, KeyError,
-            ValueError, SeriesDomainError) as exc:
+        report = {
+            "command": cfg.command,
+            "version": __version__,
+            "config": asdict(cfg),
+            "tolerances": TOLERANCES,
+            "timing_s": elapsed,
+            "results": results,
+        }
+        payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        else:
+            print(payload)
+        if cfg.csv:
+            _write_csv(cfg.csv, cfg.command, results)
+    except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, SizeCapError) else 2
-
-    report = {
-        "command": cfg.command,
-        "version": __version__,
-        "config": cfg.to_json(),
-        "tolerances": TOLERANCES,
-        "timing_s": elapsed,
-        "results": results,
-    }
-    payload = json.dumps(report, indent=2, sort_keys=True)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    if cfg.csv:
-        _write_csv(cfg.csv, cfg.command, results)
+        return 3
+    except (KeyError, OSError, ValueError, SeriesDomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0

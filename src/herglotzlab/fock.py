@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import _exponents, _parents, grade_array, simplex_size
+from .series import SizeCapError, _exponents, _parents, grade_array, simplex_size
 
 BASIS_SIZE_CAP = 10 ** 6
 SHIFT_BYTES_CAP = 1 << 27      # the two dense shifts of _sym_shift_norm
@@ -31,10 +31,6 @@ DP_POLY_NAME = "z1 + z1*z2"
 # (p^sym)*(p^sym) = (3/2) I + (1/2)(V2 + V2*), so the limiting norm is
 # sqrt(5/2).  The truncated value is sqrt(3/2 + cos(pi/(L+2))).
 DP_LIMIT_NORM = math.sqrt(2.5)
-
-
-class SizeCapError(ValueError):
-    """A requested basis would exceed the size cap."""
 
 
 def fock_count(d: int, L: int) -> int:

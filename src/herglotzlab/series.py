@@ -31,8 +31,8 @@ class DimensionMismatchError(ValueError):
     """Operands live in a different number of variables."""
 
 
-class DegreeCapError(ValueError):
-    """A size or degree cap of the truncated-series layer was exceeded."""
+class SizeCapError(ValueError):
+    """A resource cap of the series layer or of the Fock models was exceeded."""
 
 
 class SeriesDomainError(ArithmeticError):
@@ -54,7 +54,7 @@ def enumerate_multiindices(d: int, N: int) -> tuple:
     if d < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {d}")
     if N < 0:
-        raise DegreeCapError(f"degree must be >= 0, got {N}")
+        raise ValueError(f"degree must be >= 0, got {N}")
     return tuple(map(tuple, _exponents(d, N).tolist()))
 
 
@@ -97,7 +97,7 @@ def _factorials(k: int) -> np.ndarray:
     """0!, ..., k! as int64, exact up to the exact-weight cap (20! < 2^63;
     a product of part factorials never exceeds the factorial of the sum)."""
     if k > WEIGHT_DEGREE_CAP:
-        raise DegreeCapError(
+        raise SizeCapError(
             f"|alpha| = {k} exceeds the exact-weight cap {WEIGHT_DEGREE_CAP}")
     fact = np.array([math.factorial(i) for i in range(k + 1)], dtype=np.int64)
     fact.setflags(write=False)
@@ -230,16 +230,20 @@ def _add_products(out: np.ndarray, c: np.ndarray, u: np.ndarray,
 
 
 def _check_dimension(d: int) -> None:
-    if not 1 <= d <= MAX_DIMENSION:
-        raise DegreeCapError(f"dimension {d} outside supported range 1..{MAX_DIMENSION}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if d > MAX_DIMENSION:
+        raise SizeCapError(f"dimension {d} exceeds the cap {MAX_DIMENSION}")
 
 
 def _check_caps(d: int, N: int) -> None:
     """Dimension and degree caps of a truncation; callers that build
     tables for a (d, N) from user input check these first."""
     _check_dimension(d)
-    if not 0 <= N <= MAX_DEGREE:
-        raise DegreeCapError(f"degree {N} outside supported range 0..{MAX_DEGREE}")
+    if N < 0:
+        raise ValueError(f"degree must be >= 0, got {N}")
+    if N > MAX_DEGREE:
+        raise SizeCapError(f"degree {N} exceeds the cap {MAX_DEGREE}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +423,7 @@ class TruncatedSeries:
         for entry in obj.get("coeffs", []):
             alpha = tuple(int(a) for a in entry["alpha"])
             if sum(alpha) > N:
-                raise DegreeCapError(f"coefficient {alpha} beyond declared degree {N}")
+                raise ValueError(f"coefficient {alpha} beyond declared degree {N}")
             c[index_of(d, N, alpha)] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
         return cls(d, N, c)
 
@@ -473,7 +477,7 @@ def compose_univariate(h: TruncatedSeries, phi: TruncatedSeries) -> TruncatedSer
     if h.d != 1:
         raise DimensionMismatchError("outer function of a composition must be univariate")
     if h.N < phi.N:
-        raise DegreeCapError(
+        raise ValueError(
             f"outer series degree {h.N} is below the target degree {phi.N}")
     if abs(phi.constant_term) >= 1.0:
         raise SeriesDomainError(

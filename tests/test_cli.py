@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import shlex
@@ -52,6 +53,14 @@ def traced_main(args):
 # nine variables: over the dimension cap of the series layer, whose dense
 # code lookup alone would be 11^9 entries at the default degree
 D9_POINT = [[1.0, 0.0]] + [[0.0, 0.0]] * 8
+
+# a one-dimensional row contraction in two variables, as an inline param
+SMALL_DATUM = json.dumps({"d": 2, "n": 1, "matrices": [[[[0.1, 0.0]]], [[[0.1, 0.0]]]],
+                          "xi": [[1.0, 0.0]], "t": 0.0})
+
+
+def reject_constant(name):
+    raise ValueError(f"report is not strict JSON: {name}")
 
 
 class TestPairCommand:
@@ -119,13 +128,20 @@ class TestPairCommand:
         assert code == 2 and report is None
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_coefficient_beyond_declared_degree_exit_2(self, tmp_path):
+        f = json_file(tmp_path, "f.json", {"d": 2, "N": 2, "coeffs": [
+            {"alpha": [3, 0], "re": 1.0, "im": 0.0}]})
+        code, report = run_cli(
+            ["pair", "--param", f"f=\"{f}\"", "--param", f"g=\"{f}\""], tmp_path)
+        assert code == 2 and report is None
+
     def test_series_caps_checked_before_any_work(self, tmp_path):
         f = json_file(tmp_path, "f.json", {"d": 9, "N": 16, "coeffs": [
             {"alpha": [1] + [0] * 8, "re": 1.0, "im": 0.0}]})
         code, elapsed, peak = traced_main(
             ["pair", "--param", f"f=\"{f}\"", "--param", f"g=\"{f}\"",
              "--out", str(tmp_path / "x.json")])
-        assert code == 2
+        assert code == 3
         assert elapsed < 1.0
         assert peak < 4 * 2 ** 20
 
@@ -138,7 +154,7 @@ class TestHerglotzCommand:
         code, elapsed, peak = traced_main(
             ["herglotz", "--param", f"datum=\"{dfile}\"",
              "--out", str(tmp_path / "x.json")])
-        assert code == 2
+        assert code == 3
         assert elapsed < 2.0
         assert peak < 8 * 2 ** 20
 
@@ -167,6 +183,19 @@ class TestHerglotzCommand:
              "--param", "points=5"], tmp_path)
         assert code == 0
         assert report["results"]["pointwise_failures"] == 5
+
+    def test_failed_transform_reports_null_minimum(self, tmp_path, monkeypatch):
+        # the minimum over no values used to be written as Infinity
+        def singular(D, points):
+            raise SingularPencilError("I - <z, T> is numerically singular")
+        monkeypatch.setattr(cli, "herglotz_transform_many", singular)
+        out = tmp_path / "report.json"
+        code = main(["herglotz", "--param", f"datum=\"{self._datum_file(tmp_path)}\"",
+                     "--param", "points=5", "--out", str(out)])
+        assert code == 0
+        res = json.loads(out.read_text(), parse_constant=reject_constant)["results"]
+        assert res["re_min_sampled"] is None
+        assert res["pointwise_failures"] >= 1
 
     @pytest.mark.parametrize("name", ["herglotz_transform_many", "herglotz_kernel"])
     def test_internal_errors_propagate(self, tmp_path, monkeypatch, name):
@@ -312,6 +341,69 @@ class TestGrowthCommand:
         assert csv_path.read_text().startswith("r,mean,stderr")
 
 
+class TestContract:
+    @pytest.mark.parametrize("args", [
+        ["pair", "--param", "f=5", "--param", "g=5"],
+        ["herglotz", "--param", "datum=[1]"],
+        ["membership", "--param", "target=5"],
+    ])
+    def test_input_that_is_not_an_object_exit_2(self, tmp_path, capsys, args):
+        code, report = run_cli(args, tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args,name", [
+        (["davidson-pitts", "--param", "L_ful=5"], "L_ful"),
+        (["duality", "--param", "seed=3"], "seed"),
+        (["pair", "--param", "f={}"], "g"),
+    ])
+    def test_param_outside_the_signature_exit_2(self, tmp_path, capsys, args, name):
+        code, report = run_cli(args, tmp_path)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{name}'" in err
+
+    def test_stray_config_key_exit_2(self, tmp_path):
+        cfg = json_file(tmp_path, "cfg.json", {"seed": 3, "threads": 4,
+                                               "params": {"trials": 2}})
+        code, report = run_cli(["duality", "--config", cfg], tmp_path)
+        assert code == 2 and report is None
+
+    @pytest.mark.parametrize("args,expected", [
+        (["duality", "--param", "d=5"], 3),
+        (["herglotz", "--param", f"datum={SMALL_DATUM}", "--param", "N=17"], 3),
+        (["herglotz", "--param", f"datum={SMALL_DATUM}", "--param", "N=-1"], 2),
+    ])
+    def test_caps_exit_3_and_bad_values_exit_2(self, tmp_path, args, expected):
+        code, report = run_cli(args, tmp_path)
+        assert code == expected and report is None
+
+    def test_non_finite_report_exit_2(self, tmp_path):
+        # |f|^1000 overflows to inf, and the stderr of the means to nan
+        code, report = run_cli(
+            ["growth", "--param", "p=1000", "--param", "samples=1000"], tmp_path)
+        assert code == 2 and report is None
+
+    def test_out_into_missing_directory_exit_2(self, tmp_path, capsys):
+        code = main(["duality", "--param", "trials=2", "--param", "identity_trials=1",
+                     "--out", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_csv_without_export_rejected_before_any_work(self, tmp_path):
+        csv_path = tmp_path / "x.csv"
+        code, report = run_cli(["duality", "--csv", str(csv_path)], tmp_path)
+        assert code == 2 and report is None
+        assert not csv_path.exists()
+
+    def test_help_lists_params_off_the_signature(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["duality", "--help"])
+        epilog = " ".join(capsys.readouterr().out.split()).split("KEY=JSON): ")[-1]
+        assert epilog.startswith("trials=200, d=2, r_grid=[0.05, 0.1,")
+        assert epilog.endswith("0.99], identity_trials=20")
+
+
 class TestReproducibility:
     def test_same_seed_same_results_any_thread_count(self, tmp_path):
         args = ["duality", "--param", "trials=6", "--param", "identity_trials=2",
@@ -383,6 +475,11 @@ def test_readme_commands_parse():
     parser = build_parser()
     for line in lines:
         try:
-            parser.parse_args(shlex.split(line)[1:])
+            args = parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README names a command the parser rejects: {line}")
+        keys = [spec.split("=", 1)[0] for spec in args.param]
+        try:
+            inspect.signature(cli.COMMANDS[args.command]).bind(0, **dict.fromkeys(keys))
+        except TypeError as exc:
+            pytest.fail(f"README params do not bind to {args.command}: {line}: {exc}")
