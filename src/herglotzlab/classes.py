@@ -379,10 +379,12 @@ def opool_member(seed: int, d: int = 2) -> ClassMember:
 # -- duality sweeps ---------------------------------------------------------
 
 
-def qr_exact_vs_atoms(f: ClassMember, g: ClassMember, r: float) -> np.ndarray:
-    """2 f(r p_j) for each atom p_j of measure-backed g: Q_r of f against the
-    unit point mass at p_j, with f evaluated exactly."""
-    return 2.0 * f.values_at(r * g.measure.points)
+def qr_exact_vs_atoms(f: ClassMember, g: ClassMember,
+                      r_grid: Sequence[float]) -> np.ndarray:
+    """2 f(r p_j) for r in r_grid (rows) and atoms p_j of measure-backed g
+    (columns), f exact and evaluated once: Q_r of f against the mass at p_j."""
+    rp = np.multiply.outer(r_grid, g.measure.points)        # (r, atom, d)
+    return 2.0 * f.values_at(rp.reshape(-1, rp.shape[2])).reshape(rp.shape[:2])
 
 
 def qr_exact_vs_commuting(f: ClassMember, g: ClassMember,
@@ -395,8 +397,8 @@ def qr_exact_vs_commuting(f: ClassMember, g: ClassMember,
     tuple sum_j T_gj (x) conj(T_fj); the pairing is twice the conjugate of
     the resulting quadratic form.  A measure-backed f contributes one such
     form per atom.  Exact whenever the joint spectral radius is below 1/r,
-    which holds for weak-contractive f and ball-spectrum g.  The tuples do
-    not depend on r and are built once.
+    which holds for weak-contractive f and ball-spectrum g.  The tuples are
+    built once, and each term is solved for the whole grid in one stack.
     """
     Tg = g.datum.tuple
     if f.datum is not None:
@@ -412,12 +414,13 @@ def qr_exact_vs_commuting(f: ClassMember, g: ClassMember,
         eye = np.eye(Tg.n, dtype=complex)
     else:
         raise TypeError("commuting reduction needs datum- or measure-backed f")
+    solved = [(wgt, np.linalg.solve(eye - np.multiply.outer(r_grid, M), v), v)
+              for wgt, M, v in terms]
     out = []
-    for r in r_grid:
+    for i in range(len(r_grid)):
         total = 0.0 + 0.0j
-        for wgt, M, v in terms:
-            y = np.linalg.solve(eye - r * M, v)
-            total += wgt * (2.0 * np.vdot(v, y) - np.vdot(v, v))
+        for wgt, ys, v in solved:
+            total += wgt * (2.0 * np.vdot(v, ys[i]) - np.vdot(v, v))
         out.append(complex(2.0 * np.conj(total)))
     return out
 
@@ -429,7 +432,8 @@ def duality_sweep(pairs: Sequence[tuple], r_grid: Sequence[float] = R_GRID) -> d
     The pairing is evaluated through the exact reductions (atom sums for
     measure-backed g, the joint resolvent for commuting datum-backed g), so
     the sweep sees the true pairing rather than a truncation partial sum,
-    which can dip negative near the boundary for finite degree.
+    which can dip negative near the boundary for finite degree.  Each
+    reduction takes the whole r grid at once.
 
     When g is backed by a boundary-supported measure, each atom p_j is also
     tested on its own: 2 f(r p_j) is Q_r of f against the unit point mass at
@@ -450,21 +454,19 @@ def duality_sweep(pairs: Sequence[tuple], r_grid: Sequence[float] = R_GRID) -> d
         boundary = g.measure is not None and g.measure.support == "boundary"
         if boundary:
             atoms += len(g.measure.weights)
-        if g.measure is None:
-            if g.datum is None:
-                raise TypeError("sweep g-side needs a measure or datum backing")
-            commuting = qr_exact_vs_commuting(f, g, r_grid)
-        for i, r in enumerate(r_grid):
-            if g.measure is not None:
-                per_atom = qr_exact_vs_atoms(f, g, r)
-                q = complex(np.sum(g.measure.weights * per_atom))
-            else:
-                q = commuting[i]
+        if g.measure is not None:
+            atom_rows = qr_exact_vs_atoms(f, g, r_grid)
+            wholes = [complex(np.sum(g.measure.weights * row)) for row in atom_rows]
+        elif g.datum is not None:
+            wholes = qr_exact_vs_commuting(f, g, r_grid)
+        else:
+            raise TypeError("sweep g-side needs a measure or datum backing")
+        for i, (r, q) in enumerate(zip(r_grid, wholes)):
             if q.real < min_re:
                 min_re = q.real
                 argmin = {"pair": k, "atom": None, "r": r, "value": q.real}
-            if boundary and per_atom.size:
-                re = per_atom.real
+            if boundary and atom_rows[i].size:
+                re = atom_rows[i].real
                 j = int(re.argmin())
                 if re[j] < min_re:
                     min_re = float(re[j])

@@ -61,6 +61,7 @@ from .series import (
     SeriesDomainError,
     SizeCapError,
     TruncatedSeries,
+    _check_caps,
     simplex_size,
 )
 
@@ -86,6 +87,28 @@ class RunConfig:
     out: str = ""
     csv: str = ""
     params: dict = field(default_factory=dict)
+
+
+def _is_scalar(value) -> bool:
+    """A string or a finite number: what int() and float() take without a
+    TypeError or an OverflowError."""
+    return isinstance(value, (int, str)) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _check_types(command: str, signature: inspect.Signature, params: dict) -> None:
+    """A param whose default is a number takes a scalar, one whose default is
+    a tuple a list of numbers; the commands parse the others themselves."""
+    for name, value in params.items():
+        default = signature.parameters[name].default
+        if isinstance(default, tuple):
+            want = "a list of numbers"
+            ok = isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
+        elif isinstance(default, (int, float)):
+            want, ok = "a number", _is_scalar(value)
+        else:
+            continue
+        if not ok:
+            raise InputError(f"{command}: param {name!r} must be {want}, got {value!r}")
 
 
 def _load_json_value(spec) -> dict:
@@ -140,6 +163,7 @@ def cmd_pair(seed, f, g, r_grid=R_GRID, measure=None, mode="full"):
 
 def cmd_herglotz(seed, datum, N=DEFAULT_DEGREE, points=200):
     D = HerglotzDatum.from_json(_load_json_value(datum))
+    _check_caps(D.d, int(N))
     row_ok, row_eig = is_row_contraction(D.tuple)
     weak = is_weak_row_contraction(D.tuple, seed=seed)
     comm_ok, comm_norm = is_commuting(D.tuple)
@@ -210,9 +234,9 @@ def cmd_davidson_pitts(seed, N_sym=16, L_full=16, L_sweep=None):
 
 def cmd_duality(seed, trials=200, d=2, r_grid=R_GRID, identity_trials=20):
     trials, d = int(trials), int(d)
-    if trials < 1 or not r_grid:
-        raise InputError(f"duality needs trials >= 1 and a non-empty r_grid, "
-                         f"got trials={trials}, r_grid={r_grid!r}")
+    if trials < 1 or not r_grid or not all(0.0 <= r <= 1.0 for r in r_grid):
+        raise InputError(f"duality needs trials >= 1 and a non-empty r_grid in "
+                         f"[0, 1], got trials={trials}, r_grid={r_grid!r}")
     om = duality_sweep(sample_duality_pairs("O+", "M+", trials, seed, d=d), r_grid)
     sr = duality_sweep(sample_duality_pairs("S+", "R+", trials, seed + 10 ** 6, d=d), r_grid)
     rng = np.random.default_rng(seed)
@@ -221,9 +245,7 @@ def cmd_duality(seed, trials=200, d=2, r_grid=R_GRID, identity_trials=20):
     for k in range(int(identity_trials)):
         member = generate_member("R+", seed + 31 * k + 7, d=d, n=4)
         f = TruncatedSeries(d, 6, rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        for r in r_grid:
-            worst_ident = max(worst_ident,
-                              rs_duality_residual(f, member.datum, r))
+        worst_ident = max(worst_ident, rs_duality_residual(f, member.datum, r_grid))
     return {
         "om": {"min_re": om["min_re"], "argmin": om["argmin"]},
         "sr": {"min_re": sr["min_re"], "argmin": sr["argmin"]},
@@ -343,13 +365,17 @@ def _config_from_args(args) -> RunConfig:
     seed, out, csv = 0, "", ""
     if args.config:
         obj = _load_json_value(args.config)
-        params = dict(obj.get("params", {}))
+        params, seed = obj.get("params", {}), obj.get("seed", 0)
+        out, csv = obj.get("out", ""), obj.get("csv", "")
+        if not (isinstance(params, dict) and _is_scalar(seed)
+                and isinstance(out, str) and isinstance(csv, str)):
+            raise InputError("config needs an object 'params', a number 'seed' "
+                             "and strings 'out' and 'csv'")
+        params = dict(params)
         for key in obj:
             if key not in ("command", "seed", "out", "csv", "params"):
                 params[key] = obj[key]
-        seed = int(obj.get("seed", 0))
-        out = obj.get("out", "")
-        csv = obj.get("csv", "")
+        seed = int(seed)
     for spec in args.param:
         if "=" not in spec:
             raise InputError(f"--param needs KEY=JSON, got {spec!r}")
@@ -374,10 +400,12 @@ def main(argv=None) -> int:
         if cfg.csv and cfg.command not in CSV_EXPORTS:
             raise InputError(f"no CSV export for command {cfg.command!r}")
         cmd = COMMANDS[cfg.command]
+        signature = inspect.signature(cmd)
         try:
-            bound = inspect.signature(cmd).bind(cfg.seed, **cfg.params)
+            bound = signature.bind(cfg.seed, **cfg.params)
         except TypeError as exc:
             raise InputError(f"{cfg.command}: {exc}") from None
+        _check_types(cfg.command, signature, cfg.params)
         start = time.time()
         results = cmd(*bound.args, **bound.kwargs)
         elapsed = time.time() - start

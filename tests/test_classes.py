@@ -29,6 +29,7 @@ from herglotzlab.pairing import (
     AtomicMeasure,
     HerglotzMeasureFunction,
     herglotz_of_measure,
+    R_GRID,
     qr_pair,
 )
 from herglotzlab.series import TruncatedSeries
@@ -54,6 +55,61 @@ def duality_sweep_series(pairs, N, r_grid):
         for r in r_grid:
             min_re = min(min_re, qr_pair(fs, gs, r).real)
     return {"min_re": min_re, "pairs": len(pairs), "N": N}
+
+
+def duality_sweep_per_r(pairs, r_grid=R_GRID):
+    """The sweep as it was written before the r grid became the unit of
+    work: f evaluated once per (pair, r) and one resolvent solve per
+    (pair, r, term).  An oracle for the batched reductions, which must give
+    the same dict bit for bit."""
+    min_re = math.inf
+    argmin = None
+    atoms = 0
+    for k, (f, g) in enumerate(pairs):
+        boundary = g.measure is not None and g.measure.support == "boundary"
+        if boundary:
+            atoms += len(g.measure.weights)
+        if g.measure is None:
+            commuting = _commuting_per_r(f, g, r_grid)
+        for i, r in enumerate(r_grid):
+            if g.measure is not None:
+                per_atom = 2.0 * f.values_at(r * g.measure.points)
+                q = complex(np.sum(g.measure.weights * per_atom))
+            else:
+                q = commuting[i]
+            if q.real < min_re:
+                min_re = q.real
+                argmin = {"pair": k, "atom": None, "r": r, "value": q.real}
+            if boundary and per_atom.size:
+                re = per_atom.real
+                j = int(re.argmin())
+                if re[j] < min_re:
+                    min_re = float(re[j])
+                    argmin = {"pair": k, "atom": j, "r": r, "value": min_re}
+    return {"min_re": min_re, "argmin": argmin, "pairs": len(pairs),
+            "atoms": atoms, "r_grid": list(r_grid)}
+
+
+def _commuting_per_r(f, g, r_grid):
+    Tg = g.datum.tuple
+    if f.datum is not None:
+        Tf = f.datum.tuple
+        M = sum(np.kron(Tg.matrices[j], np.conj(Tf.matrices[j]))
+                for j in range(Tg.d))
+        terms = [(1.0, M, np.kron(g.datum.xi, np.conj(f.datum.xi)))]
+    else:
+        terms = [(wgt, sum(point[j] * Tg.matrices[j] for j in range(Tg.d)),
+                  g.datum.xi)
+                 for point, wgt in zip(f.measure.points, f.measure.weights)]
+    eye = np.eye(terms[0][1].shape[0], dtype=complex)
+    out = []
+    for r in r_grid:
+        total = 0.0 + 0.0j
+        for wgt, M, v in terms:
+            y = np.linalg.solve(eye - r * M, v)
+            total += wgt * (2.0 * np.vdot(v, y) - np.vdot(v, v))
+        out.append(complex(2.0 * np.conj(total)))
+    return out
 
 
 class _AffineZ1:
@@ -347,6 +403,28 @@ class TestDualitySweeps:
         assert abs(exact["min_re"] - series["min_re"]) < 1e-4
 
 
+class TestBatchedSweepMatchesPerRadius:
+    """The batched reductions against the per-r oracle, compared with ==."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kinds", [("O+", "M+"), ("S+", "R+")])
+    def test_sampled_pairs(self, kinds, seed):
+        # 40 O+ samples cover all five pool slots, the shifted boundary
+        # kernel and measure-backed f included
+        pairs = sample_duality_pairs(*kinds, 40, seed, d=2)
+        assert duality_sweep(pairs) == duality_sweep_per_r(pairs)
+
+    def test_interior_measure_and_negative_f(self):
+        mu = AtomicMeasure(np.array([[-0.9, 0.0], [0.5, 0.2]], dtype=complex),
+                           np.array([1.0, 0.5]), "interior")
+        f = ClassMember("O+", _AffineZ1())
+        pairs = [(f, ClassMember("M+", mu))]
+        pairs += [(f, generate_member("M+", 1500 + k, d=2)) for k in range(5)]
+        grid = (0.0, 0.3, 0.99, 1.0)
+        for subset in (pairs[:1], pairs):
+            assert duality_sweep(subset, grid) == duality_sweep_per_r(subset, grid)
+
+
 class TestExtremePoints:
     def test_univariate_slice_coefficients(self):
         h = extreme_h(np.array([1.0, 0.0]), 6)
@@ -454,7 +532,7 @@ class TestChainEvidence:
     def test_measure_sweep_witness_is_worst_boundary_atom(self):
         # the sweep tests each boundary atom as a unit point mass: for
         # f = 1 + 3 z1 the witness is the atom with the least Re p_1, at the
-        # largest r, and the sweep evaluates f once per (pair, r)
+        # largest r, and the sweep evaluates f once per pair, on all r
         f = ClassMember("O+", _AffineZ1())
         pairs = [(f, generate_member("M+", 1500 + k, d=2)) for k in range(20)]
         swept = duality_sweep(pairs)
@@ -468,7 +546,7 @@ class TestChainEvidence:
         assert abs(swept["min_re"] - 2.0 * (1.0 + 3.0 * 0.99 * p[0].real)) < 1e-12
         assert swept["atoms"] == len(atoms)
         assert swept["pairs"] == 20
-        assert f.evaluator.calls == swept["pairs"] * len(swept["r_grid"])
+        assert f.evaluator.calls == swept["pairs"]
 
     def test_interior_measure_pair_reports_whole_pairing(self):
         # interior atoms are not point masses of M+, so only the whole

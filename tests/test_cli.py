@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from herglotzlab import cli
+from herglotzlab import cli, optuple
 from herglotzlab.cli import build_parser, main
 from herglotzlab.optuple import SingularPencilError
 from herglotzlab.series import TruncatedSeries
@@ -157,6 +157,14 @@ class TestHerglotzCommand:
         assert code == 3
         assert elapsed < 2.0
         assert peak < 8 * 2 ** 20
+
+    def test_degree_cap_checked_before_the_predicates(self, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("predicate ran before the degree cap was checked")
+        monkeypatch.setattr(cli, "is_weak_row_contraction", no_work)
+        code, report = run_cli(
+            ["herglotz", "--param", f"datum={SMALL_DATUM}", "--param", "N=17"], tmp_path)
+        assert code == 3 and report is None
 
     def _datum_file(self, tmp_path):
         e12 = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
@@ -306,6 +314,23 @@ class TestDualityCommand:
         assert code == 2 and report is None
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_radii_checked_before_any_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("pairs sampled before the radii were checked")
+        monkeypatch.setattr(cli, "sample_duality_pairs", no_sampling)
+        code, report = run_cli(["duality", "--param", "r_grid=[-0.5]"], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_taylor_built_once_per_identity_member(self, monkeypatch):
+        calls = []
+        taylor = optuple.herglotz_taylor
+        monkeypatch.setattr(optuple, "herglotz_taylor",
+                            lambda D, N: calls.append(N) or taylor(D, N))
+        cli.cmd_duality(4, trials=3)
+        # identity_trials = 20 members, each checked on all 20 radii
+        assert len(calls) == 20
+
 
 class TestMembershipCommand:
     def test_boundary_kernel_passes(self, tmp_path):
@@ -362,6 +387,24 @@ class TestContract:
         assert code == 2 and report is None
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{name}'" in err
+
+    @pytest.mark.parametrize("args", [
+        ["duality", "--param", "trials=[1]"],
+        ["duality", "--param", "trials=Infinity"],
+        ["duality", "--param", "r_grid=0.5"],
+        ["duality", "--param", 'r_grid=[0.5,"a"]'],
+        ["growth", "--param", 'grid="abc"'],
+        ["herglotz", "--param", f"datum={SMALL_DATUM}", "--param", "N=null"],
+        ["duality", "--config", {"seed": [1]}],
+        ["duality", "--config", {"params": 5}],
+        ["growth", "--config", {"csv": [1]}],
+    ])
+    def test_value_of_the_wrong_json_type_exit_2(self, tmp_path, capsys, args):
+        args = [json_file(tmp_path, "cfg.json", a) if isinstance(a, dict) else a
+                for a in args]
+        code, report = run_cli(args, tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_stray_config_key_exit_2(self, tmp_path):
         cfg = json_file(tmp_path, "cfg.json", {"seed": 3, "threads": 4,

@@ -344,6 +344,25 @@ class TestRsDualityIdentity:
             for r in (0.05, 0.5, 0.99):
                 assert rs_duality_residual(f, member.datum, r) < 1e-10
 
+    def test_grid_form_is_the_max_of_the_per_r_residuals(self):
+        # the grid form builds the truncation and the monomial table once;
+        # it must equal the per-r computation exactly
+        from herglotzlab.classes import generate_member
+        from herglotzlab.pairing import R_GRID
+
+        def per_r(f, D, r):
+            g = herglotz_taylor(D, f.N)
+            M = commuting_calculus(f.reflect().dilate(r), D.tuple)
+            rhs = 2.0 * np.conj(np.vdot(D.xi, M @ D.xi)) - 2j * D.t * f.constant_term
+            return float(abs(qr_pair(f, g, r) - rhs))
+
+        for k in range(6):
+            D = generate_member("R+", 1100 + k, d=2 + k % 2, n=4).datum
+            D = HerglotzDatum(D.tuple, D.xi, 0.3 * k)
+            f = random_series(D.d, 6, 1200 + k)
+            assert rs_duality_residual(f, D, R_GRID) == max(per_r(f, D, r) for r in R_GRID)
+            assert rs_duality_residual(f, D, 0.7) == per_r(f, D, 0.7)
+
     def test_imaginary_constant_correction(self):
         # the identity needs the -2it f(0) correction once t != 0
         T = OperatorTuple(np.array([np.diag([0.2, 0.1]) + 0j,
