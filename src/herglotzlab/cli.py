@@ -92,7 +92,8 @@ class RunConfig:
 def _is_scalar(value) -> bool:
     """A string or a finite number: what int() and float() take without a
     TypeError or an OverflowError."""
-    return isinstance(value, (int, str)) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, str) or (isinstance(value, (int, float))
+                                      and abs(value) <= sys.float_info.max)
 
 
 def _check_types(command: str, signature: inspect.Signature, params: dict) -> None:
@@ -206,7 +207,7 @@ def cmd_davidson_pitts(seed, N_sym=16, L_full=16, L_sweep=None):
     N_sym = int(N_sym)
     if L_sweep is None:
         L_sweep = list(range(4, int(L_full) + 1))
-    if not isinstance(L_sweep, list):
+    if not (isinstance(L_sweep, list) and all(map(_is_scalar, L_sweep))):
         raise InputError(f"L_sweep must be a JSON list of word lengths, "
                          f"got {L_sweep!r}")
     table = davidson_pitts_sweep(L_sweep, N_sym)
@@ -257,10 +258,13 @@ def cmd_duality(seed, trials=200, d=2, r_grid=R_GRID, identity_trials=20):
 def _target_function(spec, seed: int):
     if not isinstance(spec, dict):
         raise InputError(f"target must be a JSON object, got {spec!r}")
-    kind = spec.get("kind")
+    kind, zeta = spec.get("kind"), spec.get("zeta")
+    pairs = isinstance(zeta, (list, tuple)) and all(
+        isinstance(z, (list, tuple)) and len(z) == 2 and all(map(_is_scalar, z)) for z in zeta)
+    if not _is_scalar(spec.get("d", 2)) or (kind == "extreme" and not pairs):
+        raise InputError(f"target needs a number 'd' and [re, im] pairs 'zeta', got {spec!r}")
     if kind == "extreme":
-        zeta = np.array([complex(re, im) for re, im in spec["zeta"]])
-        return BoundaryKernel(zeta)
+        return BoundaryKernel(np.array([complex(float(re), float(im)) for re, im in zeta]))
     if kind == "series":
         return _series_from(spec["series"])
     if kind == "datum":

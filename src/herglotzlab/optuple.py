@@ -19,8 +19,8 @@ from .series import (
     DimensionMismatchError,
     TruncatedSeries,
     _check_caps,
-    _parent_steps,
-    _parents,
+    _grade_parents,
+    _grade_steps,
     simplex_size,
 )
 
@@ -247,18 +247,13 @@ def herglotz_taylor(D: HerglotzDatum, N: int) -> TruncatedSeries:
     """
     d, n = D.tuple.d, D.tuple.n
     _check_caps(d, N)
-    parents = _parents(d, N).tolist()         # index of alpha - e_j, or -1
-    U = np.zeros((len(parents), n), dtype=complex)
+    U = np.zeros((simplex_size(d, N), n), dtype=complex)
     U[0] = D.xi
-    coeffs = np.zeros(len(parents), dtype=complex)
+    # grade by grade and j ascending, so each U_alpha sums its terms in one fixed order
+    for j, rows, parents in _grade_parents(d, N):
+        U[rows] += np.matmul(D.tuple.matrices[j], U[parents][:, :, None])[:, :, 0]
+    coeffs = 2.0 * np.matmul(np.conj(D.xi)[None, None, :], U[:, :, None])[:, 0, 0]
     coeffs[0] = np.vdot(D.xi, D.xi).real + 1j * D.t
-    for i in range(1, len(parents)):
-        acc = np.zeros(n, dtype=complex)
-        for j, parent in enumerate(parents[i]):
-            if parent >= 0:
-                acc += D.tuple.matrices[j] @ U[parent]
-        U[i] = acc
-        coeffs[i] = 2.0 * np.vdot(D.xi, acc)
     return TruncatedSeries(d, N, coeffs)
 
 
@@ -273,11 +268,10 @@ def _commuting_powers(T: OperatorTuple, d: int, N: int, tol: float = 1e-10) -> n
             f"tuple is not commuting: max commutator norm {worst:.3e}")
     if d != T.d:
         raise DimensionMismatchError(f"dimension mismatch: {d} vs {T.d}")
-    steps_j, steps_parent = _parent_steps(d, N)
-    powers = np.zeros((simplex_size(d, N), T.n, T.n), dtype=complex)
+    powers = np.empty((simplex_size(d, N), T.n, T.n), dtype=complex)
     powers[0] = np.eye(T.n)
-    for i in range(1, len(powers)):
-        powers[i] = T.matrices[steps_j[i]] @ powers[steps_parent[i]]
+    for j, a, b, pa, pb in _grade_steps(d, N):
+        np.matmul(T.matrices[j], powers[pa:pb], out=powers[a:b])
     return powers
 
 

@@ -20,6 +20,7 @@ from .series import (
     SeriesDomainError,
     TruncatedSeries,
     _check_caps,
+    _grade_values,
     _monomial_sums,
     grade_array,
     simplex_size,
@@ -210,8 +211,7 @@ def h2d_inner_integral(f: TruncatedSeries, g: TruncatedSeries,
     r = 0.5 * (x + 1.0)
     w = 0.5 * w
 
-    F = f.grade_values(dirs)                    # (Nf+1, ns)
-    G = g.grade_values(dirs)                    # (Ng+1, ns)
+    F, G = _grade_values([f, g], dirs)          # (Nf+1, ns), (Ng+1, ns)
     rho = radial_factorial_weights(d, f.N)      # d-fold radial grade weights
     RF = F * rho[:, None]
     # radial profiles: A[s, i] = sum_k RF[k, s] r_i^k, likewise B for g

@@ -1,11 +1,11 @@
 """Truncated multivariate Taylor series on the complex unit ball.
 
-Multi-indices are plain tuples of nonnegative ints.  A ``TruncatedSeries``
-stores every coefficient c_alpha with ``|alpha| <= N`` densely, in graded
-order (total degree first, descending lexicographic within each grade), so
-that every module of the package addresses coefficients through one shared
-basis layout.  Indices of degree ``<= m`` always form a prefix of the
-enumeration, which the arithmetic below exploits.
+A multi-index is a tuple of nonnegative ints at the API and a row of the
+cached array ``_exponents`` inside.  A ``TruncatedSeries`` stores every
+coefficient c_alpha with ``|alpha| <= N`` densely in graded order (total
+degree first, descending lexicographic within each grade), the one basis
+layout of the package.  Indices of degree ``<= m`` form a prefix, and in a
+grade those with the same first nonzero coordinate form a block.
 
 Values are immutable after construction and all operations are pure.
 """
@@ -148,14 +148,28 @@ def _parents(d: int, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _parent_steps(d: int, N: int) -> tuple:
-    """For each index i > 0: (variable j, index of alpha - e_j) with j the
-    first nonzero coordinate.  Drives monomial-table recursions."""
-    steps_j = np.argmax(_exponents(d, N) > 0, axis=1)
-    steps_parent = np.maximum(_parents(d, N)[np.arange(len(steps_j)), steps_j], 0)
-    steps_j.setflags(write=False)
-    steps_parent.setflags(write=False)
-    return steps_j, steps_parent
+def _grade_steps(d: int, N: int) -> tuple:
+    """(j, a, b, pa, pb) per grade k = 1..N and variable j, in order: a:b
+    are the indices of grade k whose first nonzero coordinate is j, pa:pb
+    their parents alpha - e_j: the suffix of grade k - 1 zero before j."""
+    steps, slices = [], grade_slices(d, N)
+    for k in range(1, N + 1):
+        a, pb = slices[k][0], slices[k - 1][1]
+        for j in range(d):
+            size = math.comb(k + d - j - 2, d - j - 1)
+            steps.append((j, a, a + size, pb - size, pb))
+            a += size
+    return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _grade_parents(d: int, N: int) -> tuple:
+    """(j, rows, parents) per grade k = 1..N and variable j, in order: the
+    indices of grade k with alpha_j > 0 and the indices of alpha - e_j."""
+    parents = _parents(d, N)
+    blocks = [(j, np.flatnonzero(parents[a:b, j] >= 0) + a)
+              for a, b in grade_slices(d, N)[1:] for j in range(d)]
+    return tuple((j, rows, parents[rows, j]) for j, rows in blocks)
 
 
 @lru_cache(maxsize=None)
@@ -194,21 +208,19 @@ def _monomial_chunks(Z: np.ndarray, N: int):
 
     Yields (lo, P) with P[i, p] = Z[lo + p] ** alpha_i, monomial-major, so
     each monomial's values are contiguous.  A chunk holds at most
-    _EVAL_BYTES of table, and each grade is filled by one numpy op from the
-    grade below along the steps of _parent_steps.
+    _EVAL_BYTES of table, and each block of _grade_steps is filled by one
+    slice product from its parents in the grade below.
     """
     npts, d = Z.shape
     m = simplex_size(d, N)
-    steps_j, steps_parent = _parent_steps(d, N)
-    slices = grade_slices(d, N)[1:]
     ZT = np.asarray(Z, dtype=complex).T
     step = max(1, _EVAL_BYTES // (16 * m))
     for lo in range(0, npts, step):
         chunk = np.ascontiguousarray(ZT[:, lo:lo + step])
         P = np.empty((m, chunk.shape[1]), dtype=complex)
         P[0] = 1.0
-        for a, b in slices:
-            np.multiply(P[steps_parent[a:b]], chunk[steps_j[a:b]], out=P[a:b])
+        for j, a, b, pa, pb in _grade_steps(d, N):
+            np.multiply(P[pa:pb], chunk[j], out=P[a:b])
         yield lo, P
 
 
@@ -217,6 +229,18 @@ def _monomial_sums(Z: np.ndarray, w: np.ndarray, N: int) -> np.ndarray:
     out = np.zeros(simplex_size(Z.shape[1], N), dtype=complex)
     for lo, P in _monomial_chunks(Z, N):
         out += P @ w[lo:lo + P.shape[1]]
+    return out
+
+
+def _grade_values(fs: Sequence["TruncatedSeries"], pts: np.ndarray) -> list:
+    """grade_values of each series in fs (all in pts.shape[1] variables),
+    contracted from one chunked monomial table built to their largest degree."""
+    out = [np.empty((f.N + 1, pts.shape[0]), dtype=complex) for f in fs]
+    slices = grade_slices(pts.shape[1], max(f.N for f in fs))
+    for lo, P in _monomial_chunks(pts, len(slices) - 1):
+        for f, grades in zip(fs, out):
+            for k, (a, b) in enumerate(slices[:f.N + 1]):
+                grades[k, lo:lo + P.shape[1]] = f.coeffs[a:b] @ P[a:b]
     return out
 
 
@@ -376,22 +400,13 @@ class TruncatedSeries:
     # -- evaluation ----------------------------------------------------
 
     def grade_values(self, points: np.ndarray) -> np.ndarray:
-        """Values of each homogeneous part: array of shape (N+1, npoints).
-
-        Monomials come from the chunked table of _monomial_chunks; grades
-        are contracted separately so callers can reweight them (dilations,
-        radial operators) without re-evaluating.
-        """
+        """Values of each homogeneous part, shape (N+1, npoints): callers can
+        reweight grades (dilations, radial operators) without re-evaluating."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
         if pts.shape[1] != self.d:
             raise DimensionMismatchError(
                 f"points have {pts.shape[1]} coordinates, series has d={self.d}")
-        slices = grade_slices(self.d, self.N)
-        out = np.empty((self.N + 1, pts.shape[0]), dtype=complex)
-        for lo, P in _monomial_chunks(pts, self.N):
-            for k, (a, b) in enumerate(slices):
-                out[k, lo:lo + P.shape[1]] = self.coeffs[a:b] @ P[a:b]
-        return out
+        return _grade_values([self], pts)[0]
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (npoints, d) array, accumulating grade by grade."""

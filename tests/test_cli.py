@@ -398,6 +398,10 @@ class TestContract:
         ["duality", "--config", {"seed": [1]}],
         ["duality", "--config", {"params": 5}],
         ["growth", "--config", {"csv": [1]}],
+        ["davidson-pitts", "--param", "L_sweep=[[4]]"],
+        ["membership", "--param", 'target={"kind": "extreme", "zeta": 5}'],
+        # an integer of 401 digits: past what float() takes without overflow
+        ["growth", "--param", "p=1" + "0" * 400],
     ])
     def test_value_of_the_wrong_json_type_exit_2(self, tmp_path, capsys, args):
         args = [json_file(tmp_path, "cfg.json", a) if isinstance(a, dict) else a

@@ -6,6 +6,7 @@ import pytest
 from herglotzlab.optuple import (
     HerglotzDatum,
     NonCommutingError,
+    _commuting_powers,
     OperatorTuple,
     SingularPencilError,
     commuting_calculus,
@@ -23,7 +24,9 @@ from herglotzlab.pairing import qr_pair
 from herglotzlab.series import (
     DimensionMismatchError,
     TruncatedSeries,
+    _parents,
     enumerate_multiindices,
+    simplex_size,
     weight,
 )
 
@@ -93,6 +96,43 @@ def sym_poly(p: TruncatedSeries, T: OperatorTuple) -> np.ndarray:
     for i in np.nonzero(p.coeffs)[0]:
         acc += p.coeffs[i] * sym_monomial(alphas[i], T)
     return acc
+
+
+# -- per-index recursions -------------------------------------------------
+# The grade-batched herglotz_taylor and _commuting_powers must reproduce
+# these one-index-at-a-time loops bit for bit, so that reports built on them
+# do not change.
+
+
+def herglotz_taylor_by_index(D: HerglotzDatum, N: int) -> np.ndarray:
+    """Coefficients of herglotz_taylor, one multi-index at a time: U_alpha
+    sums T_j U_(alpha - e_j) over j in turn, and c_alpha = 2 <U_alpha, xi>."""
+    parents = _parents(D.d, N).tolist()
+    U = np.zeros((len(parents), D.tuple.n), dtype=complex)
+    U[0] = D.xi
+    coeffs = np.zeros(len(parents), dtype=complex)
+    coeffs[0] = np.vdot(D.xi, D.xi).real + 1j * D.t
+    for i in range(1, len(parents)):
+        acc = np.zeros(D.tuple.n, dtype=complex)
+        for j, parent in enumerate(parents[i]):
+            if parent >= 0:
+                acc += D.tuple.matrices[j] @ U[parent]
+        U[i] = acc
+        coeffs[i] = 2.0 * np.vdot(D.xi, acc)
+    return coeffs
+
+
+def commuting_powers_by_index(T: OperatorTuple, N: int) -> np.ndarray:
+    """T^alpha = T_j T^(alpha - e_j), j the first nonzero coordinate of
+    alpha, one multi-index at a time."""
+    exps = np.array(enumerate_multiindices(T.d, N))
+    parents = _parents(T.d, N)
+    powers = np.zeros((len(exps), T.n, T.n), dtype=complex)
+    powers[0] = np.eye(T.n)
+    for i in range(1, len(exps)):
+        j = int(np.argmax(exps[i] > 0))
+        powers[i] = T.matrices[j] @ powers[parents[i, j]]
+    return powers
 
 
 def random_row_tuple(d, n, seed, target=None):
@@ -276,6 +316,40 @@ class TestTaylor:
             direct = np.linalg.matrix_power(T.zeta_dot(z), k)
             assert np.linalg.norm(acc - direct, 2) < 1e-11 * max(
                 1.0, np.linalg.norm(direct, 2))
+
+
+GRADE_BATCH_SIZES = [(1, 16), (2, 6), (2, 10), (3, 12), (4, 16)]
+
+
+class TestGradeBatchedRecursions:
+    @pytest.mark.parametrize("d,N", GRADE_BATCH_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_taylor_bit_identical_to_per_index_loop(self, d, N, seed):
+        rng = np.random.default_rng(seed)
+        n = (2, 4, 8)[seed]
+        xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        D = HerglotzDatum(random_row_tuple(d, n, 700 + seed), xi, 0.7 * seed - 0.3)
+        s = herglotz_taylor(D, N)
+        assert np.array_equal(s.coeffs, herglotz_taylor_by_index(D, N))
+        assert s.constant_term.imag == D.t != 0.0
+
+    @pytest.mark.parametrize("d,N", GRADE_BATCH_SIZES)
+    def test_taylor_of_nilpotent_datum(self, d, N):
+        # strictly upper triangular 3 x 3 matrices: every word of length 3
+        # vanishes, so every grade from 3 up is exactly zero
+        rng = np.random.default_rng(d)
+        mats = np.triu(rng.standard_normal((d, 3, 3)) + 1j * rng.standard_normal((d, 3, 3)), 1)
+        D = HerglotzDatum(OperatorTuple(0.5 * mats), np.array([0.3, -1.0j, 1.0]), 0.25)
+        s = herglotz_taylor(D, N)
+        assert np.array_equal(s.coeffs, herglotz_taylor_by_index(D, N))
+        assert not np.any(s.coeffs[simplex_size(d, 2):])
+
+    @pytest.mark.parametrize("d,N", GRADE_BATCH_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_commuting_powers_bit_identical_to_per_index_loop(self, d, N, seed):
+        from herglotzlab.classes import random_commuting_contraction
+        T = random_commuting_contraction(d, 3 + seed % 2, 40 * d + seed)
+        assert np.array_equal(_commuting_powers(T, d, N), commuting_powers_by_index(T, N))
 
 
 class TestSymCalculus:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herglotzlab import pairing
 from herglotzlab.pairing import (
     AtomicMeasure,
     HerglotzMeasureFunction,
@@ -22,6 +23,7 @@ from herglotzlab.series import (
     DimensionMismatchError,
     SeriesDomainError,
     TruncatedSeries,
+    simplex_size,
 )
 
 from test_series import random_series
@@ -149,6 +151,33 @@ class TestIntegralForm:
             exact = h2d_inner_series(f, g)
             est = h2d_inner_integral(f, g, QuadratureSpec(64, 8000, 300 + k))
             assert abs(est.value - exact) <= 3 * est.stderr
+
+    @pytest.mark.parametrize("d,Nf,Ng", [(2, 7, 3), (3, 4, 9), (3, 6, 6), (4, 5, 5)])
+    def test_shared_table_matches_one_table_per_series(self, monkeypatch, d, Nf, Ng):
+        f, g = random_series(d, Nf, 40 + Nf), random_series(d, Ng, 50 + Ng)
+        q = QuadratureSpec(32, 3000, d)
+        shared = h2d_inner_integral(f, g, q)
+        # one monomial table per series, each to its own degree
+        monkeypatch.setattr(pairing, "_grade_values",
+                            lambda fs, pts: [h.grade_values(pts) for h in fs])
+        apart = h2d_inner_integral(f, g, q)
+        if Nf == Ng:
+            assert shared == apart
+        else:
+            assert abs(shared.value - apart.value) <= 1e-14 * abs(apart.value)
+            assert abs(shared.stderr - apart.stderr) <= 1e-14 * apart.stderr
+        # unequal degrees pair as if the lower one were padded with zeros
+        def pad(h):
+            c = np.zeros(simplex_size(d, max(Nf, Ng)), dtype=complex)
+            c[:len(h.coeffs)] = h.coeffs
+            return TruncatedSeries(d, max(Nf, Ng), c)
+
+        assert abs(h2d_inner_series(pad(f), pad(g)) - shared.value) <= 3 * shared.stderr
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            h2d_inner_integral(random_series(2, 4, 0), random_series(3, 4, 1),
+                               QuadratureSpec(8, 16, 0))
 
     def test_returns_named_tuple(self):
         one = TruncatedSeries.constant(2, 2, 1.0)

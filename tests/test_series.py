@@ -19,7 +19,8 @@ from herglotzlab.series import (
     SizeCapError,
     TruncatedSeries,
     _divide,
-    _parent_steps,
+    _grade_steps,
+    _monomial_chunks,
     _parents,
     _product_table,
     cayley,
@@ -370,6 +371,24 @@ def _product_table_by_tuples(d, N):
             for a in enumerate_multiindices(d, N)]
 
 
+def _monomial_chunks_by_gather(Z, N):
+    """_monomial_chunks as a per-grade gather: each index i > 0 multiplies
+    the row of alpha - e_j by coordinate j, j its first nonzero coordinate,
+    through fancy-indexed parent rows and coordinates."""
+    npts, d = Z.shape
+    m = simplex_size(d, N)
+    steps_j = np.argmax(np.array(enumerate_multiindices(d, N)) > 0, axis=1)
+    steps_parent = np.maximum(_parents(d, N)[np.arange(m), steps_j], 0)
+    step = max(1, series._EVAL_BYTES // (16 * m))
+    for lo in range(0, npts, step):
+        chunk = np.ascontiguousarray(Z.T[:, lo:lo + step])
+        P = np.empty((m, chunk.shape[1]), dtype=complex)
+        P[0] = 1.0
+        for a, b in grade_slices(d, N)[1:]:
+            np.multiply(P[steps_parent[a:b]], chunk[steps_j[a:b]], out=P[a:b])
+        yield lo, P
+
+
 def _divide_full_recompute(num, den):
     """num/den recomputing the whole convolution of the quotient so far
     with den at every grade."""
@@ -405,14 +424,23 @@ class TestMonomialEngine:
     @pytest.mark.parametrize("d,N", [(1, 16), (3, 12), (4, 16)])
     def test_parents_and_weights_match_tuple_oracle(self, d, N):
         idx = _index_dict(d, N)
+        alphas = enumerate_multiindices(d, N)
         parents = _parents(d, N)
-        steps_j, steps_parent = _parent_steps(d, N)
-        for i, a in enumerate(enumerate_multiindices(d, N)[1:], start=1):
+        for i, a in enumerate(alphas[1:], start=1):
             expect = [idx[a[:j] + (a[j] - 1,) + a[j + 1:]] if a[j] else -1
                       for j in range(d)]
             assert parents[i].tolist() == expect
-            j = next(p for p, v in enumerate(a) if v > 0)
-            assert (steps_j[i], steps_parent[i]) == (j, expect[j])
+        # the blocks of _grade_steps tile the indices > 0 in order, each by
+        # its first nonzero coordinate j, with contiguous parents alpha - e_j
+        rows = []
+        for j, a, b, pa, pb in _grade_steps(d, N):
+            assert b - a == pb - pa
+            for i, parent in zip(range(a, b), range(pa, pb)):
+                alpha = alphas[i]
+                assert next(p for p, v in enumerate(alpha) if v > 0) == j
+                assert parent == idx[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
+                rows.append(i)
+        assert rows == list(range(1, len(alphas)))
         exact = [weight(a) for a in enumerate_multiindices(d, N)]
         assert weight_array(d, N).tolist() == exact
 
@@ -458,6 +486,16 @@ class TestMonomialEngine:
         for k, (a, b) in enumerate(grade_slices(d, N)):
             scale = np.abs(terms[:, a:b]).sum(axis=1)
             assert np.all(np.abs(got[k] - terms[:, a:b].sum(axis=1)) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("d,N", [(1, 16), (2, 6), (2, 10), (3, 12), (4, 16)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monomial_chunks_bit_identical_to_gather(self, d, N, seed):
+        # 130 points span three chunks at (4, 16), whose chunks hold 54 points
+        pts = _ball_points(d, 130, seed=10 * seed + d)
+        got = list(_monomial_chunks(pts, N))
+        ref = list(_monomial_chunks_by_gather(pts, N))
+        assert [lo for lo, _ in got] == [lo for lo, _ in ref]
+        assert all(np.array_equal(P, Q) for (_, P), (_, Q) in zip(got, ref))
 
     def test_chunk_width_changes_values_only_by_rounding(self, monkeypatch):
         f = random_series(3, 12, 60)
