@@ -124,8 +124,14 @@ def _load_json_value(spec) -> dict:
     return spec
 
 
-def _series_from(spec) -> TruncatedSeries:
-    return TruncatedSeries.from_json(_load_json_value(spec))
+def _parse(cls, spec):
+    """cls.from_json of the object in spec; a TypeError there (a number
+    where a list belongs) is malformed input."""
+    obj = _load_json_value(spec)
+    try:
+        return cls.from_json(obj)
+    except TypeError as exc:
+        raise InputError(f"malformed {cls.__name__} input: {exc}") from None
 
 
 def _c2(v: complex) -> list:
@@ -136,8 +142,8 @@ def _c2(v: complex) -> list:
 
 
 def cmd_pair(seed, f, g, r_grid=R_GRID, measure=None, mode="full"):
-    f = _series_from(f)
-    g = _series_from(g)
+    f = _parse(TruncatedSeries, f)
+    g = _parse(TruncatedSeries, g)
     q_values, identity_res, hermitian_res = [], 0.0, 0.0
     for r in r_grid:
         q = qr_pair(f, g, r)
@@ -155,7 +161,7 @@ def cmd_pair(seed, f, g, r_grid=R_GRID, measure=None, mode="full"):
         "hermitian_residual_max": hermitian_res,
     }
     if measure is not None:
-        mu = AtomicMeasure.from_json(_load_json_value(measure))
+        mu = _parse(AtomicMeasure, measure)
         res = max(pairing_vs_measure_check(f, mu, r, mode=mode)
                   for r in r_grid if r < 1.0)
         results["measure_residual_max"] = res
@@ -163,7 +169,7 @@ def cmd_pair(seed, f, g, r_grid=R_GRID, measure=None, mode="full"):
 
 
 def cmd_herglotz(seed, datum, N=DEFAULT_DEGREE, points=200):
-    D = HerglotzDatum.from_json(_load_json_value(datum))
+    D = _parse(HerglotzDatum, datum)
     _check_caps(D.d, int(N))
     row_ok, row_eig = is_row_contraction(D.tuple)
     weak = is_weak_row_contraction(D.tuple, seed=seed)
@@ -266,9 +272,9 @@ def _target_function(spec, seed: int):
     if kind == "extreme":
         return BoundaryKernel(np.array([complex(float(re), float(im)) for re, im in zeta]))
     if kind == "series":
-        return _series_from(spec["series"])
+        return _parse(TruncatedSeries, spec["series"])
     if kind == "datum":
-        return HerglotzDatum.from_json(_load_json_value(spec["datum"]))
+        return _parse(HerglotzDatum, spec["datum"])
     if kind == "sample":
         return generate_member(spec.get("class", "S+"), seed,
                                d=int(spec.get("d", 2))).evaluator

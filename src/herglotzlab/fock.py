@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import SizeCapError, _exponents, _parents, grade_array, simplex_size
+from .series import SizeCapError, _exponents, _shifts, simplex_size
 
 BASIS_SIZE_CAP = 10 ** 6
 SHIFT_BYTES_CAP = 1 << 27      # the two dense shifts of _sym_shift_norm
@@ -139,13 +139,12 @@ def dshift_operators(d: int, N: int) -> list:
     """
     if d < 1 or N < 1:
         raise ValueError("need d >= 1, N >= 1")
-    m = simplex_size(d, N)
-    parents, exps, grades = _parents(d, N), _exponents(d, N), grade_array(d, N)
+    m, shifts = simplex_size(d, N), _shifts(d, N)
+    src = np.arange(shifts.shape[1])
+    exps = _exponents(d, N)[src]
     ops = [np.zeros((m, m), dtype=complex) for _ in range(d)]
     for j, S in enumerate(ops):
-        # S_j e_parent = sqrt(beta_j / |beta|) e_beta for beta = parent + e_j
-        beta = np.nonzero(parents[:, j] >= 0)[0]
-        S[beta, parents[beta, j]] = np.sqrt(exps[beta, j] / grades[beta])
+        S[shifts[j], src] = np.sqrt((exps[:, j] + 1) / (exps.sum(axis=1) + 1))
     return ops
 
 

@@ -19,8 +19,9 @@ from .series import (
     DimensionMismatchError,
     TruncatedSeries,
     _check_caps,
-    _grade_parents,
     _grade_steps,
+    _shifts,
+    grade_slices,
     simplex_size,
 )
 
@@ -250,8 +251,10 @@ def herglotz_taylor(D: HerglotzDatum, N: int) -> TruncatedSeries:
     U = np.zeros((simplex_size(d, N), n), dtype=complex)
     U[0] = D.xi
     # grade by grade and j ascending, so each U_alpha sums its terms in one fixed order
-    for j, rows, parents in _grade_parents(d, N):
-        U[rows] += np.matmul(D.tuple.matrices[j], U[parents][:, :, None])[:, :, 0]
+    shifts = _shifts(d, N)
+    for a, b in grade_slices(d, N)[:-1]:
+        for j in range(d):
+            U[shifts[j, a:b]] += np.matmul(D.tuple.matrices[j], U[a:b, :, None])[:, :, 0]
     coeffs = 2.0 * np.matmul(np.conj(D.xi)[None, None, :], U[:, :, None])[:, 0, 0]
     coeffs[0] = np.vdot(D.xi, D.xi).real + 1j * D.t
     return TruncatedSeries(d, N, coeffs)

@@ -112,6 +112,15 @@ def _common_prefix(f: TruncatedSeries, g: TruncatedSeries):
     return N, f.coeffs[:m], g.coeffs[:m]
 
 
+def _check_radius(f: TruncatedSeries, g: TruncatedSeries, r: float) -> None:
+    if not 0.0 <= r <= 1.0:
+        raise SeriesDomainError(f"pairing radius must be in [0, 1], got {r}")
+    if r == 1.0 and (f.from_boundary_measure or g.from_boundary_measure):
+        raise SeriesDomainError(
+            "r = 1 pairing requires interior-supported or "
+            "analytic-past-boundary arguments")
+
+
 def qr_pair(f: TruncatedSeries, g: TruncatedSeries, r: float) -> complex:
     """Sum_alpha c_a conj(d_a) r^|a| a!/|a|!  +  f(0) conj(g(0)).
 
@@ -119,12 +128,7 @@ def qr_pair(f: TruncatedSeries, g: TruncatedSeries, r: float) -> complex:
     constants pair to twice their plain product.  r = 1 is allowed only when
     neither argument is backed by a boundary-supported measure.
     """
-    if not 0.0 <= r <= 1.0:
-        raise SeriesDomainError(f"pairing radius must be in [0, 1], got {r}")
-    if r == 1.0 and (f.from_boundary_measure or g.from_boundary_measure):
-        raise SeriesDomainError(
-            "r = 1 pairing requires interior-supported or "
-            "analytic-past-boundary arguments")
+    _check_radius(f, g, r)
     N, cf, cg = _common_prefix(f, g)
     ratios = weight_ratio_array(f.d, N)
     rpow = np.power(r, grade_array(f.d, N).astype(float))
@@ -134,14 +138,12 @@ def qr_pair(f: TruncatedSeries, g: TruncatedSeries, r: float) -> complex:
 
 def qr_pair_grades(f: TruncatedSeries, g: TruncatedSeries, r: float) -> np.ndarray:
     """Per-grade contributions to qr_pair; entry 0 carries the doubled
-    constant term.  Partial sums of this array are the pairing truncations."""
-    if not 0.0 <= r <= 1.0:
-        raise SeriesDomainError(f"pairing radius must be in [0, 1], got {r}")
+    constant term.  Partial sums of this array are the pairing truncations,
+    so the radius is checked as in qr_pair."""
+    _check_radius(f, g, r)
     N, cf, cg = _common_prefix(f, g)
-    ratios = weight_ratio_array(f.d, N)
-    rpow = np.power(r, grade_array(f.d, N).astype(float))
-    terms = cf * np.conj(cg) * rpow * ratios
     grades = grade_array(f.d, N)
+    terms = cf * np.conj(cg) * np.power(r, grades.astype(float)) * weight_ratio_array(f.d, N)
     out = np.zeros(N + 1, dtype=complex)
     np.add.at(out, grades, terms)
     out[0] += cf[0] * np.conj(cg[0])

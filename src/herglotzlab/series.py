@@ -1,11 +1,12 @@
 """Truncated multivariate Taylor series on the complex unit ball.
 
-A multi-index is a tuple of nonnegative ints at the API and a row of the
-cached array ``_exponents`` inside.  A ``TruncatedSeries`` stores every
-coefficient c_alpha with ``|alpha| <= N`` densely in graded order (total
-degree first, descending lexicographic within each grade), the one basis
-layout of the package.  Indices of degree ``<= m`` form a prefix, and in a
-grade those with the same first nonzero coordinate form a block.
+A multi-index is a tuple of nonnegative ints at the API and a position in
+one graded order inside.  A ``TruncatedSeries`` stores every coefficient
+c_alpha with ``|alpha| <= N`` densely in that order (total degree first,
+descending lexicographic within each grade), the one basis layout of the
+package.  Indices of degree ``<= m`` form a prefix, and in a grade those with
+the same first nonzero coordinate form a block.  Every index table is built
+from those blocks (``_grade_steps``) and the index of alpha + e_j (``_shifts``).
 
 Values are immutable after construction and all operations are pure.
 """
@@ -59,13 +60,17 @@ def enumerate_multiindices(d: int, N: int) -> tuple:
 
 
 def index_of(d: int, N: int, alpha: Sequence[int]) -> int:
-    """Position of alpha in enumerate_multiindices(d, N), read off the
-    code lookup of _codes; KeyError if alpha is not in that simplex."""
+    """Position of alpha in enumerate_multiindices(d, N), reached from index
+    0 by alpha_j steps of _shifts[j] per j; KeyError if alpha is not in
+    that simplex."""
     alpha = tuple(alpha)
     if len(alpha) != d or min(alpha, default=0) < 0 or sum(alpha) > N:
         raise KeyError(alpha)
-    radix, _, lookup = _codes(d, N)
-    return int(lookup[sum(a * int(r) for a, r in zip(alpha, radix))])
+    shifts, i = _shifts(d, N), 0
+    for j, a in enumerate(alpha):
+        for _ in range(a):
+            i = shifts[j, i]
+    return int(i)
 
 
 @lru_cache(maxsize=None)
@@ -106,45 +111,14 @@ def _factorials(k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _exponents(d: int, N: int) -> np.ndarray:
-    """(m, d) array of the multi-indices in enumeration order.  Grade k is,
-    for j = 0..d-1 in turn, e_j plus each index of grade k - 1 whose first
-    j entries are zero, so every grade descends lexicographically."""
-    unit = np.eye(d, dtype=np.int64)
-    grades = [np.zeros((1, d), dtype=np.int64)]
-    for _ in range(N):
-        prev = grades[-1]
-        grades.append(np.concatenate(
-            [prev[~prev[:, :j].any(axis=1)] + unit[j] for j in range(d)]))
-    e = np.concatenate(grades)
+    """(m, d) array of the multi-indices in enumeration order, each block of
+    _grade_steps its parents plus e_j."""
+    e = np.zeros((simplex_size(d, N), d), dtype=np.int64)
+    for j, a, b, pa, pb in _grade_steps(d, N):
+        e[a:b] = e[pa:pb]
+        e[a:b, j] += 1
     e.setflags(write=False)
     return e
-
-
-@lru_cache(maxsize=None)
-def _codes(d: int, N: int) -> tuple:
-    """(radix, codes, lookup): the mixed-radix code sum_j alpha_j (N+1)^j of
-    each index, and a dense array of (N+1)^d entries mapping codes back to
-    indices.  No coordinate exceeds N, so codes of multi-indices add.  The
-    lookup has at most d! times as many entries as there are indices, so
-    the dimension is held to the series cap before it is built."""
-    _check_dimension(d)
-    radix = (N + 1) ** np.arange(d, dtype=np.int64)
-    codes = _exponents(d, N) @ radix
-    lookup = np.full((N + 1) ** d, -1, dtype=np.int64)
-    lookup[codes] = np.arange(len(codes))
-    for arr in (radix, codes, lookup):
-        arr.setflags(write=False)
-    return radix, codes, lookup
-
-
-@lru_cache(maxsize=None)
-def _parents(d: int, N: int) -> np.ndarray:
-    """(m, d) array: the index of alpha - e_j, or -1 where alpha_j = 0
-    (those entries read an unrelated code and are masked)."""
-    radix, codes, lookup = _codes(d, N)
-    out = np.where(_exponents(d, N) > 0, lookup[codes[:, None] - radix], -1)
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -163,13 +137,22 @@ def _grade_steps(d: int, N: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _grade_parents(d: int, N: int) -> tuple:
-    """(j, rows, parents) per grade k = 1..N and variable j, in order: the
-    indices of grade k with alpha_j > 0 and the indices of alpha - e_j."""
-    parents = _parents(d, N)
-    blocks = [(j, np.flatnonzero(parents[a:b, j] >= 0) + a)
-              for a, b in grade_slices(d, N)[1:] for j in range(d)]
-    return tuple((j, rows, parents[rows, j]) for j, rows in blocks)
+def _shifts(d: int, N: int) -> np.ndarray:
+    """(d, simplex_size(d, N - 1)) array: the index of alpha + e_j.
+
+    Where alpha is zero before j, alpha + e_j is the entry of grade block j
+    matching the parent slot of alpha.  Otherwise alpha = alpha' + e_j0, j0
+    < j its first nonzero coordinate, and alpha + e_j is the j-shift of
+    alpha' moved by the offset of grade block j0 one grade up."""
+    _check_dimension(d)
+    out = np.empty((d, simplex_size(d, N - 1)), dtype=np.int64)
+    steps = _grade_steps(d, N)
+    for j, a, b, pa, pb in steps:
+        out[j, pa:pb] = np.arange(a, b)
+    for (j0, a, b, pa, pb), (_, na, _, npa, _) in zip(steps, steps[d:]):
+        out[j0 + 1:, a:b] = out[j0 + 1:, pa:pb] + (na - npa)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -193,14 +176,20 @@ def weight_ratio_array(d: int, N: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _product_table(d: int, N: int) -> tuple:
     """Per index i, the output indices of alpha_i + beta for every beta with
-    |beta| <= N - |alpha_i| (betas are the prefix of the enumeration)."""
-    _, codes, lookup = _codes(d, N)
-    table = []
-    for k, (a, b) in enumerate(grade_slices(d, N)):
-        block = lookup[codes[a:b, None] + codes[:simplex_size(d, N - k)]]
+    |beta| <= N - |alpha_i| (betas are the prefix of the enumeration): the
+    row of alpha - e_j, cut to that width, shifted by _shifts[j]."""
+    shifts, slices, steps = _shifts(d, N), grade_slices(d, N), _grade_steps(d, N)
+    blocks = [np.arange(simplex_size(d, N))[None]]
+    for k in range(1, N + 1):
+        (lo, _), (a0, b0) = slices[k - 1], slices[k]
+        width = simplex_size(d, N - k)
+        block = np.empty((b0 - a0, width), dtype=np.int64)
+        for j, a, b, pa, pb in steps[(k - 1) * d:k * d]:
+            block[a - a0:b - a0] = shifts[j][blocks[-1][pa - lo:pb - lo, :width]]
+        blocks.append(block)
+    for block in blocks:
         block.setflags(write=False)
-        table.extend(block)
-    return tuple(table)
+    return tuple(row for block in blocks for row in block)
 
 
 def _monomial_chunks(Z: np.ndarray, N: int):

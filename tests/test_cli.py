@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -16,6 +17,9 @@ from herglotzlab.optuple import SingularPencilError
 from herglotzlab.series import TruncatedSeries
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# a child interpreter imports the package under test, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args, tmp_path, out_name="report.json"):
@@ -50,8 +54,7 @@ def traced_main(args):
     return code, elapsed, peak
 
 
-# nine variables: over the dimension cap of the series layer, whose dense
-# code lookup alone would be 11^9 entries at the default degree
+# nine variables: over the dimension cap of the series layer
 D9_POINT = [[1.0, 0.0]] + [[0.0, 0.0]] * 8
 
 # a one-dimensional row contraction in two variables, as an inline param
@@ -410,6 +413,22 @@ class TestContract:
         assert code == 2 and report is None
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("args", [
+        ["pair", "--param", 'f={"d": [2], "N": 3}', "--param", 'g={"d": 2, "N": 3}'],
+        ["pair", "--param", 'f={"d": 2, "N": 3, "coeffs": [{"alpha": 5}]}',
+         "--param", 'g={"d": 2, "N": 3}'],
+        ["herglotz", "--param", 'datum={"matrices": 5, "xi": []}'],
+        ["pair", "--param", 'f={"d": 2, "N": 3}', "--param", 'g={"d": 2, "N": 3}',
+         "--param", 'measure={"points": [[1, 2]], "weights": [1], "support": "boundary"}'],
+        ["membership", "--param", 'target={"kind": "datum", "datum": '
+         '{"matrices": [[[1]]], "xi": [[1, 0]]}}'],
+    ])
+    def test_malformed_json_object_exit_2(self, tmp_path, capsys, args):
+        # each used to end in a TypeError traceback inside a from_json, exit 1
+        code, report = run_cli(args, tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_stray_config_key_exit_2(self, tmp_path):
         cfg = json_file(tmp_path, "cfg.json", {"seed": 3, "threads": 4,
                                                "params": {"trials": 2}})
@@ -489,7 +508,7 @@ class TestConsoleEntry:
             [sys.executable, "-m", "herglotzlab", "duality",
              "--param", "trials=2", "--param", "identity_trials=1",
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0
         assert json.loads(out.read_text())["command"] == "duality"
 
@@ -498,7 +517,7 @@ class TestConsoleEntry:
             [sys.executable, "-c",
              "import sys, herglotzlab.cli; "
              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -509,7 +528,7 @@ class TestConsoleEntry:
             [sys.executable, "-m", "herglotzlab", "pair",
              "--param", 'f="-"', "--param",
              f"g={json.dumps(one.to_json())}"],
-            input=payload, capture_output=True, text=True)
+            input=payload, capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0
 
 

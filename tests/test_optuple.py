@@ -24,13 +24,12 @@ from herglotzlab.pairing import qr_pair
 from herglotzlab.series import (
     DimensionMismatchError,
     TruncatedSeries,
-    _parents,
     enumerate_multiindices,
     simplex_size,
     weight,
 )
 
-from test_series import make_series, random_series
+from test_series import _parents_by_tuples, make_series, random_series
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -107,7 +106,7 @@ def sym_poly(p: TruncatedSeries, T: OperatorTuple) -> np.ndarray:
 def herglotz_taylor_by_index(D: HerglotzDatum, N: int) -> np.ndarray:
     """Coefficients of herglotz_taylor, one multi-index at a time: U_alpha
     sums T_j U_(alpha - e_j) over j in turn, and c_alpha = 2 <U_alpha, xi>."""
-    parents = _parents(D.d, N).tolist()
+    parents = _parents_by_tuples(D.d, N).tolist()
     U = np.zeros((len(parents), D.tuple.n), dtype=complex)
     U[0] = D.xi
     coeffs = np.zeros(len(parents), dtype=complex)
@@ -126,7 +125,7 @@ def commuting_powers_by_index(T: OperatorTuple, N: int) -> np.ndarray:
     """T^alpha = T_j T^(alpha - e_j), j the first nonzero coordinate of
     alpha, one multi-index at a time."""
     exps = np.array(enumerate_multiindices(T.d, N))
-    parents = _parents(T.d, N)
+    parents = _parents_by_tuples(T.d, N)
     powers = np.zeros((len(exps), T.n, T.n), dtype=complex)
     powers[0] = np.eye(T.n)
     for i in range(1, len(exps)):

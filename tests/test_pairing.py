@@ -104,6 +104,19 @@ class TestQrPair:
                 assert b <= r * a * (1 + 1e-9) + 1e-15
             assert abs(grades.sum() - qr_pair(f, g, r)) < 1e-12
 
+    def test_grades_share_the_radius_check(self):
+        # a unit point mass on the sphere: its grade sums at r = 1 used to
+        # come back as a number where qr_pair refuses the pairing
+        point = np.zeros((1, 2), dtype=complex)
+        point[0, 0] = 1.0
+        g = herglotz_of_measure(AtomicMeasure(point, np.ones(1), "boundary"), 0.0, 8)
+        f = random_series(2, 8, 4)
+        for r in (1.0, 1.2, -0.1):
+            for a, b in ((g, g), (f, g), (g, f)):
+                with pytest.raises(SeriesDomainError):
+                    qr_pair_grades(a, b, r)
+        qr_pair_grades(f, f, 1.0)
+
 
 class TestInnerProduct:
     def test_paired_monomial(self):

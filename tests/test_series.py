@@ -21,8 +21,8 @@ from herglotzlab.series import (
     _divide,
     _grade_steps,
     _monomial_chunks,
-    _parents,
     _product_table,
+    _shifts,
     cayley,
     compose_univariate,
     enumerate_multiindices,
@@ -363,6 +363,15 @@ def _index_dict(d, N):
     return {a: i for i, a in enumerate(enumerate_multiindices(d, N))}
 
 
+def _parents_by_tuples(d, N):
+    """(m, d) array: the index of alpha - e_j, or -1 where alpha_j = 0, from
+    tuple differences and the index dict."""
+    idx = _index_dict(d, N)
+    return np.array([[idx[a[:j] + (a[j] - 1,) + a[j + 1:]] if a[j] else -1
+                      for j in range(d)] for a in enumerate_multiindices(d, N)],
+                    dtype=np.int64)
+
+
 def _product_table_by_tuples(d, N):
     """The product table built from tuple sums and the index dict."""
     idx = _index_dict(d, N)
@@ -378,7 +387,7 @@ def _monomial_chunks_by_gather(Z, N):
     npts, d = Z.shape
     m = simplex_size(d, N)
     steps_j = np.argmax(np.array(enumerate_multiindices(d, N)) > 0, axis=1)
-    steps_parent = np.maximum(_parents(d, N)[np.arange(m), steps_j], 0)
+    steps_parent = np.maximum(_parents_by_tuples(d, N)[np.arange(m), steps_j], 0)
     step = max(1, series._EVAL_BYTES // (16 * m))
     for lo in range(0, npts, step):
         chunk = np.ascontiguousarray(Z.T[:, lo:lo + step])
@@ -425,11 +434,6 @@ class TestMonomialEngine:
     def test_parents_and_weights_match_tuple_oracle(self, d, N):
         idx = _index_dict(d, N)
         alphas = enumerate_multiindices(d, N)
-        parents = _parents(d, N)
-        for i, a in enumerate(alphas[1:], start=1):
-            expect = [idx[a[:j] + (a[j] - 1,) + a[j + 1:]] if a[j] else -1
-                      for j in range(d)]
-            assert parents[i].tolist() == expect
         # the blocks of _grade_steps tile the indices > 0 in order, each by
         # its first nonzero coordinate j, with contiguous parents alpha - e_j
         rows = []
@@ -444,6 +448,13 @@ class TestMonomialEngine:
         exact = [weight(a) for a in enumerate_multiindices(d, N)]
         assert weight_array(d, N).tolist() == exact
 
+    @pytest.mark.parametrize("d,N", [(1, 16), (2, 18), (3, 12), (4, 16)])
+    def test_shifts_match_tuple_oracle(self, d, N):
+        idx = _index_dict(d, N)
+        expect = [[idx[a[:j] + (a[j] + 1,) + a[j + 1:]]
+                   for a in enumerate_multiindices(d, N - 1)] for j in range(d)]
+        assert _shifts(d, N).tolist() == expect
+
     @pytest.mark.parametrize("d,N", [(1, 16), (3, 12), (4, 16)])
     def test_index_of_matches_enumeration(self, d, N):
         for i, a in enumerate(enumerate_multiindices(d, N)):
@@ -453,9 +464,8 @@ class TestMonomialEngine:
                 index_of(d, N, bad)
 
     def test_dimension_cap_checked_before_any_table(self):
-        # the code lookup of _codes has (N+1)^d entries: 11^9 at d=9, N=10
         with pytest.raises(SizeCapError):
-            _parents(9, 10)
+            _shifts(9, 10)
         D = HerglotzDatum(OperatorTuple(0.1 * np.ones((9, 1, 1))), np.ones(1))
         with pytest.raises(SizeCapError):
             herglotz_taylor(D, 10)
