@@ -97,13 +97,16 @@ def _is_scalar(value) -> bool:
 
 
 def _check_types(command: str, signature: inspect.Signature, params: dict) -> None:
-    """A param whose default is a number takes a scalar, one whose default is
-    a tuple a list of numbers; the commands parse the others themselves."""
+    """A param whose default is a number takes a scalar, integral if the
+    default is an int, one whose default is a tuple a list of numbers; the
+    commands parse the others themselves."""
     for name, value in params.items():
         default = signature.parameters[name].default
         if isinstance(default, tuple):
             want = "a list of numbers"
             ok = isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
+        elif isinstance(default, int) and isinstance(value, float):
+            want, ok = "an integer", value.is_integer()
         elif isinstance(default, (int, float)):
             want, ok = "a number", _is_scalar(value)
         else:

@@ -20,7 +20,7 @@ import numpy as np
 from .series import SizeCapError, _exponents, _shifts, simplex_size
 
 BASIS_SIZE_CAP = 10 ** 6
-SHIFT_BYTES_CAP = 1 << 27      # the two dense shifts of _sym_shift_norm
+SHIFT_BYTES_CAP = 1 << 27      # the dense shifts of one dshift_operators call
 
 LANCZOS_TOL = 1e-10
 LANCZOS_MAX_STEPS = 300
@@ -135,11 +135,17 @@ def dshift_operators(d: int, N: int) -> list:
     """Coordinate multiplication operators on the normalized monomial basis.
 
     S_j e_alpha = sqrt((alpha_j + 1)/(|alpha| + 1)) e_(alpha + e_j); the top
-    grade maps to zero.  Returned dense (sizes stay small).
+    grade maps to zero.  Returned dense; d shifts over SHIFT_BYTES_CAP raise
+    SizeCapError before any allocation.
     """
     if d < 1 or N < 1:
         raise ValueError("need d >= 1, N >= 1")
-    m, shifts = simplex_size(d, N), _shifts(d, N)
+    m = simplex_size(d, N)
+    nbytes = d * m * m * np.dtype(complex).itemsize
+    if nbytes > SHIFT_BYTES_CAP:
+        raise SizeCapError(f"d={d}, N={N} needs {nbytes} bytes of dense shifts, "
+                           f"cap is {SHIFT_BYTES_CAP}")
+    shifts = _shifts(d, N)
     src = np.arange(shifts.shape[1])
     exps = _exponents(d, N)[src]
     ops = [np.zeros((m, m), dtype=complex) for _ in range(d)]
@@ -162,14 +168,15 @@ def operator_norm(A, method: str = "auto", iters: int = LANCZOS_MAX_STEPS,
 
     Dense arrays go through LAPACK unless method forces Lanczos; anything
     exposing matvec/rmatvec (or a sparse matrix with ``tocsr``) is handled
-    matrix-free by Lanczos on A*A with full reorthogonalization, started
-    from x0 (a fixed random vector if None).  It stops at breakdown (the
-    new direction is below LANCZOS_BREAKDOWN times ||A*A q||), when the
-    Ritz residual bound beta_k |s_k| falls to tol * theta, or after
-    ``iters`` steps; the Krylov basis grows one vector per step.  ``iters``
-    reports the steps taken, ``residual`` the true ||A*A x - theta x|| /
-    theta of the Ritz vector x, and ``converged`` whether that residual is
-    within tol.  Non-convergence is reported, not raised.
+    matrix-free by Lanczos on A*A with full reorthogonalization (two
+    classical Gram-Schmidt passes per step), started from x0 (a fixed
+    random vector if None).  It stops at breakdown (the new direction is
+    below LANCZOS_BREAKDOWN times ||A*A q||), when the Ritz residual bound
+    beta_k |s_k| falls to tol * theta, or after ``iters`` steps; the Krylov
+    basis grows one vector per step.  ``iters`` reports the steps taken,
+    ``residual`` the true ||A*A x - theta x|| / theta of the Ritz vector x,
+    and ``converged`` whether that residual is within tol.  Non-convergence
+    is reported, not raised.
     """
     if method not in ("auto", "dense-svd", "lanczos"):
         raise ValueError(f"unknown norm method {method!r}")
@@ -200,8 +207,13 @@ def operator_norm(A, method: str = "auto", iters: int = LANCZOS_MAX_STEPS,
         w = np.array(rmv(mv(q)))
         w_norm = float(np.linalg.norm(w))
         alpha.append(float(np.vdot(q, w).real))
-        for u in basis:         # full reorthogonalization, one Gram-Schmidt pass
-            w -= np.vdot(u, w) * u
+        # full reorthogonalization, twice: one Gram-Schmidt pass leaves a
+        # component along the basis of the size of the rounding in what it
+        # removed, large next to w when most of w is removed; the basis
+        # then loses orthogonality and Ritz values can pass the spectrum
+        Q = np.array(basis)
+        for _ in range(2):
+            w -= Q.T @ (Q.conj() @ w)
         b = float(np.linalg.norm(w))
         T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
         vals, vecs = np.linalg.eigh(T)
@@ -228,12 +240,8 @@ def _sym_shift_norm(N_sym: int) -> float:
     The shifts are built two grades higher so images never hit the
     compression edge; the restriction norm is then exact and nondecreasing
     in N_sym.  Shifts over SHIFT_BYTES_CAP raise SizeCapError before any
-    work.
+    work, in dshift_operators.
     """
-    nbytes = 2 * simplex_size(2, N_sym + 2) ** 2 * np.dtype(complex).itemsize
-    if nbytes > SHIFT_BYTES_CAP:
-        raise SizeCapError(f"N_sym={N_sym} needs {nbytes} bytes of dense shifts, "
-                           f"cap is {SHIFT_BYTES_CAP}")
     S = dshift_operators(2, N_sym + 2)
     A = S[0] + S[0] @ S[1]
     m = simplex_size(2, N_sym)

@@ -421,15 +421,35 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TruncatedSeries":
-        d, N = int(obj["d"]), int(obj["N"])
+        """The inverse of ``to_json``.  d, N and the exponents are integral
+        numbers, each alpha has d entries and comes once, and a coefficient
+        has no key but alpha, re and im; anything else is a ValueError."""
+        d, N = _json_int(obj["d"], "d"), _json_int(obj["N"], "N")
         _check_caps(d, N)
         c = np.zeros(simplex_size(d, N), dtype=complex)
+        seen = set()
         for entry in obj.get("coeffs", []):
-            alpha = tuple(int(a) for a in entry["alpha"])
+            extra = set(entry) - {"alpha", "re", "im"}
+            if extra:
+                raise ValueError(f"unknown coefficient keys {sorted(extra)}")
+            alpha = tuple(_json_int(a, "an exponent") for a in entry["alpha"])
+            if len(alpha) != d:
+                raise ValueError(f"coefficient {alpha} needs {d} exponents")
             if sum(alpha) > N:
                 raise ValueError(f"coefficient {alpha} beyond declared degree {N}")
+            if alpha in seen:
+                raise ValueError(f"coefficient {alpha} given twice")
+            seen.add(alpha)
             c[index_of(d, N, alpha)] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
         return cls(d, N, c)
+
+
+def _json_int(value, what: str) -> int:
+    """An integral JSON number (2 or 2.0) as an int; ValueError otherwise."""
+    if isinstance(value, bool) or not (isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:

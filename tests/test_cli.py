@@ -357,7 +357,10 @@ class TestGrowthCommand:
         assert code == 0
         prof = report["results"]["profile"]
         assert prof["verdict"] == "bounded"
-        assert set(prof) == {"p", "grid", "means", "stderr", "slope", "verdict"}
+        assert set(prof) == {"p", "grid", "means", "stderr", "slope", "verdict",
+                             "estimator", "budget"}
+        assert prof["estimator"] == "series"
+        assert set(prof["budget"]) == {"terms", "tail_bound"}
         assert "clamp_count" in report["results"]
 
     def test_csv_export(self, tmp_path):
@@ -428,6 +431,32 @@ class TestContract:
         code, report = run_cli(args, tmp_path)
         assert code == 2 and report is None
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("f", [
+        {"d": 2.5, "N": 3},
+        {"d": 2, "N": 3, "coeffs": [{"alpha": [1.7, 0], "re": 1.0}]},
+        {"d": 2, "N": 3, "coeffs": [{"alpha": [1, 0, 0], "re": 1.0}]},
+        {"d": 2, "N": 3, "coeffs": [{"alpha": [1, 0], "c": [1, 0]}]},
+        {"d": 2, "N": 3, "coeffs": [{"alpha": [1, 0], "re": 1.0},
+                                    {"alpha": [1, 0], "re": 2.0}]},
+    ])
+    def test_ill_formed_series_exit_2(self, tmp_path, capsys, f):
+        # the first two used to run as d = 2 and alpha = (1, 0), the fourth
+        # as a zero coefficient, the last with the later entry winning
+        code, report = run_cli(["pair", "--param", f"f={json.dumps(f)}",
+                                "--param", 'g={"d": 2, "N": 3}'], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_integer_param_must_be_integral(self, tmp_path, capsys):
+        # trials=2.9 used to run 2 trials and echo 2.9 in the config
+        code, report = run_cli(["duality", "--param", "trials=2.9"], tmp_path)
+        assert code == 2 and report is None
+        assert "'trials' must be an integer" in capsys.readouterr().err
+        for value in ("3", "3.0"):
+            code, report = run_cli(["duality", "--param", f"trials={value}",
+                                    "--param", "identity_trials=1"], tmp_path)
+            assert code == 0 and report["results"]["trials"] == 3
 
     def test_stray_config_key_exit_2(self, tmp_path):
         cfg = json_file(tmp_path, "cfg.json", {"seed": 3, "threads": 4,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ class TestDshift:
             for j in range(i + 1, 3):
                 assert np.allclose(S[i] @ S[j], S[j] @ S[i], atol=1e-15)
 
+    def test_byte_cap_before_allocation(self):
+        # 4 dense shifts of side 4845 would take 1.5 GB for 19k nonzeros
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError):
+                dshift_operators(4, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
 
 class TestOperatorNorm:
     def test_identity(self):
@@ -205,6 +217,22 @@ class TestOperatorNorm:
         L1, _ = creation_operators(2, 6)
         res = operator_norm(L1, method="lanczos")
         assert abs(res.value - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("L", [4, 6, 8, 10])
+    def test_random_start_on_word_matrices(self, L):
+        # with one Gram-Schmidt pass per step the basis lost orthogonality:
+        # at L = 10 Lanczos stopped at 1.6419, above the top singular value
+        # 1.5703, and at L = 8 at 1.565627 against 1.565585
+        L1, L2 = creation_operators(2, L + 2)
+        m = fock_count(2, L)
+        A = (L1 + 0.5 * (L1 @ L2 + L2 @ L1)).tocsc()[:, :m]
+        top = math.sqrt(np.linalg.eigvalsh((A.T @ A).toarray())[-1])
+        rng = np.random.default_rng(L)
+        x0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for res in (operator_norm(A, method="lanczos", x0=x0),
+                    operator_norm(A, method="lanczos")):
+            assert abs(res.value - top) <= 1e-12
+            assert res.converged
 
 
 class TestSeparationExperiment:

@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+import herglotzlab.growth as growth
+from herglotzlab import cli
 from herglotzlab.classes import BoundaryKernel, generate_member, random_pointset
 from herglotzlab.growth import (
+    DEFAULT_R_GRID,
     growth_profile,
     hp_radial_mean,
+    series_radial_mean,
     sphere_sample,
 )
-from herglotzlab.series import TruncatedSeries
+from herglotzlab.pairing import AtomicMeasure, HerglotzMeasureFunction
+from herglotzlab.series import SizeCapError, TruncatedSeries
 
 
 class TestSphereSample:
@@ -151,4 +157,123 @@ class TestGrowthProfile:
         prof = growth_profile(TruncatedSeries.constant(2, 2, 1.0), 1.0,
                               (0.3, 0.7), n=500, seed=13)
         obj = prof.to_json()
-        assert set(obj) == {"p", "grid", "means", "stderr", "slope", "verdict"}
+        assert set(obj) == {"p", "grid", "means", "stderr", "slope", "verdict",
+                            "estimator", "budget"}
+        assert obj["estimator"] == "monte-carlo" and obj["budget"] == {"samples": 500}
+
+
+def e1_kernel(d):
+    return BoundaryKernel(np.eye(d)[0])
+
+
+def one_atom(point, weight):
+    point = np.asarray(point, dtype=complex)
+    support = "boundary" if abs(np.linalg.norm(point) - 1.0) < 1e-12 else "interior"
+    return HerglotzMeasureFunction(AtomicMeasure(point[None, :], [weight], support))
+
+
+def disk_quadrature_mean(p, r):
+    """M_p(r) of the d = 2 boundary kernel by nested quadrature: <zeta, e1>
+    is uniform on the unit disk, and |h|^p is averaged over its circles."""
+    def circle(s):
+        f = lambda t: ((1 + 2 * s * math.cos(t) + s * s)
+                       / (1 - 2 * s * math.cos(t) + s * s)) ** (p / 2)
+        kinks = [min(math.pi, k * (1 - s)) for k in (1, 10, 100)]
+        return integrate.quad(f, 0.0, math.pi, points=kinks, epsabs=0.0,
+                              epsrel=1e-11, limit=500)[0] / math.pi
+    kinks = [1 - k * (1 - r) for k in (100, 10, 1) if k * (1 - r) < 1]
+    return integrate.quad(lambda rho: 2 * rho * circle(r * rho), 0.0, 1.0,
+                          points=kinks, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+
+
+class TestSeriesMeans:
+    def test_p2_closed_form_d2(self):
+        # sum_n 4 x^n / (n + 1) over n >= 1
+        prof = growth_profile(e1_kernel(2), 2.0)
+        for r, m in zip(DEFAULT_R_GRID, prof.means):
+            closed = 1 + 4 * (-math.log1p(-r * r) / (r * r) - 1)
+            assert abs(m - closed) <= 1e-12 * closed, r
+
+    def test_p2_closed_form_d1(self):
+        # |h|^2 = |1 + 2 sum_n z^n|^2 on a circle: 1 + 4 r^2 / (1 - r^2)
+        prof = growth_profile(e1_kernel(1), 2.0)
+        for r, m in zip(DEFAULT_R_GRID, prof.means):
+            closed = (1 + 3 * r * r) / (1 - r * r)
+            assert abs(m - closed) <= 1e-12 * closed, r
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    @pytest.mark.parametrize("r", [0.9, 0.999])
+    def test_quadrature(self, p, r):
+        m = series_radial_mean(e1_kernel(2), p, r)[0]
+        assert abs(m - disk_quadrature_mean(p, r)) <= 1e-9 * m
+
+    @pytest.mark.parametrize("f,p,r", [
+        (e1_kernel(1), 1.5, 0.8),
+        (e1_kernel(3), 1.5, 0.8),
+        (e1_kernel(4), 2.5, 0.7),
+        # a weighted interior atom
+        (one_atom([0.3, 0.4j, -0.5], 0.7), 2.5, 0.9),
+    ])
+    def test_monte_carlo_agrees(self, f, p, r):
+        m, _, _ = series_radial_mean(f, p, r)
+        mc, err = hp_radial_mean(f, p, r, n=200000, seed=21)
+        assert abs(m - mc) <= 4 * err
+
+    @pytest.mark.parametrize("p,d,y,terms", [(3.0, 2, 0.99, 200), (0.5, 1, 0.9, 20),
+                                             (2.5, 3, 0.6, 8)])
+    def test_tail_bound_covers_twice_the_terms(self, p, d, y, terms):
+        head = growth._kernel_sum(p, d, y, terms)
+        more = growth._kernel_sum(p, d, y, 2 * terms)
+        assert 0.0 < more - head <= math.exp(growth._log_tail_bound(p, d, y * y, terms))
+
+    def test_reported_tail_bound_covers_twice_the_terms(self):
+        f = one_atom([0.0, 1.0, 0.0], 1.3)
+        m, k, tail = series_radial_mean(f, 3.0, 0.999)
+        more = 1.3 ** 3 * growth._kernel_sum(3.0, 3, 0.999, 2 * k)
+        assert tail <= 1.3 ** 3 * growth.SERIES_TAIL
+        assert 0.0 <= more - m <= tail + 4 * math.ulp(m)
+
+    def test_default_target_p3_is_deterministic_and_divergent(self):
+        # Monte Carlo at 200k samples gave "inconclusive" at seed 510 and
+        # means at r = 0.999 from 906 to 36,055 across these seeds
+        profiles = [cli.cmd_growth(seed, p=3.0)["profile"] for seed in range(500, 540)]
+        assert all(prof == profiles[0] for prof in profiles)
+        assert profiles[0]["verdict"] == "divergent"
+        assert profiles[0]["estimator"] == "series"
+        assert profiles[0]["stderr"] == [0.0] * len(DEFAULT_R_GRID)
+        assert abs(profiles[0]["means"][-1] - 5032.2186) < 1e-4
+
+    def test_interior_atom_at_origin_is_constant(self):
+        prof = growth_profile(one_atom([0.0, 0.0], 2.0), 3.0, (0.5, 0.99))
+        assert prof.means == (8.0, 8.0) and prof.budget["terms"] == [1, 1]
+        assert prof.verdict == "bounded"
+
+    def test_overflow_stays_infinite(self):
+        prof = growth_profile(e1_kernel(2), 1000.0)
+        assert prof.means[-1] == math.inf and prof.verdict == "divergent"
+
+    def test_term_cap(self, monkeypatch):
+        monkeypatch.setattr(growth, "SERIES_MAX_TERMS", 1000)
+        assert series_radial_mean(e1_kernel(2), 3.0, 0.9)[1] <= 1000
+        with pytest.raises(SizeCapError):
+            series_radial_mean(e1_kernel(2), 3.0, 0.999)
+
+    def test_other_targets_stay_monte_carlo(self):
+        two = HerglotzMeasureFunction(AtomicMeasure(
+            np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), [0.5, 0.5], "boundary"))
+        datum = generate_member("R+", 3, d=2, n=2).datum
+        for f in (two, datum):
+            prof = growth_profile(f, 1.0, (0.5, 0.9), n=2000, seed=1)
+            assert prof.estimator == "monte-carlo"
+            assert prof.budget == {"samples": 2000}
+            assert all(e > 0.0 for e in prof.stderr)
+
+    def test_parameter_guards(self):
+        with pytest.raises(ValueError):
+            series_radial_mean(e1_kernel(2), 0.0, 0.5)
+        with pytest.raises(ValueError):
+            series_radial_mean(e1_kernel(2), 1.0, 1.0)
+        two = HerglotzMeasureFunction(AtomicMeasure(
+            np.eye(2, dtype=complex), [1.0, 1.0], "boundary"))
+        with pytest.raises(ValueError):
+            series_radial_mean(two, 1.0, 0.5)
