@@ -41,9 +41,7 @@ from .fock import (
     creation_operators,
     cuntz_state_herglotz,
     cuntz_state_word,
-    davidson_pitts,
     davidson_pitts_sweep,
-    dshift_operators,
     operator_norm,
 )
 from .classes import (

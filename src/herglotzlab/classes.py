@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .optuple import HerglotzDatum, OperatorTuple
+from .optuple import HerglotzDatum, OperatorTuple, require_commuting
 from .pairing import (
     R_GRID,
     AtomicMeasure,
@@ -399,8 +399,11 @@ def qr_exact_vs_commuting(f: ClassMember, g: ClassMember,
     form per atom.  Exact whenever the joint spectral radius is below 1/r,
     which holds for weak-contractive f and ball-spectrum g.  The tuples are
     built once, and each term is solved for the whole grid in one stack.
+    A non-commuting g raises NonCommutingError: the reduction does not hold
+    for it.
     """
     Tg = g.datum.tuple
+    require_commuting(Tg)
     if f.datum is not None:
         Tf = f.datum.tuple
         M = sum(np.kron(Tg.matrices[j], np.conj(Tf.matrices[j]))

@@ -62,6 +62,8 @@ from .series import (
     SizeCapError,
     TruncatedSeries,
     _check_caps,
+    _json_int,
+    _json_keys,
     simplex_size,
 )
 
@@ -213,19 +215,15 @@ def cmd_herglotz(seed, datum, N=DEFAULT_DEGREE, points=200):
 
 
 def cmd_davidson_pitts(seed, N_sym=16, L_full=16, L_sweep=None):
-    N_sym = int(N_sym)
     if L_sweep is None:
         L_sweep = list(range(4, int(L_full) + 1))
-    if not (isinstance(L_sweep, list) and all(map(_is_scalar, L_sweep))):
-        raise InputError(f"L_sweep must be a JSON list of word lengths, "
-                         f"got {L_sweep!r}")
     table = davidson_pitts_sweep(L_sweep, N_sym)
     norms = [row["norm_sym_calculus"] for row in table["rows"]]
     last = table["rows"][-1]
     gap = last["norm_sym_calculus"] - table["norm_sym_shift"]
     return {
         "L_full": max(row["L"] for row in table["rows"]),
-        "N_sym": N_sym,
+        "N_sym": table["N_sym"],
         "norm_sym_shift": table["norm_sym_shift"],
         "norm_sym_calculus": last["norm_sym_calculus"],
         "iters": last["iters"],
@@ -264,24 +262,30 @@ def cmd_duality(seed, trials=200, d=2, r_grid=R_GRID, identity_trials=20):
     }
 
 
+# the keys each target kind takes besides "kind"
+TARGET_KEYS = {"extreme": ("zeta",), "series": ("series",), "datum": ("datum",),
+               "sample": ("class", "d")}
+
+
 def _target_function(spec, seed: int):
     if not isinstance(spec, dict):
         raise InputError(f"target must be a JSON object, got {spec!r}")
-    kind, zeta = spec.get("kind"), spec.get("zeta")
-    pairs = isinstance(zeta, (list, tuple)) and all(
-        isinstance(z, (list, tuple)) and len(z) == 2 and all(map(_is_scalar, z)) for z in zeta)
-    if not _is_scalar(spec.get("d", 2)) or (kind == "extreme" and not pairs):
-        raise InputError(f"target needs a number 'd' and [re, im] pairs 'zeta', got {spec!r}")
+    kind = spec.get("kind")
+    if kind not in TARGET_KEYS:
+        raise InputError(f"unknown target kind {kind!r}")
+    _json_keys(spec, ("kind",) + TARGET_KEYS[kind], f"{kind} target")
     if kind == "extreme":
+        zeta = spec.get("zeta")
+        if not (isinstance(zeta, (list, tuple)) and all(
+                isinstance(z, (list, tuple)) and len(z) == 2 and all(map(_is_scalar, z)) for z in zeta)):
+            raise InputError(f"an extreme target needs [re, im] pairs 'zeta', got {spec!r}")
         return BoundaryKernel(np.array([complex(float(re), float(im)) for re, im in zeta]))
     if kind == "series":
         return _parse(TruncatedSeries, spec["series"])
     if kind == "datum":
         return _parse(HerglotzDatum, spec["datum"])
-    if kind == "sample":
-        return generate_member(spec.get("class", "S+"), seed,
-                               d=int(spec.get("d", 2))).evaluator
-    raise InputError(f"unknown target kind {kind!r}")
+    return generate_member(spec.get("class", "S+"), seed,
+                           d=_json_int(spec.get("d", 2), "d")).evaluator
 
 
 def cmd_membership(seed, target=DEFAULT_TARGET, points=25, trials=8):

@@ -7,6 +7,10 @@ basis.  Words are never stored: in graded lexicographic order the word
 fock_count(d, k) + j d^k + r, so each creation operator, and each word of
 a polynomial in them, acts by one contiguous slice copy per grade.
 Matrix-free norms run Lanczos on A*A with full reorthogonalization.
+
+No shift matrix is built: S1 + S1 S2 maps each z1-degree block of
+monomials into the next, so its norm is the largest of one small bidiagonal
+block per z1-degree (``_sym_shift_norm``).
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import SizeCapError, _exponents, _shifts, simplex_size
+from .series import SizeCapError, _json_int
 
 BASIS_SIZE_CAP = 10 ** 6
-SHIFT_BYTES_CAP = 1 << 27      # the dense shifts of one dshift_operators call
+N_SYM_CAP = 60                 # the largest shift-side degree
 
 LANCZOS_TOL = 1e-10
 LANCZOS_MAX_STEPS = 300
@@ -108,13 +112,6 @@ class FockBasis:
                 out[src] += np.conj(c) * v[dst]
         return out
 
-    def apply_creation(self, j: int, v: np.ndarray) -> np.ndarray:
-        """L_j v: word w -> j w for |w| < L, top grade to zero."""
-        return self.apply_words({(j,): 1.0}, v)
-
-    def apply_creation_adjoint(self, j: int, v: np.ndarray) -> np.ndarray:
-        return self.apply_words_adjoint({(j,): 1.0}, v)
-
 
 def creation_operators(d: int, L: int) -> list:
     """The d truncated left creation operators as sparse matrices.
@@ -131,29 +128,6 @@ def creation_operators(d: int, L: int) -> list:
             for j in range(d)]
 
 
-def dshift_operators(d: int, N: int) -> list:
-    """Coordinate multiplication operators on the normalized monomial basis.
-
-    S_j e_alpha = sqrt((alpha_j + 1)/(|alpha| + 1)) e_(alpha + e_j); the top
-    grade maps to zero.  Returned dense; d shifts over SHIFT_BYTES_CAP raise
-    SizeCapError before any allocation.
-    """
-    if d < 1 or N < 1:
-        raise ValueError("need d >= 1, N >= 1")
-    m = simplex_size(d, N)
-    nbytes = d * m * m * np.dtype(complex).itemsize
-    if nbytes > SHIFT_BYTES_CAP:
-        raise SizeCapError(f"d={d}, N={N} needs {nbytes} bytes of dense shifts, "
-                           f"cap is {SHIFT_BYTES_CAP}")
-    shifts = _shifts(d, N)
-    src = np.arange(shifts.shape[1])
-    exps = _exponents(d, N)[src]
-    ops = [np.zeros((m, m), dtype=complex) for _ in range(d)]
-    for j, S in enumerate(ops):
-        S[shifts[j], src] = np.sqrt((exps[:, j] + 1) / (exps.sum(axis=1) + 1))
-    return ops
-
-
 @dataclass(frozen=True)
 class NormResult:
     value: float
@@ -162,15 +136,14 @@ class NormResult:
     converged: bool
 
 
-def operator_norm(A, method: str = "auto", iters: int = LANCZOS_MAX_STEPS,
-                  tol: float = LANCZOS_TOL, x0: np.ndarray = None) -> NormResult:
-    """Largest singular value.
+def operator_norm(A, iters: int = LANCZOS_MAX_STEPS, tol: float = LANCZOS_TOL,
+                  x0: np.ndarray = None) -> NormResult:
+    """Largest singular value of an operator given by ``shape``, ``matvec``
+    and ``rmatvec``.
 
-    Dense arrays go through LAPACK unless method forces Lanczos; anything
-    exposing matvec/rmatvec (or a sparse matrix with ``tocsr``) is handled
-    matrix-free by Lanczos on A*A with full reorthogonalization (two
-    classical Gram-Schmidt passes per step), started from x0 (a fixed
-    random vector if None).  It stops at breakdown (the new direction is
+    Lanczos on A*A with full reorthogonalization (two classical
+    Gram-Schmidt passes per step), started from x0 (a fixed random vector
+    if None).  It stops at breakdown (the new direction is
     below LANCZOS_BREAKDOWN times ||A*A q||), when the Ritz residual bound
     beta_k |s_k| falls to tol * theta, or after ``iters`` steps; the Krylov
     basis grows one vector per step.  ``iters`` reports the steps taken,
@@ -178,22 +151,7 @@ def operator_norm(A, method: str = "auto", iters: int = LANCZOS_MAX_STEPS,
     and ``converged`` whether that residual is within tol.  Non-convergence
     is reported, not raised.
     """
-    if method not in ("auto", "dense-svd", "lanczos"):
-        raise ValueError(f"unknown norm method {method!r}")
-    if isinstance(A, np.ndarray) and method in ("auto", "dense-svd"):
-        s = np.linalg.svd(A, compute_uv=False)
-        top = float(s[0]) if len(s) else 0.0
-        return NormResult(top, 0, 0.0, True)
-
-    if isinstance(A, np.ndarray):
-        mv = lambda v: A @ v
-        rmv = lambda v: A.conj().T @ v
-    elif hasattr(A, "tocsr"):
-        AH = A.conj().T.tocsr()
-        mv = lambda v: A @ v
-        rmv = lambda v: AH @ v
-    else:
-        mv, rmv = A.matvec, A.rmatvec
+    mv, rmv = A.matvec, A.rmatvec
     n = A.shape[1]
 
     if x0 is None:
@@ -235,18 +193,27 @@ def operator_norm(A, method: str = "auto", iters: int = LANCZOS_MAX_STEPS,
 
 
 def _sym_shift_norm(N_sym: int) -> float:
-    """||(S1 + S1 S2) restricted to monomials of degree <= N_sym||.
+    """||(S1 + S1 S2) restricted to monomials of degree <= N_sym||, exact.
 
-    The shifts are built two grades higher so images never hit the
-    compression edge; the restriction norm is then exact and nondecreasing
-    in N_sym.  Shifts over SHIFT_BYTES_CAP raise SizeCapError before any
-    work, in dshift_operators.
+    On the normalized monomials A = S1 + S1 S2 acts by
+    A e_(a,b) = sqrt((a+1)/(a+b+1)) e_(a+1,b)
+                + sqrt((a+1)(b+1)/((a+b+1)(a+b+2))) e_(a+1,b+1),
+    so it maps z1-degree block a into block a+1 and images of different
+    blocks are orthogonal.  ||A|| is the largest norm over the blocks
+    B_a, a = 0..N_sym, each lower bidiagonal of shape
+    (N_sym-a+2) x (N_sym-a+1); they are zero-padded into one stack for one
+    batched SVD.  Images never reach a compression edge, so the value is
+    nondecreasing in N_sym.
     """
-    S = dshift_operators(2, N_sym + 2)
-    A = S[0] + S[0] @ S[1]
-    m = simplex_size(2, N_sym)
-    block = A[:, :m]
-    return float(np.linalg.svd(block, compute_uv=False)[0])
+    N = N_sym
+    a, b = np.ogrid[:N + 1, :N + 1]         # block a, column b <= N - a
+    n = a + b + 1.0
+    live = b <= N - a
+    i = np.arange(N + 1)
+    B = np.zeros((N + 1, N + 2, N + 1))
+    B[:, i, i] = np.where(live, np.sqrt((a + 1) / n), 0.0)
+    B[:, i + 1, i] = np.where(live, np.sqrt((a + 1) * (b + 1) / (n * (n + 1))), 0.0)
+    return float(np.linalg.svd(B, compute_uv=False).max())
 
 
 # The symmetrized z1 + z1 z2 as a word polynomial, letters 0-based:
@@ -276,52 +243,39 @@ class _DPFullRestriction:
         return x
 
 
-def davidson_pitts(L_full: int = 16, N_sym: int = 16,
-                   tol: float = LANCZOS_TOL,
-                   max_iters: int = LANCZOS_MAX_STEPS) -> dict:
-    """Both norms of p = z1 + z1 z2: the commuting shift calculus on the
-    monomial basis and the symmetrized calculus on the word basis.
+def davidson_pitts_sweep(L_values: Sequence[int], N_sym: int = 16) -> dict:
+    """Both norms of p = z1 + z1 z2, across word lengths: the commuting
+    shift calculus on monomials of degree <= N_sym, and the symmetrized
+    calculus on words of each length L.
 
-    Reported values are exact norms of the operators restricted to the
-    stated degree/length, which increase with the truncation parameter; the
-    word-side limit is sqrt(5/2) (the squared norm is 5/2, from the word
-    algebra identity in the module header).  This is the one-row case of
-    ``davidson_pitts_sweep``.
+    Reported values are exact norms of the restricted operators, which
+    increase with the truncation parameter; the word-side limit is
+    sqrt(5/2) (the squared norm is 5/2, from the word algebra identity in
+    the module header).  Everything is checked before any work: the word
+    lengths must be a non-empty list of integers >= 1 and N_sym an integer
+    >= 0 (ValueError otherwise); a largest basis (two grades above the
+    largest length) over BASIS_SIZE_CAP, or N_sym over N_SYM_CAP, raises
+    SizeCapError.  Each row runs Lanczos from the vacuum, whose Krylov
+    space is exhausted after L + 1 steps.
     """
-    table = davidson_pitts_sweep([L_full], N_sym, tol, max_iters)
-    row = table["rows"][0]
-    return {"L_full": row["L"], "N_sym": N_sym,
-            "norm_sym_shift": table["norm_sym_shift"],
-            **{key: row[key] for key in
-               ("norm_sym_calculus", "iters", "residual", "converged")}}
-
-
-def davidson_pitts_sweep(L_values: Sequence[int], N_sym: int = 16,
-                         tol: float = LANCZOS_TOL,
-                         max_iters: int = LANCZOS_MAX_STEPS) -> dict:
-    """Norm table across word lengths with a single shift-side computation.
-
-    The word lengths and the basis size cap are checked before any work:
-    an empty sweep or a length below 1 raises ValueError, a largest basis
-    (two grades above the largest length) over the cap, or shift-side
-    matrices over SHIFT_BYTES_CAP, raises SizeCapError.
-    Each row runs Lanczos from the vacuum, whose Krylov space is exhausted
-    after L + 1 steps.
-    """
-    L_values = [int(L) for L in L_values]
-    if not L_values or min(L_values) < 1:
-        raise ValueError(f"word lengths must be a non-empty list of integers "
-                         f">= 1, got {L_values}")
+    if not isinstance(L_values, (list, tuple, range)):
+        raise ValueError(f"word lengths must be a list, got {L_values!r}")
+    L_values = [_json_int(L, "a word length") for L in L_values]
+    N_sym = _json_int(N_sym, "N_sym")
+    if not L_values or min(L_values) < 1 or N_sym < 0:
+        raise ValueError(f"need a non-empty list of word lengths >= 1 and "
+                         f"N_sym >= 0, got {L_values} and N_sym={N_sym}")
     words = fock_count(2, max(L_values) + 2)
     if words > BASIS_SIZE_CAP:
         raise SizeCapError(f"L={max(L_values)} needs a basis of {words} words, "
                            f"cap is {BASIS_SIZE_CAP}")
+    if N_sym > N_SYM_CAP:
+        raise SizeCapError(f"N_sym={N_sym} is above the cap {N_SYM_CAP}")
     norm_shift = _sym_shift_norm(N_sym)
     rows = []
     for L in L_values:
         op = _DPFullRestriction(L)
-        res = operator_norm(op, method="lanczos", iters=max_iters, tol=tol,
-                            x0=op.vacuum())
+        res = operator_norm(op, x0=op.vacuum())
         rows.append({"L": L, "norm_sym_calculus": res.value, "iters": res.iters,
                      "residual": res.residual, "converged": res.converged})
     return {"N_sym": N_sym, "norm_sym_shift": norm_shift, "rows": rows,

@@ -20,6 +20,9 @@ from .series import (
     TruncatedSeries,
     _check_caps,
     _grade_steps,
+    _json_float,
+    _json_int,
+    _json_keys,
     _shifts,
     grade_slices,
     simplex_size,
@@ -79,12 +82,19 @@ class OperatorTuple:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OperatorTuple":
+        """The inverse of ``to_json``; "d" and "n", when given, are integers
+        that match the matrices."""
         mats = np.array(
             [[[complex(re, im) for re, im in row] for row in mat]
              for mat in obj["matrices"]],
             dtype=complex,
         )
-        return cls(mats)
+        T = cls(mats)
+        for key, size in (("d", T.d), ("n", T.n)):
+            if key in obj and _json_int(obj[key], key) != size:
+                raise DimensionMismatchError(
+                    f"{key} = {obj[key]}, but the matrices give {size}")
+        return T
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +129,12 @@ class HerglotzDatum:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HerglotzDatum":
+        """The inverse of ``to_json``: no keys but d, n, matrices, xi and t,
+        and t a finite number."""
+        _json_keys(obj, ("d", "n", "matrices", "xi", "t"), "datum")
         return cls(OperatorTuple.from_json(obj),
                    np.array([complex(re, im) for re, im in obj["xi"]]),
-                   float(obj.get("t", 0.0)))
+                   _json_float(obj.get("t", 0.0), "t"))
 
 
 # -- predicates ---------------------------------------------------------
@@ -263,12 +276,17 @@ def herglotz_taylor(D: HerglotzDatum, N: int) -> TruncatedSeries:
 # -- commuting functional calculus ---------------------------------------
 
 
-def _commuting_powers(T: OperatorTuple, d: int, N: int, tol: float = 1e-10) -> np.ndarray:
-    """T^alpha, |alpha| <= N, of a commuting d-tuple; rejects non-commuting T."""
+def require_commuting(T: OperatorTuple, tol: float = 1e-10) -> None:
+    """NonCommutingError unless ``is_commuting(T, tol)``."""
     ok, worst = is_commuting(T, tol)
     if not ok:
         raise NonCommutingError(
             f"tuple is not commuting: max commutator norm {worst:.3e}")
+
+
+def _commuting_powers(T: OperatorTuple, d: int, N: int, tol: float = 1e-10) -> np.ndarray:
+    """T^alpha, |alpha| <= N, of a commuting d-tuple; rejects non-commuting T."""
+    require_commuting(T, tol)
     if d != T.d:
         raise DimensionMismatchError(f"dimension mismatch: {d} vs {T.d}")
     powers = np.empty((simplex_size(d, N), T.n, T.n), dtype=complex)

@@ -21,6 +21,7 @@ from .series import (
     TruncatedSeries,
     _check_caps,
     _grade_values,
+    _json_keys,
     _monomial_sums,
     grade_array,
     simplex_size,
@@ -99,6 +100,7 @@ class AtomicMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AtomicMeasure":
+        _json_keys(obj, ("points", "weights", "support"), "measure")
         pts = np.array([[complex(re, im) for re, im in p] for p in obj["points"]],
                        dtype=complex)
         return cls(pts, np.asarray(obj["weights"], dtype=float), obj["support"])

@@ -422,16 +422,16 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, obj: dict) -> "TruncatedSeries":
         """The inverse of ``to_json``.  d, N and the exponents are integral
-        numbers, each alpha has d entries and comes once, and a coefficient
-        has no key but alpha, re and im; anything else is a ValueError."""
+        numbers, each alpha has d entries and comes once, the object has no
+        key but d, N and coeffs and a coefficient none but alpha, re and
+        im; anything else is a ValueError."""
+        _json_keys(obj, ("d", "N", "coeffs"), "series")
         d, N = _json_int(obj["d"], "d"), _json_int(obj["N"], "N")
         _check_caps(d, N)
         c = np.zeros(simplex_size(d, N), dtype=complex)
         seen = set()
         for entry in obj.get("coeffs", []):
-            extra = set(entry) - {"alpha", "re", "im"}
-            if extra:
-                raise ValueError(f"unknown coefficient keys {sorted(extra)}")
+            _json_keys(entry, ("alpha", "re", "im"), "coefficient")
             alpha = tuple(_json_int(a, "an exponent") for a in entry["alpha"])
             if len(alpha) != d:
                 raise ValueError(f"coefficient {alpha} needs {d} exponents")
@@ -450,6 +450,22 @@ def _json_int(value, what: str) -> int:
             isinstance(value, float) and value.is_integer())):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _json_float(value, what: str) -> float:
+    """A finite JSON number as a float; ValueError otherwise (a boolean,
+    a string, or an integer past the float range included)."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and abs(value) <= np.finfo(float).max):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _json_keys(obj: dict, allowed: Sequence[str], what: str) -> None:
+    """ValueError if the JSON object has a key outside ``allowed``."""
+    extra = set(obj) - set(allowed)
+    if extra:
+        raise ValueError(f"unknown {what} keys {sorted(extra)}")
 
 
 def _divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:

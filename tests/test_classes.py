@@ -24,7 +24,13 @@ from herglotzlab.classes import (
     schwarz_probe,
     splus_test,
 )
-from herglotzlab.optuple import HerglotzDatum, OperatorTuple, is_commuting, is_row_contraction
+from herglotzlab.optuple import (
+    HerglotzDatum,
+    NonCommutingError,
+    OperatorTuple,
+    is_commuting,
+    is_row_contraction,
+)
 from herglotzlab.pairing import (
     AtomicMeasure,
     HerglotzMeasureFunction,
@@ -377,6 +383,16 @@ class TestDualitySweeps:
             fs, gs = f.series(16), g.series(16)
             for r, q in zip(grid, exact):
                 assert abs(q - qr_pair(fs, gs, r)) < 1e-10
+
+    def test_non_commuting_g_refused(self):
+        # this sample used to give min_re 0.5223 from a reduction that does
+        # not hold for it: none of its 200 g commutes
+        pairs = sample_duality_pairs("S+", "S+", 200, 7)
+        assert not any(is_commuting(g.datum.tuple)[0] for _, g in pairs)
+        with pytest.raises(NonCommutingError):
+            duality_sweep(pairs)
+        with pytest.raises(NonCommutingError):
+            qr_exact_vs_commuting(*pairs[0], (0.5,))
 
     def test_commuting_tuples_built_once_per_pair(self, monkeypatch):
         calls = []

@@ -285,6 +285,32 @@ class TestDavidsonPittsCommand:
         assert elapsed < 1.0
         assert peak < 4 * 2 ** 20
 
+    @pytest.mark.parametrize("spec,message", [
+        ("N_sym=-1", "N_sym"),      # used to end in an IndexError traceback
+        ("N_sym=-2", "N_sym"),      # used to blame "d >= 1, N >= 1"
+        ('L_sweep=[4.5, "6"]', "word length"),    # used to run L = 4 and 6
+    ])
+    def test_bad_degree_or_length_exit_2(self, tmp_path, capsys, spec, message):
+        code, report = run_cli(["davidson-pitts", "--param", spec], tmp_path)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_constant_domain_gives_sqrt_three_halves(self, tmp_path):
+        # A 1 = z1 + z1 z2, and ||z1||^2 + ||z1 z2||^2 = 1 + 1/2
+        code, report = run_cli(
+            ["davidson-pitts", "--param", "N_sym=0", "--param", "L_sweep=[4]"], tmp_path)
+        assert code == 0
+        assert abs(report["results"]["norm_sym_shift"] - 1.5 ** 0.5) <= 1e-15
+
+    def test_largest_degree_is_fast(self, tmp_path):
+        # the dense shifts took 6.6 s at N_sym = 60
+        code, elapsed, _ = traced_main(
+            ["davidson-pitts", "--param", "N_sym=60", "--param", "L_sweep=[4]",
+             "--out", str(tmp_path / "x.json")])
+        assert code == 0
+        assert elapsed < 1.0
+
     def test_l_full_is_the_largest_swept_length(self, tmp_path):
         code, report = run_cli(
             ["davidson-pitts", "--param", "L_sweep=[4, 6]", "--param", "N_sym=4"],
@@ -445,6 +471,25 @@ class TestContract:
         # as a zero coefficient, the last with the later entry winning
         code, report = run_cli(["pair", "--param", f"f={json.dumps(f)}",
                                 "--param", 'g={"d": 2, "N": 3}'], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["pair", "--param", 'f={"d": 2, "N": 2}', "--param", 'g={"d": 2, "N": 2}',
+         "--param", 'measure={"points": [[[1, 0], [0, 0]]], "weights": [1], '
+         '"support": "boundary", "weight": 2}'],
+        ["herglotz", "--param", "datum=" + SMALL_DATUM[:-1] + ', "tt": 5}'],
+        ["herglotz", "--param", "datum=" + SMALL_DATUM.replace('"t": 0.0', '"t": true')],
+        ["membership", "--param",
+         'target={"kind": "extreme", "zeta": [[1, 0], [0, 0]], "colour": "red"}'],
+        ["membership", "--param", 'target={"kind": "sample", "d": 2.7}'],
+        ["herglotz", "--param", "datum=" + SMALL_DATUM.replace('"n": 1', '"n": 2')],
+        ["pair", "--param", 'f={"d": 2, "N": 2, "coefs": []}', "--param", 'g={"d": 2, "N": 2}'],
+    ])
+    def test_ill_formed_measure_datum_or_target_exit_2(self, tmp_path, capsys, args):
+        # the first five used to exit 0: the unknown key was ignored, "tt"
+        # left t at 0, true ran as t = 1, and d = 2.7 sampled with d = 2
+        code, report = run_cli(args, tmp_path)
         assert code == 2 and report is None
         assert capsys.readouterr().err.startswith("error: ")
 

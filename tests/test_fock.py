@@ -1,23 +1,23 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator
 
 from herglotzlab.fock import (
+    N_SYM_CAP,
     FockBasis,
     SizeCapError,
+    _sym_shift_norm,
     creation_operators,
     cuntz_state_herglotz,
     cuntz_state_word,
-    davidson_pitts,
     davidson_pitts_sweep,
-    dshift_operators,
     fock_count,
     operator_norm,
 )
-from herglotzlab.series import index_of
+from herglotzlab.series import enumerate_multiindices, index_of, simplex_size
 
 
 # -- independent oracles: explicit word enumeration ------------------------
@@ -45,6 +45,42 @@ def cuntz_state_herglotz_bruteforce(zeta, z, K):
                 zw *= z[letter - 1]
             total += zw * cuntz_state_word(np.conj(zeta), word, ())
     return complex(2.0 * total - 1.0)
+
+
+def dense_shifts(d, N):
+    """The coordinate shifts on the normalized monomial basis as dense
+    matrices, entry by entry: S_j e_alpha = sqrt((alpha_j + 1)/(|alpha| + 1))
+    e_(alpha + e_j), the top grade to zero.  An oracle for small (d, N)."""
+    alphas = enumerate_multiindices(d, N)
+    ops = [np.zeros((len(alphas), len(alphas))) for _ in range(d)]
+    for col, alpha in enumerate(alphas):
+        if sum(alpha) == N:
+            continue
+        for j in range(d):
+            beta = tuple(a + (i == j) for i, a in enumerate(alpha))
+            ops[j][index_of(d, N, beta), col] = math.sqrt(
+                (alpha[j] + 1) / (sum(alpha) + 1))
+    return ops
+
+
+def dense_sym_shift_norm(N_sym):
+    """||(S1 + S1 S2) restricted to degree <= N_sym|| by a dense SVD, with
+    the shifts built two grades higher so images never reach the edge."""
+    S1, S2 = dense_shifts(2, N_sym + 2)
+    A = (S1 + S1 @ S2)[:, :simplex_size(2, N_sym)]
+    return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+# ||(S1 + S1 S2) restricted to degree <= N_sym||: the largest top eigenvalue
+# of the tridiagonal B_a* B_a over every block a, by Sturm-count bisection
+# in mpmath at 60 digits, square-rooted; the top lies in block a = 0 at
+# each N_sym here.  The values at 30 and 60 agree with the one at 16 to 35
+# digits, because the top eigenvector decays fast in the z2-degree.
+SHIFT_NORM_40_DIGITS = {
+    16: "1.338025795191485333296820683615697866958",
+    30: "1.338025795191485333296820683615697866973",
+    60: "1.338025795191485333296820683615697866973",
+}
 
 
 class TestWordBasis:
@@ -115,8 +151,8 @@ class TestCreationOperators:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
         for j in range(2):
-            assert np.allclose(basis.apply_creation(j, v), ops[j] @ v)
-            assert np.allclose(basis.apply_creation_adjoint(j, v),
+            assert np.allclose(basis.apply_words({(j,): 1.0}, v), ops[j] @ v)
+            assert np.allclose(basis.apply_words_adjoint({(j,): 1.0}, v),
                                ops[j].conj().T @ v)
 
     def test_word_polynomial_matches_sparse_products(self):
@@ -138,84 +174,80 @@ class TestCreationOperators:
 
 
 class TestDshift:
+    """The dense shift oracle, and the block route against it."""
+
     def test_univariate_unilateral_shift(self):
-        S = dshift_operators(1, 5)[0]
+        S = dense_shifts(1, 5)[0]
         vals = S[np.nonzero(S)]
         assert np.allclose(vals, 1.0)
 
     def test_monomial_norm_ratio(self):
-        S = dshift_operators(2, 4)
+        S = dense_shifts(2, 4)
         assert abs(S[0][index_of(2, 4, (1, 1)), index_of(2, 4, (0, 1))] - 2 ** -0.5) < 1e-15
 
     def test_contractive(self):
-        for Sj in dshift_operators(2, 6):
+        for Sj in dense_shifts(2, 6):
             assert np.linalg.norm(Sj, 2) <= 1.0 + 1e-12
 
     def test_commute(self):
-        S = dshift_operators(3, 5)
+        S = dense_shifts(3, 5)
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.allclose(S[i] @ S[j], S[j] @ S[i], atol=1e-15)
 
-    def test_byte_cap_before_allocation(self):
-        # 4 dense shifts of side 4845 would take 1.5 GB for 19k nonzeros
-        tracemalloc.start()
-        try:
-            with pytest.raises(SizeCapError):
-                dshift_operators(4, 16)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+    def test_blocks_match_dense_oracle(self):
+        for N_sym in range(31):
+            assert abs(_sym_shift_norm(N_sym) - dense_sym_shift_norm(N_sym)) <= 1e-14, N_sym
+
+    @pytest.mark.parametrize("N_sym", sorted(SHIFT_NORM_40_DIGITS))
+    def test_blocks_match_40_digit_reference(self, N_sym):
+        ref = float(SHIFT_NORM_40_DIGITS[N_sym])
+        assert abs(_sym_shift_norm(N_sym) - ref) <= 1e-15
 
 
 class TestOperatorNorm:
     def test_identity(self):
-        assert abs(operator_norm(np.eye(7)).value - 1.0) < 1e-13
+        assert abs(operator_norm(aslinearoperator(np.eye(7))).value - 1.0) < 1e-13
 
     def test_rank_one(self):
         rng = np.random.default_rng(1)
         u = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         A = np.outer(u, np.conj(v))
-        assert abs(operator_norm(A).value
+        assert abs(operator_norm(aslinearoperator(A)).value
                    - np.linalg.norm(u) * np.linalg.norm(v)) < 1e-10
 
     def test_power_iteration_matches_dense(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
-        dense = operator_norm(A, method="dense-svd")
-        power = operator_norm(A, method="lanczos", tol=1e-14)
-        assert abs(dense.value - power.value) < 1e-8
+        dense = np.linalg.svd(A, compute_uv=False)[0]
+        power = operator_norm(aslinearoperator(A), tol=1e-14)
+        assert abs(dense - power.value) < 1e-8
         assert power.converged
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            operator_norm(np.eye(3), method="power-iteration")
 
     def test_lanczos_breakdown_on_small_invariant_space(self):
         # A*A = diag(4, 1, 1, 1): the start vector e0 + e1 spans a
         # two-dimensional Krylov space, so Lanczos breaks down after 2 steps
         A = np.diag([2.0, 1.0, 1.0, 1.0])
         x0 = np.array([1.0, 1.0, 0.0, 0.0])
-        res = operator_norm(A, method="lanczos", x0=x0)
+        res = operator_norm(aslinearoperator(A), x0=x0)
         assert res.iters == 2
         assert abs(res.value - 2.0) < 1e-15
         assert res.converged and res.residual <= 1e-15
         # breakdown, not the tolerance, ends the run
-        assert operator_norm(A, method="lanczos", x0=x0, tol=0.0).iters == 2
+        assert operator_norm(aslinearoperator(A), x0=x0, tol=0.0).iters == 2
 
     def test_step_cap_reports_nonconvergence(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((40, 40))
-        res = operator_norm(A, method="lanczos", iters=2)
+        res = operator_norm(aslinearoperator(A), iters=2)
         assert res.iters == 2
         assert not res.converged
         assert res.residual > 1e-10
 
     def test_sparse_input(self):
         L1, _ = creation_operators(2, 6)
-        res = operator_norm(L1, method="lanczos")
+        res = operator_norm(aslinearoperator(L1))
         assert abs(res.value - 1.0) < 1e-8
 
     @pytest.mark.parametrize("L", [4, 6, 8, 10])
@@ -229,24 +261,24 @@ class TestOperatorNorm:
         top = math.sqrt(np.linalg.eigvalsh((A.T @ A).toarray())[-1])
         rng = np.random.default_rng(L)
         x0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        for res in (operator_norm(A, method="lanczos", x0=x0),
-                    operator_norm(A, method="lanczos")):
+        for res in (operator_norm(aslinearoperator(A), x0=x0),
+                    operator_norm(aslinearoperator(A))):
             assert abs(res.value - top) <= 1e-12
             assert res.converged
 
 
 class TestSeparationExperiment:
     def test_shift_norm_below_sqrt2(self):
-        out = davidson_pitts(L_full=6, N_sym=12)
+        out = davidson_pitts_sweep([6], N_sym=12)
         assert out["norm_sym_shift"] < math.sqrt(2.0)
 
     def test_word_norm_matches_path_oracle(self):
         # restriction convention: the squared norm is exactly
         # 3/2 + cos(pi/(L+2)) (top chain of the word graph is a path)
         for L in (4, 8, 12):
-            out = davidson_pitts(L_full=L, N_sym=4)
+            row = davidson_pitts_sweep([L], N_sym=4)["rows"][0]
             oracle = math.sqrt(1.5 + math.cos(math.pi / (L + 2)))
-            assert abs(out["norm_sym_calculus"] - oracle) < 1e-7
+            assert abs(row["norm_sym_calculus"] - oracle) < 1e-7
 
     def test_sweep_pinned_to_closed_form(self):
         # from the vacuum the Krylov space is exhausted after L + 1 steps
@@ -260,19 +292,31 @@ class TestSeparationExperiment:
             assert row["converged"] is True
             assert row["residual"] <= 1e-12
 
-    def test_one_row_case_of_sweep(self):
-        out = davidson_pitts(L_full=7, N_sym=6)
-        row = davidson_pitts_sweep([7], N_sym=6)["rows"][0]
-        assert out["L_full"] == 7 and out["N_sym"] == 6
-        for key in ("norm_sym_calculus", "iters", "residual", "converged"):
-            assert out[key] == row[key]
+    @pytest.mark.parametrize("L", range(4, 9))
+    def test_vacuum_start_gives_the_whole_norm(self, L):
+        # each word of the symmetrized p holds exactly one letter 0, so A*A
+        # keeps the number of 0s in a word and the vacuum start sees only
+        # the words without one; that block holds the top of the whole
+        # restriction
+        L1, L2 = creation_operators(2, L + 2)
+        A = (L1 + 0.5 * (L1 @ L2 + L2 @ L1)).tocsc()[:, :fock_count(2, L)]
+        top = np.linalg.svd(A.toarray(), compute_uv=False)[0]
+        row = davidson_pitts_sweep([L], N_sym=0)["rows"][0]
+        assert abs(row["norm_sym_calculus"] - top) <= 1e-12
 
-    @pytest.mark.parametrize("L_values", [[], [0, 4], [4, -1]])
+    @pytest.mark.parametrize("L_values", [[], [0, 4], [4, -1], [4.5, 6], [4, "6"],
+                                          [[4]], 5, "46"])
     def test_sweep_rejects_bad_lengths(self, L_values):
         with pytest.raises(ValueError):
             davidson_pitts_sweep(L_values)
 
-    def test_sweep_cap_checked_before_any_work(self, monkeypatch):
+    @pytest.mark.parametrize("N_sym", [-1, -2, 2.5, "16", True])
+    def test_sweep_rejects_bad_degree(self, N_sym):
+        with pytest.raises(ValueError):
+            davidson_pitts_sweep([4], N_sym)
+
+    @pytest.mark.parametrize("L_values,N_sym", [([4, 5, 18], 16), ([4], N_SYM_CAP + 1)])
+    def test_sweep_cap_checked_before_any_work(self, monkeypatch, L_values, N_sym):
         import herglotzlab.fock as fock
 
         def fail(*args, **kwargs):
@@ -280,7 +324,7 @@ class TestSeparationExperiment:
         monkeypatch.setattr(fock, "_sym_shift_norm", fail)
         monkeypatch.setattr(fock, "_DPFullRestriction", fail)
         with pytest.raises(SizeCapError):
-            fock.davidson_pitts_sweep([4, 5, 18])
+            fock.davidson_pitts_sweep(L_values, N_sym)
 
     def test_sweep_nondecreasing(self):
         table = davidson_pitts_sweep(range(4, 11), N_sym=8)
@@ -288,9 +332,10 @@ class TestSeparationExperiment:
         assert all(b >= a - 1e-10 for a, b in zip(norms, norms[1:]))
 
     def test_gap_at_moderate_size(self):
-        out = davidson_pitts(L_full=8, N_sym=8)
-        assert out["norm_sym_calculus"] - out["norm_sym_shift"] > 0.1
-        assert out["norm_sym_calculus"] > math.sqrt(2.0) > out["norm_sym_shift"]
+        out = davidson_pitts_sweep([8], N_sym=8)
+        word = out["rows"][0]["norm_sym_calculus"]
+        assert word - out["norm_sym_shift"] > 0.1
+        assert word > math.sqrt(2.0) > out["norm_sym_shift"]
 
 
 class TestBoundaryState:
