@@ -5,13 +5,13 @@ One executable with subcommands; configuration comes from an optional JSON
 file plus flag overrides (--seed, --out, --csv).  Reports embed the
 config, the tool version, and the tolerance constants, and are identical
 for identical configs apart from the timing field.  Each ``cmd_*`` takes the
-seed and its params as keyword arguments: its signature is the param schema.
+seed and its params as keyword arguments: its signature is the param schema,
+and each annotation is a param kind that ``main`` applies to the JSON value,
+default included, before any work, so the commands get typed values.
 Exit codes: 0 success; 2 malformed input, an unknown or missing param, or an
 input outside a function's domain; 3 a resource cap (SizeCapError) exceeded.
 Any other exit, such as 1 with a traceback, is a bug.
 """
-
-from __future__ import annotations
 
 import argparse
 import inspect
@@ -62,8 +62,11 @@ from .series import (
     SizeCapError,
     TruncatedSeries,
     _check_caps,
-    _json_int,
+    _json_complex,
+    _json_float as Float,
+    _json_int as Int,
     _json_keys,
+    _json_list,
     simplex_size,
 )
 
@@ -74,10 +77,6 @@ TOLERANCES = {
 }
 
 DEFAULT_TARGET = {"kind": "extreme", "zeta": ((1.0, 0.0), (0.0, 0.0))}
-
-
-class InputError(ValueError):
-    """Malformed or missing command input."""
 
 
 @dataclass
@@ -91,33 +90,7 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
 
-def _is_scalar(value) -> bool:
-    """A string or a finite number: what int() and float() take without a
-    TypeError or an OverflowError."""
-    return isinstance(value, str) or (isinstance(value, (int, float))
-                                      and abs(value) <= sys.float_info.max)
-
-
-def _check_types(command: str, signature: inspect.Signature, params: dict) -> None:
-    """A param whose default is a number takes a scalar, integral if the
-    default is an int, one whose default is a tuple a list of numbers; the
-    commands parse the others themselves."""
-    for name, value in params.items():
-        default = signature.parameters[name].default
-        if isinstance(default, tuple):
-            want = "a list of numbers"
-            ok = isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
-        elif isinstance(default, int) and isinstance(value, float):
-            want, ok = "an integer", value.is_integer()
-        elif isinstance(default, (int, float)):
-            want, ok = "a number", _is_scalar(value)
-        else:
-            continue
-        if not ok:
-            raise InputError(f"{command}: param {name!r} must be {want}, got {value!r}")
-
-
-def _load_json_value(spec) -> dict:
+def _load_json_value(spec, what: str) -> dict:
     """Accept an inline object, a path, or '-' for stdin."""
     if spec == "-":
         spec = json.loads(sys.stdin.read())
@@ -125,30 +98,77 @@ def _load_json_value(spec) -> dict:
         with open(spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
     if not isinstance(spec, dict):
-        raise InputError(f"expected a JSON object, a path or '-', got {spec!r}")
+        raise ValueError(f"{what} must be a JSON object, a path or '-', got {spec!r}")
     return spec
-
-
-def _parse(cls, spec):
-    """cls.from_json of the object in spec; a TypeError there (a number
-    where a list belongs) is malformed input."""
-    obj = _load_json_value(spec)
-    try:
-        return cls.from_json(obj)
-    except TypeError as exc:
-        raise InputError(f"malformed {cls.__name__} input: {exc}") from None
 
 
 def _c2(v: complex) -> list:
     return [float(v.real), float(v.imag)]
 
 
+# -- param kinds (with Int and Float from series): each takes a JSON value
+# and a name, and returns the typed value or a ValueError that names it ---
+
+
+def Count(value, what: str) -> int:
+    n = Int(value, what)
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n}")
+    return n
+
+
+def Radii(value, what: str) -> tuple:
+    """A non-empty list of finite numbers in [0, 1]."""
+    radii = tuple(Float(r, what) for r in _json_list(value, what))
+    if not radii or not all(0.0 <= r <= 1.0 for r in radii):
+        raise ValueError(f"{what} must be a non-empty list of radii in [0, 1], got {value!r}")
+    return radii
+
+
+def Lengths(value, what: str) -> list:
+    return [Count(L, f"{what}: a word length") for L in _json_list(value, what)]
+
+
+def Mode(value, what: str) -> str:
+    if value not in ("full", "half"):
+        raise ValueError(f"{what} must be \"full\" or \"half\", got {value!r}")
+    return value
+
+
+def _object(cls):
+    return lambda value, what: cls.from_json(_load_json_value(value, what))
+
+
+Series, Measure, Datum = map(_object, (TruncatedSeries, AtomicMeasure, HerglotzDatum))
+
+
+# the keys each target kind takes besides "kind"
+TARGET_KEYS = {"extreme": ("zeta",), "series": ("series",), "datum": ("datum",),
+               "sample": ("class", "d")}
+
+
+def Target(value, what: str):
+    """The function of the seed that gives the target's evaluator."""
+    kind = value.get("kind") if isinstance(value, dict) else None
+    if kind not in TARGET_KEYS:
+        raise ValueError(f"{what} must be an object whose kind is one of "
+                         f"{sorted(TARGET_KEYS)}, got {value!r}")
+    _json_keys(value, ("kind",) + TARGET_KEYS[kind], f"{kind} target")
+    if kind == "sample":
+        cls, d = value.get("class", "S+"), Int(value.get("d", 2), "d")
+        return lambda seed: generate_member(cls, seed, d=d).evaluator
+    if kind == "extreme":
+        func = BoundaryKernel(_json_complex(value.get("zeta"), "zeta", 1))
+    else:
+        func = {"series": Series, "datum": Datum}[kind](value[kind], kind)
+    return lambda seed: func
+
+
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_pair(seed, f, g, r_grid=R_GRID, measure=None, mode="full"):
-    f = _parse(TruncatedSeries, f)
-    g = _parse(TruncatedSeries, g)
+def cmd_pair(seed: Int, f: Series, g: Series, r_grid: Radii = R_GRID,
+             measure: Measure = None, mode: Mode = "full"):
     q_values, identity_res, hermitian_res = [], 0.0, 0.0
     for r in r_grid:
         q = qr_pair(f, g, r)
@@ -166,39 +186,37 @@ def cmd_pair(seed, f, g, r_grid=R_GRID, measure=None, mode="full"):
         "hermitian_residual_max": hermitian_res,
     }
     if measure is not None:
-        mu = _parse(AtomicMeasure, measure)
-        res = max(pairing_vs_measure_check(f, mu, r, mode=mode)
+        res = max(pairing_vs_measure_check(f, measure, r, mode=mode)
                   for r in r_grid if r < 1.0)
         results["measure_residual_max"] = res
     return results
 
 
-def cmd_herglotz(seed, datum, N=DEFAULT_DEGREE, points=200):
-    D = _parse(HerglotzDatum, datum)
-    _check_caps(D.d, int(N))
-    row_ok, row_eig = is_row_contraction(D.tuple)
-    weak = is_weak_row_contraction(D.tuple, seed=seed)
-    comm_ok, comm_norm = is_commuting(D.tuple)
-    pts = random_pointset(D.d, int(points), seed=seed).points
+def cmd_herglotz(seed: Int, datum: Datum, N: Int = DEFAULT_DEGREE, points: Count = 200):
+    _check_caps(datum.d, N)
+    row_ok, row_eig = is_row_contraction(datum.tuple)
+    weak = is_weak_row_contraction(datum.tuple, seed=seed)
+    comm_ok, comm_norm = is_commuting(datum.tuple)
+    pts = random_pointset(datum.d, points, seed=seed).points
     failures = 0
     re_min = None           # stays null when the batched transform fails
     fact_res = 0.0
     try:
-        vals = herglotz_transform_many(D, pts)
+        vals = herglotz_transform_many(datum, pts)
         re_min = float(vals.real.min())
     except (SingularPencilError, np.linalg.LinAlgError):
         failures += 1
     for z in pts[: min(20, len(pts))]:
         try:
-            H = herglotz_kernel(z, D.tuple)
-            A = D.tuple.zeta_dot(z)
-            eye = np.eye(D.tuple.n, dtype=complex)
+            H = herglotz_kernel(z, datum.tuple)
+            A = datum.tuple.zeta_dot(z)
+            eye = np.eye(datum.tuple.n, dtype=complex)
             inv = np.linalg.solve(eye - A, eye)
             target = 2.0 * inv @ (eye - A @ A.conj().T) @ inv.conj().T
             fact_res = max(fact_res, float(np.linalg.norm(H + H.conj().T - target, 2)))
         except (SingularPencilError, np.linalg.LinAlgError):
             failures += 1
-    series = herglotz_taylor(D, int(N))
+    series = herglotz_taylor(datum, N)
     return {
         "predicates": {
             "row_contraction": {"ok": bool(row_ok), "min_eig": row_eig},
@@ -214,9 +232,9 @@ def cmd_herglotz(seed, datum, N=DEFAULT_DEGREE, points=200):
     }
 
 
-def cmd_davidson_pitts(seed, N_sym=16, L_full=16, L_sweep=None):
+def cmd_davidson_pitts(seed: Int, N_sym: Int = 16, L_full: Int = 16, L_sweep: Lengths = None):
     if L_sweep is None:
-        L_sweep = list(range(4, int(L_full) + 1))
+        L_sweep = list(range(4, L_full + 1))
     table = davidson_pitts_sweep(L_sweep, N_sym)
     norms = [row["norm_sym_calculus"] for row in table["rows"]]
     last = table["rows"][-1]
@@ -240,17 +258,14 @@ def cmd_davidson_pitts(seed, N_sym=16, L_full=16, L_sweep=None):
     }
 
 
-def cmd_duality(seed, trials=200, d=2, r_grid=R_GRID, identity_trials=20):
-    trials, d = int(trials), int(d)
-    if trials < 1 or not r_grid or not all(0.0 <= r <= 1.0 for r in r_grid):
-        raise InputError(f"duality needs trials >= 1 and a non-empty r_grid in "
-                         f"[0, 1], got trials={trials}, r_grid={r_grid!r}")
+def cmd_duality(seed: Int, trials: Count = 200, d: Int = 2, r_grid: Radii = R_GRID,
+                identity_trials: Count = 20):
     om = duality_sweep(sample_duality_pairs("O+", "M+", trials, seed, d=d), r_grid)
     sr = duality_sweep(sample_duality_pairs("S+", "R+", trials, seed + 10 ** 6, d=d), r_grid)
     rng = np.random.default_rng(seed)
     worst_ident = 0.0
     m = simplex_size(d, 6)
-    for k in range(int(identity_trials)):
+    for k in range(identity_trials):
         member = generate_member("R+", seed + 31 * k + 7, d=d, n=4)
         f = TruncatedSeries(d, 6, rng.standard_normal(m) + 1j * rng.standard_normal(m))
         worst_ident = max(worst_ident, rs_duality_residual(f, member.datum, r_grid))
@@ -262,34 +277,9 @@ def cmd_duality(seed, trials=200, d=2, r_grid=R_GRID, identity_trials=20):
     }
 
 
-# the keys each target kind takes besides "kind"
-TARGET_KEYS = {"extreme": ("zeta",), "series": ("series",), "datum": ("datum",),
-               "sample": ("class", "d")}
-
-
-def _target_function(spec, seed: int):
-    if not isinstance(spec, dict):
-        raise InputError(f"target must be a JSON object, got {spec!r}")
-    kind = spec.get("kind")
-    if kind not in TARGET_KEYS:
-        raise InputError(f"unknown target kind {kind!r}")
-    _json_keys(spec, ("kind",) + TARGET_KEYS[kind], f"{kind} target")
-    if kind == "extreme":
-        zeta = spec.get("zeta")
-        if not (isinstance(zeta, (list, tuple)) and all(
-                isinstance(z, (list, tuple)) and len(z) == 2 and all(map(_is_scalar, z)) for z in zeta)):
-            raise InputError(f"an extreme target needs [re, im] pairs 'zeta', got {spec!r}")
-        return BoundaryKernel(np.array([complex(float(re), float(im)) for re, im in zeta]))
-    if kind == "series":
-        return _parse(TruncatedSeries, spec["series"])
-    if kind == "datum":
-        return _parse(HerglotzDatum, spec["datum"])
-    return generate_member(spec.get("class", "S+"), seed,
-                           d=_json_int(spec.get("d", 2), "d")).evaluator
-
-
-def cmd_membership(seed, target=DEFAULT_TARGET, points=25, trials=8):
-    func = _target_function(target, seed)
+def cmd_membership(seed: Int, target: Target = DEFAULT_TARGET, points: Count = 25,
+                   trials: Count = 8):
+    func = target(seed)
 
     class _Cayley:
         d = func.d
@@ -301,23 +291,23 @@ def cmd_membership(seed, target=DEFAULT_TARGET, points=25, trials=8):
 
     reports = []
     all_pass = True
-    for k in range(int(trials)):
+    for k in range(trials):
         maker = random_pointset if k % 2 == 0 else boundary_biased_pointset
-        pts = maker(func.d, int(points), seed=seed + k)
+        pts = maker(func.d, points, seed=seed + k)
         rep = splus_test(func, pts)
         reports.append(rep.to_json())
         all_pass &= rep.verdict == "pass"
-        pts2 = maker(func.d, int(points), seed=seed + 1000 + k)
+        pts2 = maker(func.d, points, seed=seed + 1000 + k)
         rep2 = schur_test(_Cayley, pts2)
         reports.append(rep2.to_json())
         all_pass &= rep2.verdict == "pass"
     return {"reports": reports, "all_pass": bool(all_pass)}
 
 
-def cmd_growth(seed, target=DEFAULT_TARGET, p=1.0, grid=DEFAULT_R_GRID,
-               samples=DEFAULT_SAMPLES):
-    func = _target_function(target, seed)
-    profile = growth_profile(func, p=float(p), r_grid=grid, n=int(samples), seed=seed)
+def cmd_growth(seed: Int, target: Target = DEFAULT_TARGET, p: Float = 1.0,
+               grid: Radii = DEFAULT_R_GRID, samples: Count = DEFAULT_SAMPLES):
+    func = target(seed)
+    profile = growth_profile(func, p=p, r_grid=grid, n=samples, seed=seed)
     out = profile.to_json()
     return {"profile": out, "clamp_count": int(getattr(func, "clamps", 0))}
 
@@ -381,21 +371,18 @@ def _config_from_args(args) -> RunConfig:
     params = {}
     seed, out, csv = 0, "", ""
     if args.config:
-        obj = _load_json_value(args.config)
+        obj = _load_json_value(args.config, "--config")
         params, seed = obj.get("params", {}), obj.get("seed", 0)
         out, csv = obj.get("out", ""), obj.get("csv", "")
-        if not (isinstance(params, dict) and _is_scalar(seed)
-                and isinstance(out, str) and isinstance(csv, str)):
-            raise InputError("config needs an object 'params', a number 'seed' "
-                             "and strings 'out' and 'csv'")
+        if not (isinstance(params, dict) and isinstance(out, str) and isinstance(csv, str)):
+            raise ValueError("config needs an object 'params' and strings 'out' and 'csv'")
         params = dict(params)
         for key in obj:
             if key not in ("command", "seed", "out", "csv", "params"):
                 params[key] = obj[key]
-        seed = int(seed)
     for spec in args.param:
         if "=" not in spec:
-            raise InputError(f"--param needs KEY=JSON, got {spec!r}")
+            raise ValueError(f"--param needs KEY=JSON, got {spec!r}")
         key, raw = spec.split("=", 1)
         try:
             params[key] = json.loads(raw)
@@ -410,21 +397,31 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(args.command, seed, out, csv, params)
 
 
+def typed_call(command: str, seed, params: dict) -> inspect.BoundArguments:
+    """The call of ``command`` with the seed, params and defaults each
+    converted by its kind; None stays None where it is the default."""
+    signature = inspect.signature(COMMANDS[command])
+    try:
+        bound = signature.bind(seed, **params)
+    except TypeError as exc:
+        raise ValueError(f"{command}: {exc}") from None
+    bound.apply_defaults()
+    for name, value in bound.arguments.items():
+        param = signature.parameters[name]
+        if not (value is None and param.default is None):
+            bound.arguments[name] = param.annotation(value, f"{command}: {name!r}")
+    return bound
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         if cfg.csv and cfg.command not in CSV_EXPORTS:
-            raise InputError(f"no CSV export for command {cfg.command!r}")
-        cmd = COMMANDS[cfg.command]
-        signature = inspect.signature(cmd)
-        try:
-            bound = signature.bind(cfg.seed, **cfg.params)
-        except TypeError as exc:
-            raise InputError(f"{cfg.command}: {exc}") from None
-        _check_types(cfg.command, signature, cfg.params)
+            raise ValueError(f"no CSV export for command {cfg.command!r}")
+        bound = typed_call(cfg.command, cfg.seed, cfg.params)
         start = time.time()
-        results = cmd(*bound.args, **bound.kwargs)
+        results = COMMANDS[cfg.command](*bound.args, **bound.kwargs)
         elapsed = time.time() - start
         report = {
             "command": cfg.command,

@@ -20,6 +20,7 @@ from .series import (
     TruncatedSeries,
     _check_caps,
     _grade_steps,
+    _json_complex,
     _json_float,
     _json_int,
     _json_keys,
@@ -70,32 +71,6 @@ class OperatorTuple:
         pts = np.atleast_2d(np.asarray(pts, dtype=complex))
         return np.tensordot(pts, self.matrices, axes=(1, 0))
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "matrices": [
-                [[[float(v.real), float(v.imag)] for v in row] for row in mat]
-                for mat in self.matrices
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OperatorTuple":
-        """The inverse of ``to_json``; "d" and "n", when given, are integers
-        that match the matrices."""
-        mats = np.array(
-            [[[complex(re, im) for re, im in row] for row in mat]
-             for mat in obj["matrices"]],
-            dtype=complex,
-        )
-        T = cls(mats)
-        for key, size in (("d", T.d), ("n", T.n)):
-            if key in obj and _json_int(obj[key], key) != size:
-                raise DimensionMismatchError(
-                    f"{key} = {obj[key]}, but the matrices give {size}")
-        return T
-
 
 @dataclass(frozen=True, eq=False)
 class HerglotzDatum:
@@ -122,19 +97,22 @@ class HerglotzDatum:
         return herglotz_transform_many(self, points)
 
     def to_json(self) -> dict:
-        out = self.tuple.to_json()
-        out["xi"] = [[float(v.real), float(v.imag)] for v in self.xi]
-        out["t"] = float(self.t)
-        return out
+        pair = lambda v: [float(v.real), float(v.imag)]
+        return {"d": self.d, "n": self.tuple.n,
+                "matrices": [[[pair(v) for v in row] for row in m] for m in self.tuple.matrices],
+                "xi": [pair(v) for v in self.xi], "t": float(self.t)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "HerglotzDatum":
-        """The inverse of ``to_json``: no keys but d, n, matrices, xi and t,
-        and t a finite number."""
+        """The inverse of ``to_json``: no keys but d, n, matrices, xi and t;
+        d and n, when given, integers that match the matrices; t and every
+        re and im a finite number."""
         _json_keys(obj, ("d", "n", "matrices", "xi", "t"), "datum")
-        return cls(OperatorTuple.from_json(obj),
-                   np.array([complex(re, im) for re, im in obj["xi"]]),
-                   _json_float(obj.get("t", 0.0), "t"))
+        T = OperatorTuple(_json_complex(obj["matrices"], "matrices", 3))
+        for key, size in (("d", T.d), ("n", T.n)):
+            if key in obj and _json_int(obj[key], key) != size:
+                raise DimensionMismatchError(f"{key} = {obj[key]}, but the matrices give {size}")
+        return cls(T, _json_complex(obj["xi"], "xi", 1), _json_float(obj.get("t", 0.0), "t"))
 
 
 # -- predicates ---------------------------------------------------------
@@ -196,13 +174,15 @@ def is_weak_row_contraction(T: OperatorTuple, tol: float = 1e-9,
     return WeakContractionReport(best_val <= 1.0 + tol, best_val, best_zeta)
 
 
-def is_commuting(T: OperatorTuple, tol: float = 1e-10):
-    """Max over i < j of ||T_i T_j - T_j T_i|| in operator norm."""
-    worst = 0.0
+def _commutators(T: OperatorTuple):
     for i in range(T.d):
         for j in range(i + 1, T.d):
-            comm = T.matrices[i] @ T.matrices[j] - T.matrices[j] @ T.matrices[i]
-            worst = max(worst, float(np.linalg.norm(comm, 2)))
+            yield T.matrices[i] @ T.matrices[j] - T.matrices[j] @ T.matrices[i]
+
+
+def is_commuting(T: OperatorTuple, tol: float = 1e-10):
+    """Max over i < j of ||T_i T_j - T_j T_i|| in operator norm."""
+    worst = max([0.0] + [float(np.linalg.norm(comm, 2)) for comm in _commutators(T)])
     return worst <= tol, worst
 
 
@@ -277,11 +257,11 @@ def herglotz_taylor(D: HerglotzDatum, N: int) -> TruncatedSeries:
 
 
 def require_commuting(T: OperatorTuple, tol: float = 1e-10) -> None:
-    """NonCommutingError unless ``is_commuting(T, tol)``."""
-    ok, worst = is_commuting(T, tol)
-    if not ok:
-        raise NonCommutingError(
-            f"tuple is not commuting: max commutator norm {worst:.3e}")
+    """NonCommutingError unless ``is_commuting(T, tol)``; a commutator within
+    tol in Frobenius norm, which bounds the operator norm, needs no SVD."""
+    for comm in _commutators(T):
+        if np.linalg.norm(comm) > tol and (norm := float(np.linalg.norm(comm, 2))) > tol:
+            raise NonCommutingError(f"tuple is not commuting: a commutator has norm {norm:.3e}")
 
 
 def _commuting_powers(T: OperatorTuple, d: int, N: int, tol: float = 1e-10) -> np.ndarray:

@@ -21,7 +21,10 @@ from .series import (
     TruncatedSeries,
     _check_caps,
     _grade_values,
+    _json_complex,
+    _json_float,
     _json_keys,
+    _json_list,
     _monomial_sums,
     grade_array,
     simplex_size,
@@ -101,9 +104,9 @@ class AtomicMeasure:
     @classmethod
     def from_json(cls, obj: dict) -> "AtomicMeasure":
         _json_keys(obj, ("points", "weights", "support"), "measure")
-        pts = np.array([[complex(re, im) for re, im in p] for p in obj["points"]],
-                       dtype=complex)
-        return cls(pts, np.asarray(obj["weights"], dtype=float), obj["support"])
+        return cls(_json_complex(obj["points"], "points", 2),
+                   [_json_float(w, "weights") for w in _json_list(obj["weights"], "weights")],
+                   obj["support"])
 
 
 def _common_prefix(f: TruncatedSeries, g: TruncatedSeries):

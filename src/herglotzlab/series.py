@@ -422,17 +422,17 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, obj: dict) -> "TruncatedSeries":
         """The inverse of ``to_json``.  d, N and the exponents are integral
-        numbers, each alpha has d entries and comes once, the object has no
-        key but d, N and coeffs and a coefficient none but alpha, re and
-        im; anything else is a ValueError."""
+        numbers, re and im finite ones, each alpha has d entries and comes
+        once, the object has no key but d, N and coeffs and a coefficient
+        none but alpha, re and im; anything else is a ValueError."""
         _json_keys(obj, ("d", "N", "coeffs"), "series")
         d, N = _json_int(obj["d"], "d"), _json_int(obj["N"], "N")
         _check_caps(d, N)
         c = np.zeros(simplex_size(d, N), dtype=complex)
         seen = set()
-        for entry in obj.get("coeffs", []):
+        for entry in _json_list(obj.get("coeffs", []), "coeffs"):
             _json_keys(entry, ("alpha", "re", "im"), "coefficient")
-            alpha = tuple(_json_int(a, "an exponent") for a in entry["alpha"])
+            alpha = tuple(_json_int(a, "an exponent") for a in _json_list(entry["alpha"], "alpha"))
             if len(alpha) != d:
                 raise ValueError(f"coefficient {alpha} needs {d} exponents")
             if sum(alpha) > N:
@@ -440,7 +440,8 @@ class TruncatedSeries:
             if alpha in seen:
                 raise ValueError(f"coefficient {alpha} given twice")
             seen.add(alpha)
-            c[index_of(d, N, alpha)] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
+            c[index_of(d, N, alpha)] = _json_complex((entry.get("re", 0.0), entry.get("im", 0.0)),
+                                                     f"re/im of coefficient {alpha}")
         return cls(d, N, c)
 
 
@@ -456,13 +457,32 @@ def _json_float(value, what: str) -> float:
     """A finite JSON number as a float; ValueError otherwise (a boolean,
     a string, or an integer past the float range included)."""
     if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                       and abs(value) <= np.finfo(float).max):
+                                       and abs(value) <= float(np.finfo(float).max)):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
+def _json_complex(value, what: str, depth: int = 0):
+    """A JSON [re, im] pair of finite numbers as a complex, the mirror of
+    ``cli._c2``, or at depth k such pairs in lists nested k deep."""
+    if depth:
+        return [_json_complex(v, what, depth - 1) for v in _json_list(value, what)]
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"{what} must be an [re, im] pair, got {value!r}")
+    return complex(_json_float(value[0], what), _json_float(value[1], what))
+
+
+def _json_list(value, what: str) -> list:
+    """A JSON list (or a tuple, as in the defaults) as is; ValueError else."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _json_keys(obj: dict, allowed: Sequence[str], what: str) -> None:
-    """ValueError if the JSON object has a key outside ``allowed``."""
+    """ValueError if obj is not a JSON object or has a key outside ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
     extra = set(obj) - set(allowed)
     if extra:
         raise ValueError(f"unknown {what} keys {sorted(extra)}")

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import os
@@ -503,6 +504,57 @@ class TestContract:
                                     "--param", "identity_trials=1"], tmp_path)
             assert code == 0 and report["results"]["trials"] == 3
 
+    @pytest.mark.parametrize("args,name", [
+        # each used to run: a string or a boolean read as a number
+        (["herglotz", "--param", f"datum={SMALL_DATUM}", "--param", 'points="3"'], "'points'"),
+        (["herglotz", "--param", f"datum={SMALL_DATUM}", "--param", "N=true"], "'N'"),
+        (["davidson-pitts", "--param", 'L_full="5"'], "'L_full'"),
+        (["duality", "--param", "r_grid=[true]"], "'r_grid'"),
+        (["pair", "--param", 'f={"d": 2, "N": 2, "coeffs": [{"alpha": [1, 0], "re": "1.5"}]}',
+          "--param", 'g={"d": 2, "N": 2}'], "re/im"),
+        (["pair", "--param", 'f={"d": 2, "N": 2, "coeffs": [{"alpha": [1, 0], "re": true}]}',
+          "--param", 'g={"d": 2, "N": 2}'], "re/im"),
+        (["membership", "--param", 'target={"kind": "extreme", "zeta": [["1", "0"], [false, 0]]}'],
+         "zeta"),
+        (["pair", "--param", 'f={"d": 2, "N": 2}', "--param", 'g={"d": 2, "N": 2}', "--param",
+          'measure={"points": [[[1, 0], [0, 0]]], "weights": [true], "support": "boundary"}'],
+         "weights"),
+        (["herglotz", "--param", "datum=" + SMALL_DATUM.replace("[[1.0, 0.0]]", "[[true, 0]]")],
+         "xi"),
+        # used to run: only a measure reads mode
+        (["pair", "--param", 'f={"d": 2, "N": 2}', "--param", 'g={"d": 2, "N": 2}',
+          "--param", 'mode="bogus"'], "'mode'"),
+        # used to run: all_pass over zero reports, a residual over no member
+        (["membership", "--param", "trials=0"], "'trials'"),
+        (["duality", "--param", "identity_trials=-5"], "'identity_trials'"),
+        # used to run seed int(seed)
+        (["duality", "--config", {"seed": 2.5}], "'seed'"),
+        (["duality", "--config", {"seed": True}], "'seed'"),
+        # exited 2, blaming complex() rather than the field
+        (["pair", "--param", 'f={"d": 2, "N": 2}', "--param", 'g={"d": 2, "N": 2}', "--param",
+          'measure={"points": [[["1", 0], [0, 0]]], "weights": [1], "support": "boundary"}'],
+         "points"),
+        (["herglotz", "--param", "datum=" + SMALL_DATUM.replace("[[1.0, 0.0]]", '[[1, "0"]]')],
+         "xi"),
+        # used to end in an OverflowError traceback, exit 1
+        (["herglotz", "--param", "datum=" + SMALL_DATUM.replace('"t": 0.0', '"t": 1' + "0" * 400)],
+         "t must be"),
+    ])
+    def test_value_of_the_wrong_kind_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                           args, name):
+        command = cli.COMMANDS[args[0]]
+
+        @functools.wraps(command)
+        def no_work(*a, **k):
+            raise AssertionError("the command ran on a value of the wrong kind")
+        monkeypatch.setitem(cli.COMMANDS, args[0], no_work)
+        args = [json_file(tmp_path, "cfg.json", a) if isinstance(a, dict) else a
+                for a in args]
+        code, report = run_cli(args, tmp_path)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
     def test_stray_config_key_exit_2(self, tmp_path):
         cfg = json_file(tmp_path, "cfg.json", {"seed": 3, "threads": 4,
                                                "params": {"trials": 2}})
@@ -619,7 +671,12 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README names a command the parser rejects: {line}")
         keys = [spec.split("=", 1)[0] for spec in args.param]
+        signature = inspect.signature(cli.COMMANDS[args.command])
         try:
-            inspect.signature(cli.COMMANDS[args.command]).bind(0, **dict.fromkeys(keys))
+            signature.bind(0, **dict.fromkeys(keys))
         except TypeError as exc:
             pytest.fail(f"README params do not bind to {args.command}: {line}: {exc}")
+        # every inline value through its param's kind; a path stays unread
+        for key, value in cli._config_from_args(args).params.items():
+            if not isinstance(value, str):
+                signature.parameters[key].annotation(value, f"README {key}")

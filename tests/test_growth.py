@@ -236,7 +236,8 @@ class TestSeriesMeans:
     def test_default_target_p3_is_deterministic_and_divergent(self):
         # Monte Carlo at 200k samples gave "inconclusive" at seed 510 and
         # means at r = 0.999 from 906 to 36,055 across these seeds
-        profiles = [cli.cmd_growth(seed, p=3.0)["profile"] for seed in range(500, 540)]
+        profiles = [cli.cmd_growth(*cli.typed_call("growth", seed, {"p": 3.0}).args)["profile"]
+                    for seed in range(500, 540)]
         assert all(prof == profiles[0] for prof in profiles)
         assert profiles[0]["verdict"] == "divergent"
         assert profiles[0]["estimator"] == "series"

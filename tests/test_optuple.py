@@ -18,6 +18,7 @@ from herglotzlab.optuple import (
     is_row_contraction,
     is_weak_row_contraction,
     re_herglotz_kernel,
+    require_commuting,
     rs_duality_residual,
 )
 from herglotzlab.pairing import qr_pair
@@ -404,6 +405,18 @@ class TestSymCalculus:
         T = OperatorTuple(np.array([E12, E21]))
         with pytest.raises(NonCommutingError):
             commuting_calculus(random_series(2, 3, 1), T)
+
+    def test_commutator_within_tol_in_operator_norm_only_is_accepted(self):
+        # [E12, a E21] = diag(a, -a): operator norm a <= tol, Frobenius a sqrt(2) > tol
+        a, tol = 0.8e-10, 1e-10
+        T = OperatorTuple(np.array([E12, a * E21]))
+        comm = T.matrices[0] @ T.matrices[1] - T.matrices[1] @ T.matrices[0]
+        assert np.linalg.norm(comm) > tol >= np.linalg.norm(comm, 2)
+        require_commuting(T, tol)
+        ok, worst = is_commuting(T, tol)
+        assert ok and abs(worst - a) <= 1e-25
+        with pytest.raises(NonCommutingError):
+            require_commuting(T, 0.5 * a)
 
 
 class TestRsDualityIdentity:
