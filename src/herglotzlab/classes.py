@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .pairing import (
     herglotz_of_measure,
     sphere_sample,
 )
-from .series import TruncatedSeries, _monomial_sums, weight_array
+from .series import TruncatedSeries
 
 DEFAULT_POINTS = 25
 DEFAULT_RADIUS_CAP = 0.95
@@ -33,10 +33,6 @@ GRAM_TOL_SCALE = 1e-8
 
 class PreconditionError(ValueError):
     """An input violated a documented precondition of a probe."""
-
-
-class NonHermitianKernelError(ValueError):
-    """The sampled kernel is not Hermitian within tolerance."""
 
 
 # -- point sets -----------------------------------------------------------
@@ -116,42 +112,13 @@ def _gram_report(G: np.ndarray, name: str, tol: Optional[float]) -> KernelReport
                         None if ok else vecs[:, 0])
 
 
-def gram_min_eig(kernel: Callable, pts: PointSet, name: str = "custom",
-                 tol: Optional[float] = None) -> KernelReport:
-    """Assemble the Gram of a Hermitian two-point kernel and eigen-solve it.
-
-    Hermiticity k(z, w) = conj(k(w, z)) is spot-checked on a few pairs and
-    enforced structurally (the Gram is built from one triangle).
-    """
-    z = pts.points
-    n = len(pts)
-    for (i, j) in [(0, min(1, n - 1)), (0, n - 1), (n // 2, n - 1)]:
-        a, b = kernel(z[i], z[j]), kernel(z[j], z[i])
-        scale = 1.0 + abs(a)
-        if abs(a - np.conj(b)) > 1e-10 * scale:
-            raise NonHermitianKernelError(
-                f"kernel not Hermitian at sample pair ({i}, {j}): "
-                f"{a} vs conj({b})")
-    G = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        G[i, i] = kernel(z[i], z[i])
-        for j in range(i + 1, n):
-            G[i, j] = kernel(z[i], z[j])
-            G[j, i] = np.conj(G[i, j])
-    return _gram_report(G, name, tol)
-
-
 # -- function evaluation dispatch ------------------------------------------
 
 
 def values_at(f, points: np.ndarray) -> np.ndarray:
-    """Evaluate series, datum, measure function, or plain callable on points."""
-    if hasattr(f, "values_at"):
-        return f.values_at(points)
-    if callable(f):
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        return np.array([f(p) for p in pts], dtype=complex)
-    raise TypeError(f"cannot evaluate object of type {type(f)!r}")
+    """f.values_at(points) for a series, datum, measure transform or any
+    other evaluator: the one call through which the commands evaluate."""
+    return f.values_at(points)
 
 
 def _pair_matrix(pts: PointSet) -> np.ndarray:
@@ -567,53 +534,3 @@ def schwarz_probe(g: TruncatedSeries, budget: int = 200, seed: int = 0,
     min_eig = last.min_eig if last is not None else 0.0
     return KernelReport("schur-rigidity (budget exhausted)", tried, min_eig,
                         last.tol if last else 0.0, "pass", None)
-
-
-# -- bounded-atom representability -------------------------------------------
-
-
-def mplus_atom_fit_residual(f: TruncatedSeries, n_atoms: int = 8,
-                            restarts: int = 20, seed: int = 0) -> float:
-    """Best l2 coefficient residual of a boundary measure with at most
-    n_atoms atoms against the target truncation.
-
-    Multi-start local least squares over atom positions (on the sphere) and
-    positive weights.  A residual bounded away from zero certifies that no
-    such atomic representation matches the truncated coefficients; it says
-    nothing about non-atomic measures.
-    """
-    d, N = f.d, f.N
-    target = f.coeffs
-    weights_arr = weight_array(d, N)
-
-    def model_coeffs(points: np.ndarray, masses: np.ndarray) -> np.ndarray:
-        c = 2.0 * weights_arr * _monomial_sums(np.conj(points), masses, N)
-        c[0] = masses.sum()
-        return c
-
-    def unpack(x: np.ndarray):
-        raw = x[: 2 * n_atoms * d].reshape(n_atoms, 2 * d)
-        pts = raw[:, :d] + 1j * raw[:, d:]
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
-        norms = np.where(norms < 1e-9, 1.0, norms)
-        pts = pts / norms
-        masses = np.exp(np.clip(x[2 * n_atoms * d:], -30.0, 6.0))
-        return pts, masses
-
-    def objective(x: np.ndarray) -> float:
-        pts, masses = unpack(x)
-        diff = model_coeffs(pts, masses) - target
-        return float(np.sum(np.abs(diff) ** 2))
-
-    import scipy.optimize
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(restarts):
-        x0 = np.concatenate([
-            rng.standard_normal(2 * n_atoms * d),
-            rng.normal(-1.0, 0.5, n_atoms),
-        ])
-        res = scipy.optimize.minimize(objective, x0, method="L-BFGS-B",
-                                      options={"maxiter": 400})
-        best = min(best, float(res.fun))
-    return best

@@ -62,6 +62,7 @@ from .series import (
     SizeCapError,
     TruncatedSeries,
     _check_caps,
+    _check_dimension,
     _json_complex,
     _json_float as Float,
     _json_int as Int,
@@ -117,6 +118,13 @@ def Count(value, what: str) -> int:
     return n
 
 
+def Dimension(value, what: str) -> int:
+    """An integer within the dimension cap of the series layer."""
+    d = Int(value, what)
+    _check_dimension(d, what)
+    return d
+
+
 def Radii(value, what: str) -> tuple:
     """A non-empty list of finite numbers in [0, 1]."""
     radii = tuple(Float(r, what) for r in _json_list(value, what))
@@ -142,7 +150,7 @@ def _object(cls):
 Series, Measure, Datum = map(_object, (TruncatedSeries, AtomicMeasure, HerglotzDatum))
 
 
-# the keys each target kind takes besides "kind"
+# the keys each target kind takes besides "kind", all required but a sample's
 TARGET_KEYS = {"extreme": ("zeta",), "series": ("series",), "datum": ("datum",),
                "sample": ("class", "d")}
 
@@ -153,12 +161,13 @@ def Target(value, what: str):
     if kind not in TARGET_KEYS:
         raise ValueError(f"{what} must be an object whose kind is one of "
                          f"{sorted(TARGET_KEYS)}, got {value!r}")
-    _json_keys(value, ("kind",) + TARGET_KEYS[kind], f"{kind} target")
+    _json_keys(value, ("kind",) + TARGET_KEYS[kind], f"{kind} target",
+               () if kind == "sample" else TARGET_KEYS[kind])
     if kind == "sample":
-        cls, d = value.get("class", "S+"), Int(value.get("d", 2), "d")
+        cls, d = value.get("class", "S+"), Dimension(value.get("d", 2), "d")
         return lambda seed: generate_member(cls, seed, d=d).evaluator
     if kind == "extreme":
-        func = BoundaryKernel(_json_complex(value.get("zeta"), "zeta", 1))
+        func = BoundaryKernel(_json_complex(value["zeta"], "zeta", 1))
     else:
         func = {"series": Series, "datum": Datum}[kind](value[kind], kind)
     return lambda seed: func
@@ -258,7 +267,7 @@ def cmd_davidson_pitts(seed: Int, N_sym: Int = 16, L_full: Int = 16, L_sweep: Le
     }
 
 
-def cmd_duality(seed: Int, trials: Count = 200, d: Int = 2, r_grid: Radii = R_GRID,
+def cmd_duality(seed: Int, trials: Count = 200, d: Dimension = 2, r_grid: Radii = R_GRID,
                 identity_trials: Count = 20):
     om = duality_sweep(sample_duality_pairs("O+", "M+", trials, seed, d=d), r_grid)
     sr = duality_sweep(sample_duality_pairs("S+", "R+", trials, seed + 10 ** 6, d=d), r_grid)

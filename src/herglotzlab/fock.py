@@ -82,11 +82,6 @@ class FockBasis:
             t = o[k + m] + rank * d ** k
             yield slice(o[k], o[k + 1]), slice(t, t + d ** k)
 
-    def creation_rows(self, j: int) -> np.ndarray:
-        """rows[c] = index of letter j prepended to word c, for |word c| < L."""
-        return np.concatenate([np.arange(dst.start, dst.stop)
-                               for _, dst in self._blocks((j,), self.L)])
-
     def apply_words(self, terms: dict, v: np.ndarray) -> np.ndarray:
         """sum_p c_p L_p v for the word polynomial ``terms`` {p: c_p}, where
         p = (i1..im) acts as L_i1 ... L_im.  v may cover grades 0..K only
@@ -111,21 +106,6 @@ class FockBasis:
             for src, dst in self._blocks(word, K):
                 out[src] += np.conj(c) * v[dst]
         return out
-
-
-def creation_operators(d: int, L: int) -> list:
-    """The d truncated left creation operators as sparse matrices.
-
-    Exactly one unit entry per column below the top grade; the top grade is
-    compressed to zero.
-    """
-    import scipy.sparse as sp
-    basis = FockBasis.create(d, L)
-    n = basis.size
-    cols = np.arange(basis.offsets[L])
-    data = np.ones(len(cols))
-    return [sp.csr_matrix((data, (basis.creation_rows(j), cols)), shape=(n, n))
-            for j in range(d)]
 
 
 @dataclass(frozen=True)

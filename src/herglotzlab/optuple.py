@@ -107,7 +107,7 @@ class HerglotzDatum:
         """The inverse of ``to_json``: no keys but d, n, matrices, xi and t;
         d and n, when given, integers that match the matrices; t and every
         re and im a finite number."""
-        _json_keys(obj, ("d", "n", "matrices", "xi", "t"), "datum")
+        _json_keys(obj, ("d", "n", "matrices", "xi", "t"), "datum", ("matrices", "xi"))
         T = OperatorTuple(_json_complex(obj["matrices"], "matrices", 3))
         for key, size in (("d", T.d), ("n", T.n)):
             if key in obj and _json_int(obj[key], key) != size:
@@ -189,32 +189,13 @@ def is_commuting(T: OperatorTuple, tol: float = 1e-10):
 # -- the kernel and its transforms ---------------------------------------
 
 
-def _resolvent_apply(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    pencil = np.eye(A.shape[0], dtype=complex) - A
-    sv_min = np.linalg.svd(pencil, compute_uv=False)[-1]
-    if sv_min < 1e-14:
-        raise SingularPencilError("I - <z, T> is numerically singular")
-    return np.linalg.solve(pencil, rhs)
-
-
 def herglotz_kernel(z: Sequence[complex], T: OperatorTuple) -> np.ndarray:
-    """H(z, T) = 2 (I - <z, T>)^{-1} - I, by linear solve (no inverse)."""
-    A = T.zeta_dot(z)
-    return 2.0 * _resolvent_apply(A, np.eye(T.n, dtype=complex)) - np.eye(T.n)
-
-
-def re_herglotz_kernel(z: Sequence[complex], T: OperatorTuple) -> np.ndarray:
-    """(H + H*) / 2 at the point z."""
-    H = herglotz_kernel(z, T)
-    return (H + H.conj().T) / 2.0
-
-
-def herglotz_transform(D: HerglotzDatum, z: Sequence[complex]) -> complex:
-    """<H(z, T) xi, xi> + i t at a single point."""
-    A = D.tuple.zeta_dot(z)
-    y = _resolvent_apply(A, D.xi)
-    norm2 = float(np.vdot(D.xi, D.xi).real)
-    return complex(2.0 * np.vdot(D.xi, y) - norm2 + 1j * D.t)
+    """H(z, T) = 2 (I - <z, T>)^{-1} - I, by linear solve (no inverse);
+    SingularPencilError where I - <z, T> has a singular value below 1e-14."""
+    pencil = np.eye(T.n, dtype=complex) - T.zeta_dot(z)
+    if np.linalg.svd(pencil, compute_uv=False)[-1] < 1e-14:
+        raise SingularPencilError("I - <z, T> is numerically singular")
+    return 2.0 * np.linalg.solve(pencil, np.eye(T.n, dtype=complex)) - np.eye(T.n)
 
 
 def herglotz_transform_many(D: HerglotzDatum, points: np.ndarray) -> np.ndarray:

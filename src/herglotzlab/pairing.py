@@ -103,7 +103,8 @@ class AtomicMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AtomicMeasure":
-        _json_keys(obj, ("points", "weights", "support"), "measure")
+        keys = ("points", "weights", "support")
+        _json_keys(obj, keys, "measure", keys)
         return cls(_json_complex(obj["points"], "points", 2),
                    [_json_float(w, "weights") for w in _json_list(obj["weights"], "weights")],
                    obj["support"])

@@ -242,11 +242,11 @@ def _add_products(out: np.ndarray, c: np.ndarray, u: np.ndarray,
         out[row] += c[i] * u[: len(row)]
 
 
-def _check_dimension(d: int) -> None:
+def _check_dimension(d: int, what: str = "dimension") -> None:
     if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+        raise ValueError(f"{what} must be >= 1, got {d}")
     if d > MAX_DIMENSION:
-        raise SizeCapError(f"dimension {d} exceeds the cap {MAX_DIMENSION}")
+        raise SizeCapError(f"{what} = {d} exceeds the cap {MAX_DIMENSION}")
 
 
 def _check_caps(d: int, N: int) -> None:
@@ -381,11 +381,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.d, self.N, np.conj(self.coeffs),
                                from_boundary_measure=self.from_boundary_measure)
 
-    def radial_derivative(self) -> "TruncatedSeries":
-        """c_alpha -> |alpha| c_alpha."""
-        g = grade_array(self.d, self.N).astype(float)
-        return TruncatedSeries(self.d, self.N, self.coeffs * g)
-
     # -- evaluation ----------------------------------------------------
 
     def grade_values(self, points: np.ndarray) -> np.ndarray:
@@ -425,13 +420,13 @@ class TruncatedSeries:
         numbers, re and im finite ones, each alpha has d entries and comes
         once, the object has no key but d, N and coeffs and a coefficient
         none but alpha, re and im; anything else is a ValueError."""
-        _json_keys(obj, ("d", "N", "coeffs"), "series")
+        _json_keys(obj, ("d", "N", "coeffs"), "series", ("d", "N"))
         d, N = _json_int(obj["d"], "d"), _json_int(obj["N"], "N")
         _check_caps(d, N)
         c = np.zeros(simplex_size(d, N), dtype=complex)
         seen = set()
         for entry in _json_list(obj.get("coeffs", []), "coeffs"):
-            _json_keys(entry, ("alpha", "re", "im"), "coefficient")
+            _json_keys(entry, ("alpha", "re", "im"), "coefficient", ("alpha",))
             alpha = tuple(_json_int(a, "an exponent") for a in _json_list(entry["alpha"], "alpha"))
             if len(alpha) != d:
                 raise ValueError(f"coefficient {alpha} needs {d} exponents")
@@ -464,9 +459,13 @@ def _json_float(value, what: str) -> float:
 
 def _json_complex(value, what: str, depth: int = 0):
     """A JSON [re, im] pair of finite numbers as a complex, the mirror of
-    ``cli._c2``, or at depth k such pairs in lists nested k deep."""
+    ``cli._c2``, or at depth k such pairs in lists nested k deep whose
+    entries at each level have one shape (a ragged array is a ValueError)."""
     if depth:
-        return [_json_complex(v, what, depth - 1) for v in _json_list(value, what)]
+        out = [_json_complex(v, what, depth - 1) for v in _json_list(value, what)]
+        if depth > 1 and len(shapes := {np.shape(v) for v in out}) > 1:
+            raise ValueError(f"{what} is ragged: its entries have shapes {sorted(shapes)}")
+        return out
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ValueError(f"{what} must be an [re, im] pair, got {value!r}")
     return complex(_json_float(value[0], what), _json_float(value[1], what))
@@ -479,13 +478,18 @@ def _json_list(value, what: str) -> list:
     return value
 
 
-def _json_keys(obj: dict, allowed: Sequence[str], what: str) -> None:
-    """ValueError if obj is not a JSON object or has a key outside ``allowed``."""
+def _json_keys(obj: dict, allowed: Sequence[str], what: str,
+               required: Sequence[str] = ()) -> None:
+    """ValueError if obj is not a JSON object, has a key outside ``allowed``
+    or lacks one of ``required``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {obj!r}")
     extra = set(obj) - set(allowed)
     if extra:
         raise ValueError(f"unknown {what} keys {sorted(extra)}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what}: missing key '{key}'")
 
 
 def _divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
@@ -527,23 +531,3 @@ def cayley(f: TruncatedSeries, direction: str) -> TruncatedSeries:
         return _divide(f.add(one.scale(-1.0)), f.add(one))
     raise ValueError(f"unknown Cayley direction {direction!r}")
 
-
-def compose_univariate(h: TruncatedSeries, phi: TruncatedSeries) -> TruncatedSeries:
-    """h(phi(z)) truncated at phi's degree, via Horner over truncated products.
-
-    h must be univariate with degree >= phi.N.  |phi(0)| < 1 is required so
-    the discarded high-order terms of h decay geometrically.
-    """
-    if h.d != 1:
-        raise DimensionMismatchError("outer function of a composition must be univariate")
-    if h.N < phi.N:
-        raise ValueError(
-            f"outer series degree {h.N} is below the target degree {phi.N}")
-    if abs(phi.constant_term) >= 1.0:
-        raise SeriesDomainError(
-            f"composition diverges: |phi(0)| = {abs(phi.constant_term):.3f} >= 1")
-    res = TruncatedSeries.constant(phi.d, phi.N, h.coeffs[h.N])
-    for k in range(h.N - 1, -1, -1):
-        res = res.multiply(phi).add(
-            TruncatedSeries.constant(phi.d, phi.N, h.coeffs[k]))
-    return res

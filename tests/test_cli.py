@@ -352,6 +352,15 @@ class TestDualityCommand:
         assert code == 2 and report is None
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_dimension_cap_checked_before_any_sampling(self, tmp_path, capsys):
+        # used to run both sweeps before TruncatedSeries(5, 6) exited 3
+        start = time.perf_counter()
+        code, report = run_cli(["duality", "--param", "d=5", "--param", "trials=100000"],
+                               tmp_path)
+        assert code == 3 and report is None
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: duality: 'd' = 5 exceeds the cap 4\n"
+
     def test_taylor_built_once_per_identity_member(self, monkeypatch):
         calls = []
         taylor = optuple.herglotz_taylor
@@ -494,6 +503,24 @@ class TestContract:
         assert code == 2 and report is None
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("args,message", [
+        (["herglotz", "--param", 'datum={"xi": [[1, 0]]}'], "datum: missing key 'matrices'"),
+        (["pair", "--param", 'f={"d": 2, "N": 2}', "--param", 'g={"d": 2, "N": 2}',
+          "--param", 'measure={"points": [[[1, 0], [0, 0]]], "weights": [1]}'],
+         "measure: missing key 'support'"),
+        (["pair", "--param", 'f={"d": 2, "N": 2, "coeffs": [{"re": 1}]}',
+          "--param", 'g={"d": 2, "N": 2}'], "coefficient: missing key 'alpha'"),
+        (["pair", "--param", 'f={"N": 2}', "--param", 'g={"d": 2, "N": 2}'],
+         "series: missing key 'd'"),
+        (["growth", "--param", 'target={"kind": "series"}'],
+         "series target: missing key 'series'"),
+    ])
+    def test_missing_key_named_exit_2(self, tmp_path, capsys, args, message):
+        # each used to print the bare key alone, e.g. "error: 'matrices'"
+        code, report = run_cli(args, tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_integer_param_must_be_integral(self, tmp_path, capsys):
         # trials=2.9 used to run 2 trials and echo 2.9 in the config
         code, report = run_cli(["duality", "--param", "trials=2.9"], tmp_path)
@@ -539,6 +566,21 @@ class TestContract:
         # used to end in an OverflowError traceback, exit 1
         (["herglotz", "--param", "datum=" + SMALL_DATUM.replace('"t": 0.0', '"t": 1' + "0" * 400)],
          "t must be"),
+        # exited 2 with numpy's "need at least one array to concatenate" or
+        # "negative dimensions are not allowed", naming no field
+        (["duality", "--param", "d=0"], "'d' must be >= 1"),
+        (["duality", "--param", "d=-1"], "'d' must be >= 1"),
+        (["membership", "--param", 'target={"kind": "sample", "d": 0}'], "d must be >= 1"),
+        # exited 2 with numpy's "inhomogeneous shape" text, naming no field:
+        # points of different lengths, matrices of different sizes, and rows
+        # of different lengths in one matrix
+        (["pair", "--param", 'f={"d": 2, "N": 2}', "--param", 'g={"d": 2, "N": 2}', "--param",
+          'measure={"points": [[[1, 0], [0, 0]], [[1, 0]]], "weights": [1, 1], '
+          '"support": "boundary"}'], "points is ragged"),
+        (["herglotz", "--param", 'datum={"matrices": [[[[0.1, 0]]], '
+          '[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]], "xi": [[1, 0]]}'], "matrices is ragged"),
+        (["herglotz", "--param", 'datum={"matrices": [[[[0.1, 0], [0, 0]], [[0, 0]]], '
+          '[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]], "xi": [[1, 0], [0, 0]]}'], "matrices is ragged"),
     ])
     def test_value_of_the_wrong_kind_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                            args, name):
@@ -563,6 +605,8 @@ class TestContract:
 
     @pytest.mark.parametrize("args,expected", [
         (["duality", "--param", "d=5"], 3),
+        # used to run: the sample target's d had no cap
+        (["growth", "--param", 'target={"kind": "sample", "d": 5}'], 3),
         (["herglotz", "--param", f"datum={SMALL_DATUM}", "--param", "N=17"], 3),
         (["herglotz", "--param", f"datum={SMALL_DATUM}", "--param", "N=-1"], 2),
     ])
@@ -638,7 +682,7 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert json.loads(out.read_text())["command"] == "duality"
 
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, herglotzlab.cli; "
@@ -646,6 +690,29 @@ class TestConsoleEntry:
             capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+        # numpy is the only runtime dependency: with scipy blocked, so that
+        # importing it raises, every command runs at small settings
+        series = '{"d": 2, "N": 3, "coeffs": [{"alpha": [1, 0], "re": 0.5}]}'
+        runs = [
+            ["pair", "--param", f"f={series}", "--param", f"g={series}", "--param",
+             'measure={"points": [[[1, 0], [0, 0]]], "weights": [1], "support": "boundary"}'],
+            ["herglotz", "--param", f"datum={SMALL_DATUM}", "--param", "N=4",
+             "--param", "points=10"],
+            ["davidson-pitts", "--param", "L_sweep=[4, 5]", "--param", "N_sym=4"],
+            ["duality", "--param", "trials=2", "--param", "identity_trials=1"],
+            ["membership", "--param", "trials=1", "--param", "points=5"],
+            ["growth", "--param", "samples=1000"],
+            ["growth", "--param", 'target={"kind": "sample"}', "--param", "samples=1000"],
+        ]
+        runs = [argv + ["--out", str(tmp_path / f"{k}.json")] for k, argv in enumerate(runs)]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; sys.modules['scipy'] = None; "
+             "from herglotzlab.cli import main; "
+             "print([main(argv) for argv in json.loads(sys.argv[1])])", json.dumps(runs)],
+            capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([0] * len(runs)), proc.stderr
 
     def test_stdin_series(self, tmp_path):
         one = TruncatedSeries.constant(2, 3, 1.0)

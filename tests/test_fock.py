@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import aslinearoperator
 
 from herglotzlab.fock import (
@@ -10,7 +11,6 @@ from herglotzlab.fock import (
     FockBasis,
     SizeCapError,
     _sym_shift_norm,
-    creation_operators,
     cuntz_state_herglotz,
     cuntz_state_word,
     davidson_pitts_sweep,
@@ -29,6 +29,18 @@ def fock_words(d, L):
     for k in range(L + 1):
         out.extend(itertools.product(range(1, d + 1), repeat=k))
     return tuple(out)
+
+
+def creation_operators(d, L):
+    """The d truncated left creation operators as sparse matrices, read off
+    an explicit word -> index dictionary: L_j sends each word w with
+    |w| < L to jw, one unit entry per column; the top grade goes to zero."""
+    words = fock_words(d, L)
+    index = {w: i for i, w in enumerate(words)}
+    cols = [i for i, w in enumerate(words) if len(w) < L]
+    return [sp.csr_matrix((np.ones(len(cols)), ([index[(j,) + words[c]] for c in cols], cols)),
+                          shape=(len(words), len(words)))
+            for j in range(1, d + 1)]
 
 
 def cuntz_state_herglotz_bruteforce(zeta, z, K):
@@ -100,17 +112,14 @@ class TestWordBasis:
         with pytest.raises(SizeCapError):
             FockBasis.create(2, 21)
 
-    def test_creation_rows_match_word_enumeration(self):
+    def test_creation_matches_word_enumeration(self):
         # the index arithmetic against an explicit word -> index dictionary
         for d, L in ((2, 5), (3, 4)):
-            words = fock_words(d, L)
-            index = {w: i for i, w in enumerate(words)}
             basis = FockBasis.create(d, L)
-            assert basis.size == len(words)
-            below_top = words[: fock_count(d, L - 1)]
-            for j in range(d):
-                expect = [index[(j + 1,) + w] for w in below_top]
-                assert basis.creation_rows(j).tolist() == expect
+            assert basis.size == len(fock_words(d, L))
+            v = np.arange(1.0, basis.size + 1)
+            for j, Lj in enumerate(creation_operators(d, L)):
+                assert np.array_equal(basis.apply_words({(j,): 1.0}, v), Lj @ v)
 
 
 class TestCreationOperators:

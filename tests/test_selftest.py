@@ -17,7 +17,6 @@ from herglotzlab.classes import (
     boundary_biased_pointset,
     extreme_h,
     generate_member,
-    gram_min_eig,
     kT_test,
     random_pointset,
     schur_test,
@@ -25,7 +24,6 @@ from herglotzlab.classes import (
     splus_test,
 )
 from herglotzlab.fock import (
-    creation_operators,
     cuntz_state_herglotz,
     cuntz_state_word,
     davidson_pitts_sweep,
@@ -38,7 +36,7 @@ from herglotzlab.optuple import (
     commuting_calculus,
     herglotz_kernel,
     herglotz_taylor,
-    herglotz_transform,
+    herglotz_transform_many,
     is_commuting,
     is_row_contraction,
     is_weak_row_contraction,
@@ -55,15 +53,14 @@ from herglotzlab.pairing import (
 from herglotzlab.series import (
     TruncatedSeries,
     cayley,
-    compose_univariate,
     enumerate_multiindices,
     index_of,
     weight,
 )
 
-from test_fock import dense_shifts
+from test_fock import creation_operators, dense_shifts
 from test_optuple import E11, E12, E21, ZERO2, sym_monomial, sym_poly
-from test_series import make_series
+from test_series import compose_univariate, make_series
 
 
 def _checks():
@@ -119,13 +116,6 @@ def _checks():
         return (abs(f.evaluate([0.5, 0.0]) - 1.5) < 1e-14
                 and abs(f.evaluate([0.0, 0.0]) - 1.0) < 1e-15)
     yield ("evaluate 1+z1", eval_checks)
-
-    def radial_checks():
-        f = TruncatedSeries.monomial(2, 3, (1, 1))
-        g = TruncatedSeries.constant(2, 3, 5.0)
-        return (abs(f.radial_derivative().coeff((1, 1)) - 2.0) < 1e-15
-                and np.allclose(g.radial_derivative().coeffs, 0.0))
-    yield ("radial derivative on monomials", radial_checks)
 
     def cayley_zero():
         phi = TruncatedSeries.zero(2, 4)
@@ -255,9 +245,9 @@ def _checks():
         hz = extreme_h(zeta, 10)
         nil = HerglotzDatum(OperatorTuple(np.array([E12, ZERO2])),
                             np.array([2 ** -0.5, 2 ** -0.5]), 0.0)
-        return (abs(herglotz_transform(D0, [0.3, 0.2]) - 1.0) < 1e-14
-                and abs(herglotz_transform(Dz, z) - hz.evaluate(z)) < 1e-3
-                and abs(herglotz_transform(nil, z) - (1 + z[0])) < 1e-13)
+        return (abs(herglotz_transform_many(D0, [0.3, 0.2])[0] - 1.0) < 1e-14
+                and abs(herglotz_transform_many(Dz, z)[0] - hz.evaluate(z)) < 1e-3
+                and abs(herglotz_transform_many(nil, z)[0] - (1 + z[0])) < 1e-13)
     yield ("transform special cases", transform_checks)
 
     def taylor_checks():
@@ -372,11 +362,13 @@ def _checks():
     # classes -------------------------------------------------------------------
     def gram_checks():
         pts = random_pointset(2, 12, seed=3)
-        const = gram_min_eig(lambda z, w: 1.0 + 0.0j, pts, "const")
-        fant = gram_min_eig(lambda z, w: 1.0 / (1.0 - np.vdot(w, z)), pts, "fantappie")
-        neg = gram_min_eig(lambda z, w: -1.0 + 0.0j, pts, "neg")
-        return (const.verdict == "pass" and fant.verdict == "pass"
-                and neg.verdict == "fail" and neg.witness is not None)
+        # Schur kernels: phi = 1 gives 0, phi = 0 gives 1 / (1 - <z, w>),
+        # phi = 2 gives -3 / (1 - <z, w>)
+        null = schur_test(TruncatedSeries.constant(2, 2, 1.0), pts)
+        fant = schur_test(TruncatedSeries.zero(2, 2), pts)
+        neg = schur_test(TruncatedSeries.constant(2, 2, 2.0), pts)
+        return (null.verdict == "pass" and fant.verdict == "pass"
+                and neg.verdict == "fail" and len(neg.witness) == len(pts))
     yield ("gram reports", gram_checks)
 
     def splus_checks():
@@ -384,8 +376,9 @@ def _checks():
         one = splus_test(TruncatedSeries.constant(2, 4, 1.0), pts)
         zeta = np.array([0.8, 0.6], dtype=complex)
         h = splus_test(BoundaryKernel(zeta), pts)
-        # Re of (1+2z1)/(1-2z1) turns negative past z1 = -1/2
-        bad = lambda z: (1.0 + 2.0 * z[0]) / (1.0 - 2.0 * z[0])
+        # Re of (1+2z1)/(1-2z1), the transform of T = (2, 0) and xi = 1,
+        # turns negative past z1 = -1/2
+        bad = HerglotzDatum(OperatorTuple(np.array([[[2.0]], [[0.0]]])), [1.0])
         rep_bad = splus_test(bad, PointSet(np.array([[-0.6 + 0j, 0.0 + 0j]]), 0, 0.95))
         return (one.verdict == "pass" and h.verdict == "pass"
                 and rep_bad.verdict == "fail" and rep_bad.witness is not None)
