@@ -29,6 +29,7 @@ DEFAULT_POINTS = 25
 DEFAULT_RADIUS_CAP = 0.95
 BOUNDARY_BIASED_RANGE = (0.9, 0.99)
 GRAM_TOL_SCALE = 1e-8
+MEMBER_KINDS = ("M+", "R+", "S+")
 
 
 class PreconditionError(ValueError):

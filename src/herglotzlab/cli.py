@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .classes import (
     GRAM_TOL_SCALE,
+    MEMBER_KINDS,
     BoundaryKernel,
     boundary_biased_pointset,
     duality_sweep,
@@ -76,6 +77,10 @@ TOLERANCES = {
     "lanczos_tol": LANCZOS_TOL,
     "duality_min_re": -1e-9,
 }
+
+# duality builds two sweeps of trials pairs and identity_trials more; a pair
+# takes 1.6 KiB at d = 2 and 3.3 KiB at d = 4 under tracemalloc
+DUALITY_BYTES_CAP, TRIAL_BYTES = 64 << 20, 4 << 10
 
 DEFAULT_TARGET = {"kind": "extreme", "zeta": ((1.0, 0.0), (0.0, 0.0))}
 
@@ -143,6 +148,12 @@ def Mode(value, what: str) -> str:
     return value
 
 
+def ClassKind(value, what: str) -> str:
+    if value not in MEMBER_KINDS:
+        raise ValueError(f"{what} must be one of {list(MEMBER_KINDS)}, got {value!r}")
+    return value
+
+
 def _object(cls):
     return lambda value, what: cls.from_json(_load_json_value(value, what))
 
@@ -164,7 +175,8 @@ def Target(value, what: str):
     _json_keys(value, ("kind",) + TARGET_KEYS[kind], f"{kind} target",
                () if kind == "sample" else TARGET_KEYS[kind])
     if kind == "sample":
-        cls, d = value.get("class", "S+"), Dimension(value.get("d", 2), "d")
+        cls = ClassKind(value.get("class", "S+"), "class")
+        d = Dimension(value.get("d", 2), "d")
         return lambda seed: generate_member(cls, seed, d=d).evaluator
     if kind == "extreme":
         func = BoundaryKernel(_json_complex(value["zeta"], "zeta", 1))
@@ -269,6 +281,9 @@ def cmd_davidson_pitts(seed: Int, N_sym: Int = 16, L_full: Int = 16, L_sweep: Le
 
 def cmd_duality(seed: Int, trials: Count = 200, d: Dimension = 2, r_grid: Radii = R_GRID,
                 identity_trials: Count = 20):
+    if (need := (2 * trials + identity_trials) * TRIAL_BYTES) > DUALITY_BYTES_CAP:
+        raise SizeCapError(f"duality members take about {need >> 10} KiB, over the cap of "
+                           f"{DUALITY_BYTES_CAP >> 10} KiB: lower trials or identity_trials")
     om = duality_sweep(sample_duality_pairs("O+", "M+", trials, seed, d=d), r_grid)
     sr = duality_sweep(sample_duality_pairs("S+", "R+", trials, seed + 10 ** 6, d=d), r_grid)
     rng = np.random.default_rng(seed)

@@ -209,6 +209,11 @@ def h2d_inner_integral(f: TruncatedSeries, g: TruncatedSeries,
     analytically, leaving a polynomial radial integrand handled exactly by
     Gauss-Legendre nodes; only the sphere directions are sampled.
 
+    The radial rule is contracted first: with the moments
+    M[k, l] = sum_i (w_i / r_i) r_i^(k+l), direction s contributes
+    sum_k rho_k F[k, s] conj((M G)[k, s]), the per-node sum reassociated.
+    Memory is O((N + 1) x sphere_samples) whatever the node count.
+
     Returns the estimate and a standard-error proxy over directions.
     """
     if f.d != g.d:
@@ -220,14 +225,11 @@ def h2d_inner_integral(f: TruncatedSeries, g: TruncatedSeries,
     w = 0.5 * w
 
     F, G = _grade_values([f, g], dirs)          # (Nf+1, ns), (Ng+1, ns)
-    rho = radial_factorial_weights(d, f.N)      # d-fold radial grade weights
-    RF = F * rho[:, None]
-    # radial profiles: A[s, i] = sum_k RF[k, s] r_i^k, likewise B for g
-    rpow_f = np.power.outer(r, np.arange(f.N + 1)).T    # (Nf+1, nodes)
-    rpow_g = np.power.outer(r, np.arange(g.N + 1)).T
-    A = RF.T @ rpow_f                            # (ns, nodes)
-    B = G.T @ rpow_g
-    per_dir = (A * np.conj(B)) @ (w / r)         # (ns,)
+    moments = (w / r) @ np.power.outer(r, np.arange(f.N + g.N + 1))
+    M = moments[np.add.outer(np.arange(f.N + 1), np.arange(g.N + 1))]
+    # d-fold radial grade weights on the f side
+    MG = (radial_factorial_weights(d, f.N)[:, None] * M) @ G
+    per_dir = np.einsum("ks,ks->s", F, np.conj(MG, out=MG))     # (ns,)
 
     prefactor = 2.0 * d / math.factorial(d)
     mean = per_dir.mean()

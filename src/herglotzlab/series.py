@@ -7,6 +7,9 @@ descending lexicographic within each grade), the one basis layout of the
 package.  Indices of degree ``<= m`` form a prefix, and in a grade those with
 the same first nonzero coordinate form a block.  Every index table is built
 from those blocks (``_grade_steps``) and the index of alpha + e_j (``_shifts``).
+Values at points stream one grade of monomials at a time (``_grade_chunks``),
+each from the one below, so an evaluation holds two grades of one point chunk,
+at most ``_EVAL_BYTES``, besides its (N+1) x points grade values.
 
 Values are immutable after construction and all operations are pure.
 """
@@ -25,7 +28,7 @@ MAX_DEGREE = 16
 DEFAULT_DEGREE = 10
 WEIGHT_DEGREE_CAP = 20
 
-_EVAL_BYTES = 4 << 20          # monomial table per point chunk
+_EVAL_BYTES = 4 << 20          # two adjacent monomial grades per point chunk
 
 
 class DimensionMismatchError(ValueError):
@@ -84,17 +87,6 @@ def grade_array(d: int, N: int) -> np.ndarray:
     g = _exponents(d, N).sum(axis=1)
     g.setflags(write=False)
     return g
-
-
-def weight(alpha: Sequence[int]) -> int:
-    """Multinomial weight |alpha|!/alpha!: the number of distinct words
-    with letter multiplicities alpha.  Exact integer arithmetic."""
-    alpha = tuple(alpha)
-    if any((not isinstance(a, (int, np.integer))) or a < 0 for a in alpha):
-        raise ValueError(f"multi-index entries must be nonnegative ints: {alpha}")
-    k = sum(int(a) for a in alpha)
-    fact = _factorials(k)
-    return int(fact[k] // fact[list(alpha)].prod())
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +149,8 @@ def _shifts(d: int, N: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def weight_array(d: int, N: int) -> np.ndarray:
-    """weight(alpha) per index, exact, as float64."""
+    """Multinomial weight |alpha|!/alpha! per index, the number of distinct
+    words with letter multiplicities alpha: exact, as float64."""
     fact = _factorials(N)
     exps = _exponents(d, N)
     arr = (fact[exps.sum(axis=1)] // fact[exps].prod(axis=1)).astype(float)
@@ -167,7 +160,7 @@ def weight_array(d: int, N: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def weight_ratio_array(d: int, N: int) -> np.ndarray:
-    """alpha!/|alpha|! = 1/weight(alpha) per index, as float64."""
+    """alpha!/|alpha|! = 1/weight_array per index, as float64."""
     arr = 1.0 / weight_array(d, N)
     arr.setflags(write=False)
     return arr
@@ -192,44 +185,57 @@ def _product_table(d: int, N: int) -> tuple:
     return tuple(row for block in blocks for row in block)
 
 
-def _monomial_chunks(Z: np.ndarray, N: int):
-    """Monomial tables of the rows of Z, |alpha| <= N, in point chunks.
+def _grade_chunks(Z: np.ndarray, N: int):
+    """Monomial values of the rows of Z, |alpha| <= N, one grade at a time.
 
-    Yields (lo, P) with P[i, p] = Z[lo + p] ** alpha_i, monomial-major, so
-    each monomial's values are contiguous.  A chunk holds at most
-    _EVAL_BYTES of table, and each block of _grade_steps is filled by one
-    slice product from its parents in the grade below.
+    Yields (lo, k, P_k) for each point chunk lo and grade k = 0..N, with
+    P_k[i, p] = Z[lo + p] ** alpha for the i-th index alpha of grade k,
+    monomial-major.  Each block of _grade_steps fills its rows of P_k by one
+    slice product from its parents in P_{k-1}.  Two buffers, one for the
+    even and one for the odd grades, hold the stream: a chunk spans
+    _EVAL_BYTES over the widest even and odd grades, the two widest adjacent
+    ones, and P_k is valid only until grade k + 2 is yielded.
     """
     npts, d = Z.shape
-    m = simplex_size(d, N)
+    slices = grade_slices(d, N)
     ZT = np.asarray(Z, dtype=complex).T
-    step = max(1, _EVAL_BYTES // (16 * m))
+    rows = [max((b - a for a, b in slices[parity::2]), default=0) for parity in (0, 1)]
+    step = max(1, min(npts, _EVAL_BYTES // (16 * sum(rows))))
+    bufs = [np.empty(step * r, dtype=complex) for r in rows]
+    steps = _grade_steps(d, N)
     for lo in range(0, npts, step):
         chunk = np.ascontiguousarray(ZT[:, lo:lo + step])
-        P = np.empty((m, chunk.shape[1]), dtype=complex)
-        P[0] = 1.0
-        for j, a, b, pa, pb in _grade_steps(d, N):
-            np.multiply(P[pa:pb], chunk[j], out=P[a:b])
-        yield lo, P
+        width = chunk.shape[1]
+        P = bufs[0][:width].reshape(1, width)
+        P.fill(1.0)
+        yield lo, 0, P
+        for k in range(1, N + 1):
+            (plo, _), (a0, b0) = slices[k - 1], slices[k]
+            P, prev = bufs[k % 2][:(b0 - a0) * width].reshape(b0 - a0, width), P
+            for j, a, b, pa, pb in steps[(k - 1) * d:k * d]:
+                np.multiply(prev[pa - plo:pb - plo], chunk[j], out=P[a - a0:b - a0])
+            yield lo, k, P
 
 
 def _monomial_sums(Z: np.ndarray, w: np.ndarray, N: int) -> np.ndarray:
     """sum_p w_p Z[p] ** alpha for each alpha with |alpha| <= N."""
     out = np.zeros(simplex_size(Z.shape[1], N), dtype=complex)
-    for lo, P in _monomial_chunks(Z, N):
-        out += P @ w[lo:lo + P.shape[1]]
+    slices = grade_slices(Z.shape[1], N)
+    for lo, k, P in _grade_chunks(Z, N):
+        out[slice(*slices[k])] += P @ w[lo:lo + P.shape[1]]
     return out
 
 
 def _grade_values(fs: Sequence["TruncatedSeries"], pts: np.ndarray) -> list:
     """grade_values of each series in fs (all in pts.shape[1] variables),
-    contracted from one chunked monomial table built to their largest degree."""
+    contracted from one monomial stream built to their largest degree;
+    beyond the (N+1, npoints) results it holds two grades of one chunk."""
     out = [np.empty((f.N + 1, pts.shape[0]), dtype=complex) for f in fs]
     slices = grade_slices(pts.shape[1], max(f.N for f in fs))
-    for lo, P in _monomial_chunks(pts, len(slices) - 1):
+    for lo, k, P in _grade_chunks(pts, len(slices) - 1):
         for f, grades in zip(fs, out):
-            for k, (a, b) in enumerate(slices[:f.N + 1]):
-                grades[k, lo:lo + P.shape[1]] = f.coeffs[a:b] @ P[a:b]
+            if k <= f.N:
+                grades[k, lo:lo + P.shape[1]] = f.coeffs[slice(*slices[k])] @ P
     return out
 
 
@@ -288,10 +294,6 @@ class TruncatedSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, d: int, N: int) -> "TruncatedSeries":
-        return cls(d, N, np.zeros(simplex_size(d, N), dtype=complex))
-
-    @classmethod
     def constant(cls, d: int, N: int, value: complex) -> "TruncatedSeries":
         c = np.zeros(simplex_size(d, N), dtype=complex)
         c[0] = value
@@ -304,12 +306,6 @@ class TruncatedSeries:
         c = np.zeros(simplex_size(d, N), dtype=complex)
         c[index_of(d, N, alpha)] = value
         return cls(d, N, c)
-
-    @classmethod
-    def coordinate(cls, d: int, N: int, j: int) -> "TruncatedSeries":
-        """The coordinate function z_j (0-based j)."""
-        alpha = tuple(1 if p == j else 0 for p in range(d))
-        return cls.monomial(d, N, alpha)
 
     # -- basic accessors ----------------------------------------------
 
@@ -360,13 +356,6 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         return self.add(other.scale(-1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.multiply(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def dilate(self, r: float) -> "TruncatedSeries":
         """f(z) -> f(r z): c_alpha -> r^|alpha| c_alpha, 0 <= r <= 1."""

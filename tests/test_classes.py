@@ -37,7 +37,7 @@ from herglotzlab.pairing import (
 )
 from herglotzlab.series import TruncatedSeries
 
-from test_series import make_series
+from test_series import coordinate, make_series, zero
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -162,7 +162,7 @@ class TestGram:
 
     def test_reproducing_kernel_psd(self):
         # phi = 0 gives 1 / (1 - <z, w>)
-        rep = schur_test(TruncatedSeries.zero(3, 3), random_pointset(3, 20, seed=5))
+        rep = schur_test(zero(3, 3), random_pointset(3, 20, seed=5))
         assert rep.verdict == "pass"
 
     def test_negative_kernel_with_witness(self):
@@ -202,11 +202,11 @@ class TestSplusMembership:
 
 class TestSchurMembership:
     def test_zero(self):
-        assert schur_test(TruncatedSeries.zero(2, 4),
+        assert schur_test(zero(2, 4),
                           random_pointset(2, 20, seed=11)).verdict == "pass"
 
     def test_coordinate(self):
-        assert schur_test(TruncatedSeries.coordinate(2, 4, 0),
+        assert schur_test(coordinate(2, 4, 0),
                           random_pointset(2, 25, seed=12)).verdict == "pass"
 
     def test_amplified_coordinate_fails_near_boundary(self):

@@ -13,9 +13,12 @@ from pathlib import Path
 import pytest
 
 from herglotzlab import cli, optuple
+from herglotzlab.classes import sample_duality_pairs
 from herglotzlab.cli import build_parser, main
 from herglotzlab.optuple import SingularPencilError
 from herglotzlab.series import TruncatedSeries
+
+from test_series import coordinate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # a child interpreter imports the package under test, installed or not
@@ -80,7 +83,7 @@ class TestPairCommand:
         assert report["results"]["hermitian_residual_max"] < 1e-13
 
     def test_coordinate_column_equals_grid(self, tmp_path):
-        z1 = TruncatedSeries.coordinate(2, 4, 0)
+        z1 = coordinate(2, 4, 0)
         f = series_file(tmp_path, "f.json", z1)
         code, report = run_cli(
             ["pair", "--param", f"f=\"{f}\"", "--param", f"g=\"{f}\""], tmp_path)
@@ -90,7 +93,7 @@ class TestPairCommand:
         assert all(abs(q - r) < 1e-13 for q, r in zip(qs, grid))
 
     def test_measure_residual_column(self, tmp_path):
-        z1 = TruncatedSeries.coordinate(2, 6, 0)
+        z1 = coordinate(2, 6, 0)
         f = series_file(tmp_path, "f.json", z1)
         measure = {"points": [[[1.0, 0.0], [0.0, 0.0]]], "weights": [1.0],
                    "support": "boundary"}
@@ -113,7 +116,7 @@ class TestPairCommand:
         assert main(["pair"]) == 2
 
     def test_measure_dimension_checked_before_any_work(self, tmp_path):
-        f = series_file(tmp_path, "f.json", TruncatedSeries.coordinate(2, 6, 0))
+        f = series_file(tmp_path, "f.json", coordinate(2, 6, 0))
         mfile = json_file(tmp_path, "mu.json", {
             "points": [D9_POINT], "weights": [1.0], "support": "boundary"})
         code, elapsed, peak = traced_main(
@@ -125,7 +128,7 @@ class TestPairCommand:
 
     def test_radius_outside_ball_exit_2(self, tmp_path, capsys):
         # qr_pair's SeriesDomainError used to escape main as a traceback
-        f = series_file(tmp_path, "f.json", TruncatedSeries.coordinate(2, 4, 0))
+        f = series_file(tmp_path, "f.json", coordinate(2, 4, 0))
         code, report = run_cli(
             ["pair", "--param", f"f=\"{f}\"", "--param", f"g=\"{f}\"",
              "--param", "r_grid=[1.5]"], tmp_path)
@@ -360,6 +363,34 @@ class TestDualityCommand:
         assert code == 3 and report is None
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == "error: duality: 'd' = 5 exceeds the cap 4\n"
+
+    @pytest.mark.parametrize("spec", ["trials=1000000", "identity_trials=1000000"])
+    def test_trials_capped_in_bytes_before_any_member(self, tmp_path, capsys, monkeypatch,
+                                                      spec):
+        # trials=1000000 used to build 1.6 GB of pairs before the first sweep
+        def no_members(*args, **kwargs):
+            raise AssertionError("a member was built before the cap was checked")
+        monkeypatch.setattr(cli, "generate_member", no_members)
+        monkeypatch.setattr(cli, "sample_duality_pairs", no_members)
+        code, elapsed, peak = traced_main(
+            ["duality", "--param", spec, "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert elapsed < 1.0
+        assert peak < 1 * 2 ** 20
+        assert "duality members" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kinds", [("O+", "M+"), ("S+", "R+")])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_trial_bytes_bound_a_pair(self, kinds, d):
+        sample_duality_pairs(*kinds, 50, 0, d=d)      # fill the caches first
+        tracemalloc.start()
+        try:
+            pairs = sample_duality_pairs(*kinds, 400, 1, d=d)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 400
+        assert held < 400 * cli.TRIAL_BYTES
 
     def test_taylor_built_once_per_identity_member(self, monkeypatch):
         calls = []
@@ -638,6 +669,20 @@ class TestContract:
         epilog = " ".join(capsys.readouterr().out.split()).split("KEY=JSON): ")[-1]
         assert epilog.startswith("trials=200, d=2, r_grid=[0.05, 0.1,")
         assert epilog.endswith("0.99], identity_trials=20")
+
+
+    @pytest.mark.parametrize("command", ["growth", "membership"])
+    @pytest.mark.parametrize("kind,shown", [('"X+"', "'X+'"), ('["S+"]', "['S+']"),
+                                             ('"O+"', "'O+'")])
+    def test_sample_class_typed_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                command, kind, shown):
+        # used to exit 2 from inside generate_member, with no field named
+        monkeypatch.setattr(cli, "generate_member", lambda *a, **k: 1 / 0)
+        code, report = run_cli(
+            [command, "--param", f'target={{"kind": "sample", "class": {kind}}}'], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == (
+            f"error: class must be one of ['M+', 'R+', 'S+'], got {shown}\n")
 
 
 class TestReproducibility:

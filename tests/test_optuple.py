@@ -25,10 +25,9 @@ from herglotzlab.series import (
     TruncatedSeries,
     enumerate_multiindices,
     simplex_size,
-    weight,
 )
 
-from test_series import _parents_by_tuples, make_series, random_series
+from test_series import _parents_by_tuples, make_series, random_series, weight
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from herglotzlab.series import (
     simplex_size,
 )
 
-from test_series import random_series
+from test_series import coordinate, random_series
 
 
 def boundary_atoms(d, n, seed):
@@ -43,7 +44,7 @@ class TestQrPair:
             assert abs(qr_pair(one, one, r) - 2.0) < 1e-14
 
     def test_coordinate(self):
-        z1 = TruncatedSeries.coordinate(2, 4, 0)
+        z1 = coordinate(2, 4, 0)
         assert abs(qr_pair(z1, z1, 0.73) - 0.73) < 1e-15
 
     def test_mixed_monomial_weight(self):
@@ -137,6 +138,25 @@ class TestInnerProduct:
             h2d_inner_series(random_series(2, 3, 0), random_series(2, 4, 1))
 
 
+def h2d_inner_integral_per_node(f, g, q):
+    """h2d_inner_integral through the (samples x nodes) radial profiles of
+    f and g, summed node by node: an oracle for the moment contraction."""
+    d = f.d
+    dirs = pairing.sphere_sample(d, q.sphere_samples, q.seed)
+    x, w = np.polynomial.legendre.leggauss(q.radial_nodes)
+    r, w = 0.5 * (x + 1.0), 0.5 * w
+    F, G = f.grade_values(dirs), g.grade_values(dirs)
+    RF = F * pairing.radial_factorial_weights(d, f.N)[:, None]
+    A = RF.T @ np.power.outer(r, np.arange(f.N + 1)).T      # (ns, nodes)
+    B = G.T @ np.power.outer(r, np.arange(g.N + 1)).T
+    per_dir = (A * np.conj(B)) @ (w / r)
+    prefactor = 2.0 * d / math.factorial(d)
+    mean = per_dir.mean()
+    stderr = float(np.sqrt(np.mean(np.abs(per_dir - mean) ** 2) / len(per_dir)))
+    return IntegralEstimate(complex(f.coeffs[0] * np.conj(g.coeffs[0]) + prefactor * mean),
+                            prefactor * stderr)
+
+
 class TestIntegralForm:
     def test_constants_exact(self):
         one = TruncatedSeries.constant(2, 3, 1.0)
@@ -145,7 +165,7 @@ class TestIntegralForm:
         assert est.stderr < 1e-12
 
     def test_coordinate_d2(self):
-        z1 = TruncatedSeries.coordinate(2, 4, 0)
+        z1 = coordinate(2, 4, 0)
         est = h2d_inner_integral(z1, z1, QuadratureSpec(64, 20000, 1))
         assert abs(est.value - 1.0) <= 3 * est.stderr
 
@@ -186,6 +206,26 @@ class TestIntegralForm:
             return TruncatedSeries(d, max(Nf, Ng), c)
 
         assert abs(h2d_inner_series(pad(f), pad(g)) - shared.value) <= 3 * shared.stderr
+
+    @pytest.mark.parametrize("nodes", [1, 3, 64])
+    @pytest.mark.parametrize("d,Nf,Ng", [(2, 5, 5), (3, 12, 7), (3, 4, 9), (4, 6, 8)])
+    def test_moment_contraction_matches_per_node_sum(self, nodes, d, Nf, Ng):
+        f, g = random_series(d, Nf, 60 + Nf), random_series(d, Ng, 70 + Ng)
+        q = QuadratureSpec(nodes, 2000, nodes + d)
+        got, ref = h2d_inner_integral(f, g, q), h2d_inner_integral_per_node(f, g, q)
+        assert abs(got.value - ref.value) <= 1e-13 * abs(ref.value)
+        assert abs(got.stderr - ref.stderr) <= 1e-13 * ref.stderr
+
+    def test_memory_is_bounded_in_nodes(self):
+        # the per-node profiles alone would be 3 x 20000 x 64 x 16 bytes = 61 MiB
+        f, g = random_series(3, 12, 90, scale=0.1), random_series(3, 12, 91, scale=0.1)
+        tracemalloc.start()
+        try:
+            h2d_inner_integral(f, g, QuadratureSpec(64, 20000, 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -271,7 +311,7 @@ class TestPairingVsMeasure:
 
     def test_coordinate_at_half_radius(self):
         mu = AtomicMeasure(np.array([[1.0 + 0j, 0.0]]), np.array([1.0]), "boundary")
-        z1 = TruncatedSeries.coordinate(2, 6, 0)
+        z1 = coordinate(2, 6, 0)
         assert pairing_vs_measure_check(z1, mu, 0.5) < 1e-12
 
     def test_random_polynomials_and_atoms(self):

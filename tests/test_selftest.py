@@ -55,12 +55,11 @@ from herglotzlab.series import (
     cayley,
     enumerate_multiindices,
     index_of,
-    weight,
 )
 
 from test_fock import creation_operators, dense_shifts
 from test_optuple import E11, E12, E21, ZERO2, sym_monomial, sym_poly
-from test_series import compose_univariate, make_series
+from test_series import compose_univariate, coordinate, make_series, weight, zero
 
 
 def _checks():
@@ -85,8 +84,8 @@ def _checks():
     yield ("(1+z)(1-z) = 1-z^2", mul_check)
 
     def add_check():
-        z1 = TruncatedSeries.coordinate(2, 3, 0)
-        z2 = TruncatedSeries.coordinate(2, 3, 1)
+        z1 = coordinate(2, 3, 0)
+        z2 = coordinate(2, 3, 1)
         s = z1.add(z2)
         return abs(s.coeff((1, 0)) - 1) < 1e-15 and abs(s.coeff((0, 1)) - 1) < 1e-15
     yield ("add(z1, z2)", add_check)
@@ -118,7 +117,7 @@ def _checks():
     yield ("evaluate 1+z1", eval_checks)
 
     def cayley_zero():
-        phi = TruncatedSeries.zero(2, 4)
+        phi = zero(2, 4)
         f = cayley(phi, "schur_to_herglotz")
         return abs(f.constant_term - 1.0) < 1e-15 and np.allclose(f.coeffs[1:], 0.0)
     yield ("cayley of 0 is 1", cayley_zero)
@@ -143,7 +142,7 @@ def _checks():
 
     # pairing ----------------------------------------------------------------
     one2 = TruncatedSeries.constant(2, 4, 1.0)
-    z1 = TruncatedSeries.coordinate(2, 4, 0)
+    z1 = coordinate(2, 4, 0)
     z1z2 = TruncatedSeries.monomial(2, 4, (1, 1))
     yield ("Q_r(1,1) = 2 doubled constant",
            lambda: abs(qr_pair(one2, one2, 0.37) - 2.0) < 1e-14)
@@ -365,7 +364,7 @@ def _checks():
         # Schur kernels: phi = 1 gives 0, phi = 0 gives 1 / (1 - <z, w>),
         # phi = 2 gives -3 / (1 - <z, w>)
         null = schur_test(TruncatedSeries.constant(2, 2, 1.0), pts)
-        fant = schur_test(TruncatedSeries.zero(2, 2), pts)
+        fant = schur_test(zero(2, 2), pts)
         neg = schur_test(TruncatedSeries.constant(2, 2, 2.0), pts)
         return (null.verdict == "pass" and fant.verdict == "pass"
                 and neg.verdict == "fail" and len(neg.witness) == len(pts))
@@ -386,11 +385,11 @@ def _checks():
 
     def schur_checks():
         pts = random_pointset(2, 20, seed=13)
-        zero = schur_test(TruncatedSeries.zero(2, 4), pts)
-        coord = schur_test(TruncatedSeries.coordinate(2, 4, 0), pts)
+        flat = schur_test(zero(2, 4), pts)
+        coord = schur_test(coordinate(2, 4, 0), pts)
         amplified = schur_test(make_series(2, 2, {(1, 0): 1.1}),
                                PointSet(np.array([[0.95, 0.0]]), 0, 0.95))
-        return (zero.verdict == "pass" and coord.verdict == "pass"
+        return (flat.verdict == "pass" and coord.verdict == "pass"
                 and amplified.verdict == "fail")
     yield ("schur kernel tests", schur_checks)
 

@@ -19,8 +19,8 @@ from herglotzlab.series import (
     SizeCapError,
     TruncatedSeries,
     _divide,
+    _grade_chunks,
     _grade_steps,
-    _monomial_chunks,
     _product_table,
     _shifts,
     cayley,
@@ -28,7 +28,6 @@ from herglotzlab.series import (
     grade_slices,
     index_of,
     simplex_size,
-    weight,
     weight_array,
 )
 
@@ -38,6 +37,21 @@ def make_series(d, N, entries):
     for alpha, v in entries.items():
         c[index_of(d, N, alpha)] = v
     return TruncatedSeries(d, N, c)
+
+
+def weight(alpha):
+    """Multinomial weight |alpha|!/alpha! from integer factorials: an
+    oracle for weight_array."""
+    return math.factorial(sum(alpha)) // math.prod(math.factorial(a) for a in alpha)
+
+
+def zero(d, N):
+    return TruncatedSeries(d, N, np.zeros(simplex_size(d, N)))
+
+
+def coordinate(d, N, j):
+    """The coordinate function z_j (0-based j)."""
+    return TruncatedSeries.monomial(d, N, tuple(int(p == j) for p in range(d)))
 
 
 def random_series(d, N, seed, scale=1.0):
@@ -78,11 +92,17 @@ class TestEnumeration:
         assert grade2 == [(2, 0), (1, 1), (0, 2)]
 
 
+def weight_of(alpha):
+    """weight_array's entry for alpha, read through index_of."""
+    d, N = len(alpha), sum(alpha)
+    return weight_array(d, N)[index_of(d, N, alpha)]
+
+
 class TestWeight:
     def test_values(self):
-        assert weight((1, 1)) == 2
-        assert weight((3, 0)) == 1
-        assert weight((2, 1)) == 3
+        assert weight_of((1, 1)) == 2
+        assert weight_of((3, 0)) == 1
+        assert weight_of((2, 1)) == 3
 
     def test_arrangement_count_oracle(self):
         # brute-force enumeration of distinct arrangements of the multiset
@@ -90,24 +110,24 @@ class TestWeight:
         for alpha in [(2, 1), (1, 1, 1), (3, 2), (2, 2, 1)]:
             letters = [j for j, a in enumerate(alpha) for _ in range(a)]
             count = len(set(itertools.permutations(letters)))
-            assert weight(alpha) == count
+            assert weight_of(alpha) == weight(alpha) == count
 
     def test_degree_cap(self):
-        assert weight((10, 10)) > 0
+        assert weight_of((10, 10)) == weight((10, 10)) == math.comb(20, 10)
         with pytest.raises(SizeCapError):
-            weight((11, 10))
+            weight_of((11, 10))
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            weight((1, -1))
+        # a negative exponent has no position, so no weight
+        with pytest.raises(KeyError):
+            weight_of((1, -1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 12))
     def test_multinomial_identity(self, d, k):
         # sum of weights over a grade counts all words: d^k, exactly
-        total = sum(weight(a) for a in enumerate_multiindices(d, k)
-                    if sum(a) == k)
-        assert total == d ** k
+        a, b = grade_slices(d, k)[k]
+        assert weight_array(d, k)[a:b].sum() == d ** k
 
 
 class TestArithmetic:
@@ -118,7 +138,7 @@ class TestArithmetic:
         assert p.coeff((0,)) == 1 and p.coeff((1,)) == 0 and p.coeff((2,)) == -1
 
     def test_add_coordinates(self):
-        s = TruncatedSeries.coordinate(2, 3, 0).add(TruncatedSeries.coordinate(2, 3, 1))
+        s = coordinate(2, 3, 0).add(coordinate(2, 3, 1))
         assert s.coeff((1, 0)) == 1 and s.coeff((0, 1)) == 1
 
     def test_telescoping_truncation(self):
@@ -225,7 +245,7 @@ class TestEvaluation:
 
 class TestCayley:
     def test_zero_maps_to_one(self):
-        f = cayley(TruncatedSeries.zero(2, 4), "schur_to_herglotz")
+        f = cayley(zero(2, 4), "schur_to_herglotz")
         assert f.constant_term == 1.0
         assert np.allclose(f.coeffs[1:], 0.0)
 
@@ -281,9 +301,9 @@ class TestComposition:
 class TestCapsAndJson:
     def test_construction_caps(self):
         with pytest.raises(SizeCapError):
-            TruncatedSeries.zero(5, 3)
+            zero(5, 3)
         with pytest.raises(SizeCapError):
-            TruncatedSeries.zero(2, 17)
+            zero(2, 17)
 
     def test_immutable(self):
         f = random_series(2, 3, 30)
@@ -342,22 +362,21 @@ def _product_table_by_tuples(d, N):
             for a in enumerate_multiindices(d, N)]
 
 
-def _monomial_chunks_by_gather(Z, N):
-    """_monomial_chunks as a per-grade gather: each index i > 0 multiplies
-    the row of alpha - e_j by coordinate j, j its first nonzero coordinate,
-    through fancy-indexed parent rows and coordinates."""
+def _monomial_table_by_gather(Z, N):
+    """The (m, npoints) monomial table of the rows of Z as a per-grade
+    gather: each index i > 0 multiplies the row of alpha - e_j by coordinate
+    j, j its first nonzero coordinate, through fancy-indexed parent rows and
+    coordinates."""
     npts, d = Z.shape
     m = simplex_size(d, N)
     steps_j = np.argmax(np.array(enumerate_multiindices(d, N)) > 0, axis=1)
     steps_parent = np.maximum(_parents_by_tuples(d, N)[np.arange(m), steps_j], 0)
-    step = max(1, series._EVAL_BYTES // (16 * m))
-    for lo in range(0, npts, step):
-        chunk = np.ascontiguousarray(Z.T[:, lo:lo + step])
-        P = np.empty((m, chunk.shape[1]), dtype=complex)
-        P[0] = 1.0
-        for a, b in grade_slices(d, N)[1:]:
-            np.multiply(P[steps_parent[a:b]], chunk[steps_j[a:b]], out=P[a:b])
-        yield lo, P
+    ZT = np.ascontiguousarray(Z.T)
+    P = np.empty((m, npts), dtype=complex)
+    P[0] = 1.0
+    for a, b in grade_slices(d, N)[1:]:
+        np.multiply(P[steps_parent[a:b]], ZT[steps_j[a:b]], out=P[a:b])
+    return P
 
 
 def _divide_full_recompute(num, den):
@@ -439,7 +458,7 @@ class TestMonomialEngine:
         with pytest.raises(SizeCapError):
             herglotz_of_measure(mu, 0.0, 10)
         with pytest.raises(DimensionMismatchError):
-            pairing_vs_measure_check(TruncatedSeries.coordinate(2, 4, 0), mu, 0.5)
+            pairing_vs_measure_check(coordinate(2, 4, 0), mu, 0.5)
 
     def test_weight_array_cap(self):
         assert weight_array(2, 20).tolist() == [
@@ -461,13 +480,25 @@ class TestMonomialEngine:
 
     @pytest.mark.parametrize("d,N", [(1, 16), (2, 6), (2, 10), (3, 12), (4, 16)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_monomial_chunks_bit_identical_to_gather(self, d, N, seed):
-        # 130 points span three chunks at (4, 16), whose chunks hold 54 points
-        pts = _ball_points(d, 130, seed=10 * seed + d)
-        got = list(_monomial_chunks(pts, N))
-        ref = list(_monomial_chunks_by_gather(pts, N))
-        assert [lo for lo, _ in got] == [lo for lo, _ in ref]
-        assert all(np.array_equal(P, Q) for (_, P), (_, Q) in zip(got, ref))
+    def test_grade_chunks_bit_identical_to_gather(self, d, N, seed):
+        # 300 points span three chunks at (4, 16), whose chunks hold 146 points
+        pts = _ball_points(d, 300, seed=10 * seed + d)
+        ref = _monomial_table_by_gather(pts, N)
+        slices = grade_slices(d, N)
+        seen = np.zeros((N + 1, len(pts)), dtype=int)
+        for lo, k, P in _grade_chunks(pts, N):
+            (a, b), hi = slices[k], lo + P.shape[1]
+            assert np.array_equal(P, ref[a:b, lo:hi])
+            seen[k, lo:hi] += 1
+        assert np.all(seen == 1)
+
+    @pytest.mark.parametrize("d,N,width", [(1, 0, 262144), (1, 16, 131072),
+                                           (3, 12, 1551), (4, 16, 146)])
+    def test_grade_chunk_width_spans_two_grades(self, d, N, width):
+        # _EVAL_BYTES over the two widest adjacent grades, 16 bytes a value
+        pts = _ball_points(d, 2 * width + 1, seed=d)
+        los = sorted({lo for lo, _, _ in _grade_chunks(pts, N)})
+        assert los == [0, width, 2 * width]
 
     def test_chunk_width_changes_values_only_by_rounding(self, monkeypatch):
         f = random_series(3, 12, 60)
@@ -475,7 +506,8 @@ class TestMonomialEngine:
         whole = f.grade_values(pts)
         # three points per chunk, the last chunk short; the contraction may
         # round differently for another chunk width
-        monkeypatch.setattr(series, "_EVAL_BYTES", 3 * 16 * simplex_size(3, 12))
+        a, b = grade_slices(3, 12)[11][0], grade_slices(3, 12)[12][1]
+        monkeypatch.setattr(series, "_EVAL_BYTES", 3 * 16 * (b - a))
         chunked = f.grade_values(pts)
         assert np.abs(chunked - whole).max() <= 1e-15 * np.abs(whole).max()
 
@@ -490,7 +522,7 @@ class TestMonomialEngine:
         den = TruncatedSeries(d, N, den_c)
         assert np.array_equal(_divide(num, den).coeffs, _divide_full_recompute(num, den))
         # a quotient with exact zeros takes the nonzero-only path
-        phi = TruncatedSeries.coordinate(d, N, 0).scale(0.5)
+        phi = coordinate(d, N, 0).scale(0.5)
         one = TruncatedSeries.constant(d, N, 1.0)
         assert np.array_equal(cayley(phi, "schur_to_herglotz").coeffs,
                               _divide_full_recompute(one.add(phi), one.add(phi.scale(-1.0))))
