@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class PointSet:
             raise ValueError("point outside the radius cap")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 def random_pointset(d: int, n: int = DEFAULT_POINTS,
@@ -183,7 +180,7 @@ def extreme_h(zeta: Sequence[complex], N: int) -> TruncatedSeries:
     """Truncation of (1 + <z, zeta>) / (1 - <z, zeta>) for |zeta| = 1:
     c_0 = 1 and c_alpha = 2 w(alpha) conj(zeta)^alpha, the transform of the
     unit point mass at zeta."""
-    return herglotz_of_measure(_unit_mass(zeta, "extreme kernel"), 0.0, N)
+    return herglotz_of_measure(_unit_mass(zeta, "extreme kernel"), N)
 
 
 class BoundaryKernel(HerglotzMeasureFunction):
@@ -222,10 +219,6 @@ class ClassMember:
     backing: object         # AtomicMeasure | HerglotzDatum | has d and values_at
 
     @property
-    def d(self) -> int:
-        return self.backing.d
-
-    @property
     def measure(self) -> Optional[AtomicMeasure]:
         return self.backing if isinstance(self.backing, AtomicMeasure) else None
 
@@ -244,14 +237,6 @@ class ClassMember:
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         return values_at(self.evaluator, points)
-
-    def series(self, N: int) -> TruncatedSeries:
-        from .optuple import herglotz_taylor
-        if self.datum is not None:
-            return herglotz_taylor(self.datum, N)
-        if self.measure is not None:
-            return herglotz_of_measure(self.measure, 0.0, N)
-        raise TypeError(f"no series form for this {self.kind} member")
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -357,54 +342,37 @@ def qr_exact_vs_atoms(f: ClassMember, g: ClassMember,
 
 def qr_exact_vs_commuting(f: ClassMember, g: ClassMember,
                           r_grid: Sequence[float]) -> list:
-    """Q_r(f, g) at each r of the grid for commuting datum-backed g, through
-    the joint resolvent.
+    """Q_r(f, g) at each r of the grid for datum-backed f and commuting
+    datum-backed g, through the joint resolvent.
 
     With f given by (T_f, xi_f) and g by (T_g, xi_g), the reflected dilate of
     f evaluated on T_g is the compression of the kernel at the Kronecker
     tuple sum_j T_gj (x) conj(T_fj); the pairing is twice the conjugate of
-    the resulting quadratic form.  A measure-backed f contributes one such
-    form per atom.  Exact whenever the joint spectral radius is below 1/r,
-    which holds for weak-contractive f and ball-spectrum g.  The tuples are
-    built once, and each term is solved for the whole grid in one stack.
-    A non-commuting g raises NonCommutingError: the reduction does not hold
+    the resulting quadratic form.  Exact whenever the joint spectral radius
+    is below 1/r, which holds for weak-contractive f and ball-spectrum g.
+    The tuple is built once and solved for the whole grid in one stack.  A
+    non-commuting g raises NonCommutingError: the reduction does not hold
     for it.
     """
-    Tg = g.datum.tuple
+    Tf, Tg = f.datum.tuple, g.datum.tuple
     require_commuting(Tg)
-    if f.datum is not None:
-        Tf = f.datum.tuple
-        M = sum(np.kron(Tg.matrices[j], np.conj(Tf.matrices[j]))
-                for j in range(Tg.d))
-        terms = [(1.0, M, np.kron(g.datum.xi, np.conj(f.datum.xi)))]
-        eye = np.eye(M.shape[0], dtype=complex)
-    elif f.measure is not None:
-        terms = [(wgt, sum(point[j] * Tg.matrices[j] for j in range(Tg.d)),
-                  g.datum.xi)
-                 for point, wgt in zip(f.measure.points, f.measure.weights)]
-        eye = np.eye(Tg.n, dtype=complex)
-    else:
-        raise TypeError("commuting reduction needs datum- or measure-backed f")
-    solved = [(wgt, np.linalg.solve(eye - np.multiply.outer(r_grid, M), v), v)
-              for wgt, M, v in terms]
-    out = []
-    for i in range(len(r_grid)):
-        total = 0.0 + 0.0j
-        for wgt, ys, v in solved:
-            total += wgt * (2.0 * np.vdot(v, ys[i]) - np.vdot(v, v))
-        out.append(complex(2.0 * np.conj(total)))
-    return out
+    M = sum(np.kron(Tg.matrices[j], np.conj(Tf.matrices[j])) for j in range(Tg.d))
+    v = np.kron(g.datum.xi, np.conj(f.datum.xi))
+    ys = np.linalg.solve(np.eye(M.shape[0]) - np.multiply.outer(r_grid, M), v)
+    return [complex(2.0 * np.conj(2.0 * np.vdot(v, y) - np.vdot(v, v))) for y in ys]
 
 
-def duality_sweep(pairs: Sequence[tuple], r_grid: Sequence[float] = R_GRID) -> dict:
+def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> dict:
     """Minimum of Re Q_r over the given (f, g) pairs, the boundary atoms of
     measure-backed g, and the r grid.
 
-    The pairing is evaluated through the exact reductions (atom sums for
-    measure-backed g, the joint resolvent for commuting datum-backed g), so
-    the sweep sees the true pairing rather than a truncation partial sum,
-    which can dip negative near the boundary for finite degree.  Each
-    reduction takes the whole r grid at once.
+    The pairing is evaluated exactly, the whole r grid at once, so the sweep
+    sees the true pairing rather than a truncation partial sum, which can
+    dip negative near the boundary for finite degree: by the atom sum of
+    2 f(r p_j) for measure-backed g; by its Hermitian mirror
+    conj(Q_r(g, f)), the conjugate atom sum of 2 g(r p_j), for
+    measure-backed f and any g; and by the joint resolvent for datum-backed
+    f and commuting datum-backed g.
 
     When g is backed by a boundary-supported measure, each atom p_j is also
     tested on its own: 2 f(r p_j) is Q_r of f against the unit point mass at
@@ -412,52 +380,54 @@ def duality_sweep(pairs: Sequence[tuple], r_grid: Sequence[float] = R_GRID) -> d
     as the atom sum, so a negative region of f is not averaged away by the
     other atoms.  Interior atoms and datum-backed g are paired whole only.
 
+    ``pairs`` is consumed once and no pair is kept, so a generator streams.
     A negative minimum, with its witness ``argmin`` (pair index, atom index
     or None for a whole pairing, r), certifies that f lies outside the dual
-    of M+.  A non-negative minimum is evidence only.  ``pairs`` and
-    ``r_grid`` give the pairing evaluations made; ``atoms`` counts the
+    of M+.  A non-negative minimum is evidence only.  The report's ``pairs``
+    and ``r_grid`` give the pairing evaluations made; ``atoms`` counts the
     boundary atoms tested, each at every r of the grid.
     """
     min_re = math.inf
     argmin = None
-    atoms = 0
+    atoms, k = 0, -1
     for k, (f, g) in enumerate(pairs):
         boundary = g.measure is not None and g.measure.support == "boundary"
         if boundary:
             atoms += len(g.measure.weights)
         if g.measure is not None:
             atom_rows = qr_exact_vs_atoms(f, g, r_grid)
-            wholes = [complex(np.sum(g.measure.weights * row)) for row in atom_rows]
-        elif g.datum is not None:
+            wholes = (g.measure.weights * atom_rows).sum(axis=1)
+        elif f.measure is not None:
+            wholes = np.conj((f.measure.weights * qr_exact_vs_atoms(g, f, r_grid)).sum(axis=1))
+        elif f.datum is not None and g.datum is not None:
             wholes = qr_exact_vs_commuting(f, g, r_grid)
         else:
-            raise TypeError("sweep g-side needs a measure or datum backing")
+            raise TypeError("sweep needs a measure-backed f or g, or datum-backed both")
         for i, (r, q) in enumerate(zip(r_grid, wholes)):
             if q.real < min_re:
-                min_re = q.real
-                argmin = {"pair": k, "atom": None, "r": r, "value": q.real}
+                min_re = float(q.real)
+                argmin = {"pair": k, "atom": None, "r": r, "value": min_re}
             if boundary and atom_rows[i].size:
                 re = atom_rows[i].real
                 j = int(re.argmin())
                 if re[j] < min_re:
                     min_re = float(re[j])
                     argmin = {"pair": k, "atom": j, "r": r, "value": min_re}
-    return {"min_re": min_re, "argmin": argmin, "pairs": len(pairs),
+    return {"min_re": min_re, "argmin": argmin, "pairs": k + 1,
             "atoms": atoms, "r_grid": list(r_grid)}
 
 
 def sample_duality_pairs(kind_f: str, kind_g: str, trials: int, seed: int,
-                         d: int = 2) -> list:
-    """(f, g) sample pairs for the class-duality sweeps."""
-    pairs = []
+                         d: int = 2) -> Iterator[tuple]:
+    """The (f, g) sample pairs of the class-duality sweeps, yielded one at a
+    time: f from seed + 2k (from the O+ pool for kind_f "O+") and g from
+    seed + 2k + 1, for k < trials."""
     for k in range(trials):
         if kind_f == "O+":
             f = opool_member(seed + 2 * k, d=d)
         else:
             f = generate_member(kind_f, seed + 2 * k, d=d)
-        g = generate_member(kind_g, seed + 2 * k + 1, d=d)
-        pairs.append((f, g))
-    return pairs
+        yield f, generate_member(kind_g, seed + 2 * k + 1, d=d)
 
 
 # -- rigidity probe ----------------------------------------------------------

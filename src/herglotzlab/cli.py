@@ -78,9 +78,8 @@ TOLERANCES = {
     "duality_min_re": -1e-9,
 }
 
-# duality builds two sweeps of trials pairs and identity_trials more; a pair
-# takes 1.6 KiB at d = 2 and 3.3 KiB at d = 4 under tracemalloc
-DUALITY_BYTES_CAP, TRIAL_BYTES = 64 << 20, 4 << 10
+# duality builds 2 trials + identity_trials members, one at a time
+DUALITY_MEMBER_CAP = 16384
 
 DEFAULT_TARGET = {"kind": "extreme", "zeta": ((1.0, 0.0), (0.0, 0.0))}
 
@@ -190,6 +189,8 @@ def Target(value, what: str):
 
 def cmd_pair(seed: Int, f: Series, g: Series, r_grid: Radii = R_GRID,
              measure: Measure = None, mode: Mode = "full"):
+    if measure is not None and min(r_grid) >= 1.0:
+        raise ValueError(f"pair: 'measure' needs a radius below 1 in 'r_grid', got {r_grid}")
     q_values, identity_res, hermitian_res = [], 0.0, 0.0
     for r in r_grid:
         q = qr_pair(f, g, r)
@@ -255,6 +256,9 @@ def cmd_herglotz(seed: Int, datum: Datum, N: Int = DEFAULT_DEGREE, points: Count
 
 def cmd_davidson_pitts(seed: Int, N_sym: Int = 16, L_full: Int = 16, L_sweep: Lengths = None):
     if L_sweep is None:
+        if L_full < 4:
+            raise ValueError(f"davidson-pitts: 'L_full' must be >= 4 when no 'L_sweep' is "
+                             f"given, got {L_full}")
         L_sweep = list(range(4, L_full + 1))
     table = davidson_pitts_sweep(L_sweep, N_sym)
     norms = [row["norm_sym_calculus"] for row in table["rows"]]
@@ -281,9 +285,9 @@ def cmd_davidson_pitts(seed: Int, N_sym: Int = 16, L_full: Int = 16, L_sweep: Le
 
 def cmd_duality(seed: Int, trials: Count = 200, d: Dimension = 2, r_grid: Radii = R_GRID,
                 identity_trials: Count = 20):
-    if (need := (2 * trials + identity_trials) * TRIAL_BYTES) > DUALITY_BYTES_CAP:
-        raise SizeCapError(f"duality members take about {need >> 10} KiB, over the cap of "
-                           f"{DUALITY_BYTES_CAP >> 10} KiB: lower trials or identity_trials")
+    if (need := 2 * trials + identity_trials) > DUALITY_MEMBER_CAP:
+        raise SizeCapError(f"{need} duality members (2 trials + identity_trials) are over "
+                           f"the cap of {DUALITY_MEMBER_CAP}: lower trials or identity_trials")
     om = duality_sweep(sample_duality_pairs("O+", "M+", trials, seed, d=d), r_grid)
     sr = duality_sweep(sample_duality_pairs("S+", "R+", trials, seed + 10 ** 6, d=d), r_grid)
     rng = np.random.default_rng(seed)

@@ -96,17 +96,11 @@ class HerglotzDatum:
     def values_at(self, points: np.ndarray) -> np.ndarray:
         return herglotz_transform_many(self, points)
 
-    def to_json(self) -> dict:
-        pair = lambda v: [float(v.real), float(v.imag)]
-        return {"d": self.d, "n": self.tuple.n,
-                "matrices": [[[pair(v) for v in row] for row in m] for m in self.tuple.matrices],
-                "xi": [pair(v) for v in self.xi], "t": float(self.t)}
-
     @classmethod
     def from_json(cls, obj: dict) -> "HerglotzDatum":
-        """The inverse of ``to_json``: no keys but d, n, matrices, xi and t;
-        d and n, when given, integers that match the matrices; t and every
-        re and im a finite number."""
+        """No keys but d, n, matrices (d lists of n rows of n [re, im]
+        pairs), xi (n pairs) and t; d and n, when given, integers that match
+        the matrices; t and every re and im a finite number."""
         _json_keys(obj, ("d", "n", "matrices", "xi", "t"), "datum", ("matrices", "xi"))
         T = OperatorTuple(_json_complex(obj["matrices"], "matrices", 3))
         for key, size in (("d", T.d), ("n", T.n)):

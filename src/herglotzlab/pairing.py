@@ -94,17 +94,13 @@ class AtomicMeasure:
     def mass(self) -> float:
         return float(self.weights.sum())
 
-    def to_json(self) -> dict:
-        return {
-            "points": [[[float(c.real), float(c.imag)] for c in p] for p in self.points],
-            "weights": [float(w) for w in self.weights],
-            "support": self.support,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "AtomicMeasure":
+        """Exactly the keys points (a non-empty list), weights and support."""
         keys = ("points", "weights", "support")
         _json_keys(obj, keys, "measure", keys)
+        if not _json_list(obj["points"], "points"):
+            raise ValueError("measure: 'points' must be a non-empty list of points")
         return cls(_json_complex(obj["points"], "points", 2),
                    [_json_float(w, "weights") for w in _json_list(obj["weights"], "weights")],
                    obj["support"])
@@ -140,20 +136,6 @@ def qr_pair(f: TruncatedSeries, g: TruncatedSeries, r: float) -> complex:
     rpow = np.power(r, grade_array(f.d, N).astype(float))
     s = np.sum(cf * np.conj(cg) * rpow * ratios)
     return complex(s + cf[0] * np.conj(cg[0]))
-
-
-def qr_pair_grades(f: TruncatedSeries, g: TruncatedSeries, r: float) -> np.ndarray:
-    """Per-grade contributions to qr_pair; entry 0 carries the doubled
-    constant term.  Partial sums of this array are the pairing truncations,
-    so the radius is checked as in qr_pair."""
-    _check_radius(f, g, r)
-    N, cf, cg = _common_prefix(f, g)
-    grades = grade_array(f.d, N)
-    terms = cf * np.conj(cg) * np.power(r, grades.astype(float)) * weight_ratio_array(f.d, N)
-    out = np.zeros(N + 1, dtype=complex)
-    np.add.at(out, grades, terms)
-    out[0] += cf[0] * np.conj(cg[0])
-    return out
 
 
 def h2d_inner_series(f: TruncatedSeries, g: TruncatedSeries) -> complex:
@@ -238,13 +220,13 @@ def h2d_inner_integral(f: TruncatedSeries, g: TruncatedSeries,
     return IntegralEstimate(value, prefactor * stderr)
 
 
-def herglotz_of_measure(mu: AtomicMeasure, imag_const: float = 0.0,
-                        N: int = DEFAULT_DEGREE, mode: str = "full") -> TruncatedSeries:
-    """Taylor truncation of the measure transform.
+def herglotz_of_measure(mu: AtomicMeasure, N: int = DEFAULT_DEGREE,
+                        mode: str = "full") -> TruncatedSeries:
+    """Taylor truncation to degree N of the measure transform.
 
-    mode="full": sum_j w_j (1 + <z, p_j>)/(1 - <z, p_j>) + i t, the class
-    generator; coefficient of z^alpha (alpha != 0) is
-    2 w(alpha) sum_j w_j conj(p_j)^alpha.
+    mode="full": sum_j w_j (1 + <z, p_j>)/(1 - <z, p_j>), the class
+    generator; its constant term is the mass and the coefficient of z^alpha
+    (alpha != 0) is 2 w(alpha) sum_j w_j conj(p_j)^alpha.
     mode="half": the same with an overall 1/2 on the kernel, the
     normalization under which Q(f, g) reproduces sum_j w_j f(p_j).
     """
@@ -255,7 +237,7 @@ def herglotz_of_measure(mu: AtomicMeasure, imag_const: float = 0.0,
     _check_caps(d, N)
     moments = _monomial_sums(np.conj(mu.points), mu.weights, N)
     c = kernel_scale * weight_array(d, N) * moments
-    c[0] = (kernel_scale / 2.0) * mu.mass + 1j * imag_const
+    c[0] = (kernel_scale / 2.0) * mu.mass
     return TruncatedSeries(d, N, c,
                            from_boundary_measure=(mu.support == "boundary"))
 
@@ -294,7 +276,7 @@ def pairing_vs_measure_check(f: TruncatedSeries, mu: AtomicMeasure, r: float,
     """
     if mu.d != f.d:
         raise DimensionMismatchError(f"dimension mismatch: series {f.d} vs measure {mu.d}")
-    g = herglotz_of_measure(mu, 0.0, N=f.N, mode=mode)
+    g = herglotz_of_measure(mu, f.N, mode)
     lhs = qr_pair(f, g, r)
     kappa = 2.0 if mode == "full" else 1.0
     if len(mu.points):

@@ -107,7 +107,7 @@ def test_04_reproducing_identity():
         w0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w0 = w0 / np.linalg.norm(w0) * rng.uniform(0.0, 0.9)
         mu = AtomicMeasure(w0[None, :], np.array([1.0]), "interior")
-        g = herglotz_of_measure(mu, 0.0, N, mode="half")
+        g = herglotz_of_measure(mu, N, mode="half")
         worst = max(worst, abs(qr_pair(f, g, 1.0) - f.evaluate(w0)))
     report("04 reproducing-identity", worst <= 1e-10, f"max residual={worst:.2e}")
 
@@ -173,7 +173,7 @@ def test_07_boundary_state_consistency():
             worst_tail = max(worst_tail, err - bound)
         h1 = extreme_h(zeta, 8)
         mu = AtomicMeasure(zeta[None, :], np.array([1.0]), "boundary")
-        h2 = herglotz_of_measure(mu, 0.0, 8)
+        h2 = herglotz_of_measure(mu, 8)
         worst_triple = max(worst_triple, float(np.max(np.abs(h1.coeffs - h2.coeffs))))
         worst_triple = max(worst_triple,
                            abs(BoundaryKernel(zeta).values_at(z[None, :])[0] - limit))

@@ -25,6 +25,7 @@ from herglotzlab.optuple import (
     HerglotzDatum,
     NonCommutingError,
     OperatorTuple,
+    herglotz_taylor,
     is_commuting,
     is_row_contraction,
 )
@@ -44,6 +45,13 @@ E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 ZERO2 = np.zeros((2, 2), dtype=complex)
 
 
+def member_series(m, N):
+    """The degree-N Taylor truncation of a datum- or measure-backed member."""
+    if m.datum is not None:
+        return herglotz_taylor(m.datum, N)
+    return herglotz_of_measure(m.measure, N)
+
+
 def duality_sweep_series(pairs, N, r_grid):
     """The duality sweep through degree-N truncations and the coefficient
     pairing, an oracle for the exact reductions on tame samples.
@@ -54,7 +62,7 @@ def duality_sweep_series(pairs, N, r_grid):
     """
     min_re = math.inf
     for f, g in pairs:
-        fs, gs = f.series(N), g.series(N)
+        fs, gs = member_series(f, N), member_series(g, N)
         for r in r_grid:
             min_re = min(min_re, qr_pair(fs, gs, r).real)
     return {"min_re": min_re, "pairs": len(pairs), "N": N}
@@ -94,6 +102,9 @@ def duality_sweep_per_r(pairs, r_grid=R_GRID):
 
 
 def _commuting_per_r(f, g, r_grid):
+    """Q_r(f, g) for commuting datum-backed g, one resolvent solve per r and
+    term: the Kronecker pencil for datum-backed f, and for measure-backed f
+    one pencil I - r <p_j, T_g> per atom p_j, weighted by w_j."""
     Tg = g.datum.tuple
     if f.datum is not None:
         Tf = f.datum.tuple
@@ -293,7 +304,7 @@ class TestGenerators:
     def test_nilpotent_example_function(self):
         D = HerglotzDatum(OperatorTuple(np.array([E12, ZERO2])),
                           np.array([2 ** -0.5, 2 ** -0.5]), 0.0)
-        s = ClassMember("R+", D).series(4)
+        s = member_series(ClassMember("R+", D), 4)
         assert abs(s.coeff((1, 0)) - 1.0) < 1e-14
         assert abs(s.constant_term - 1.0) < 1e-14
         rest = [abs(c) for i, c in enumerate(s.coeffs) if i not in (0, 1)]
@@ -321,7 +332,7 @@ class TestClassMemberBacking:
         kernel = ClassMember("O+", AtomicMeasure(mu.points, np.ones(1), "boundary"))
         pts = 0.5 * mu.points
         assert np.allclose(own.values_at(pts), 0.7 * kernel.values_at(pts))
-        assert own.d == 2 and own.measure is mu and own.datum is None
+        assert own.backing is own.measure is mu and own.datum is None
         assert generate_member("M+", 3).measure is not None
         assert opool_member(3).measure is not None
 
@@ -339,13 +350,12 @@ class TestClassMemberBacking:
     def test_datum_and_sample_backings(self):
         m = generate_member("R+", 4)
         assert m.evaluator is m.backing is m.datum
-        assert m.measure is None and m.d == 2
+        assert m.measure is None
         sample = opool_member(4)
         assert sample.evaluator is sample.backing
         assert sample.measure is None and sample.datum is None
-        assert sample.d == 2
         with pytest.raises(TypeError):
-            sample.series(4)
+            duality_sweep([(sample, m)], (0.5,))
 
 
 class TestDualitySweeps:
@@ -378,14 +388,14 @@ class TestDualitySweeps:
             f = generate_member("S+", 40 + k, d=2, n=3)
             g = generate_member("R+", 50 + k, d=2, n=3)
             exact = qr_exact_vs_commuting(f, g, grid)
-            fs, gs = f.series(16), g.series(16)
+            fs, gs = member_series(f, 16), member_series(g, 16)
             for r, q in zip(grid, exact):
                 assert abs(q - qr_pair(fs, gs, r)) < 1e-10
 
     def test_non_commuting_g_refused(self):
         # this sample used to give min_re 0.5223 from a reduction that does
         # not hold for it: none of its 200 g commutes
-        pairs = sample_duality_pairs("S+", "S+", 200, 7)
+        pairs = list(sample_duality_pairs("S+", "S+", 200, 7))
         assert not any(is_commuting(g.datum.tuple)[0] for _, g in pairs)
         with pytest.raises(NonCommutingError):
             duality_sweep(pairs)
@@ -401,6 +411,43 @@ class TestDualitySweeps:
         # d terms of the Kronecker tuple and one vector per pair, for all r
         assert len(calls) == 3 * (2 + 1)
         assert len(out["r_grid"]) == 20
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_measure_f_is_the_mirrored_atom_sum(self, seed):
+        # measure-backed f against commuting g: conj(Q_r(g, f)) from 2 g(r p_j)
+        # at f's atoms, against one resolvent solve per (atom, r)
+        grid = (0.0, 0.3, 0.7, 0.95, 0.99)
+        for k in range(10):
+            f = generate_member("M+", 60 + 10 * seed + k, d=2)
+            g = generate_member("R+", 90 + 10 * seed + k, d=2)
+            pencils = np.array(_commuting_per_r(f, g, grid))
+            swept = [duality_sweep([(f, g)], (r,))["min_re"] for r in grid]
+            assert np.allclose(swept, pencils.real, rtol=1e-13, atol=0.0)
+            whole = duality_sweep([(f, g)], grid)
+            assert np.isclose(whole["min_re"], pencils.real.min(), rtol=1e-13, atol=0.0)
+            assert whole["atoms"] == 0
+
+    def test_measure_f_against_non_commuting_g(self):
+        # no pencil reduction holds here, but the atom identity does: Q_r is
+        # still the conjugated sum of 2 g(r p_j), and the minimum is >= 0
+        grid = (0.2, 0.6, 0.9)
+        f = generate_member("M+", 5, d=2)
+        gs = [g for _, g in sample_duality_pairs("S+", "S+", 20, 7)]
+        assert not any(is_commuting(g.datum.tuple)[0] for g in gs)
+        out = duality_sweep([(f, g) for g in gs], grid)
+        assert out["pairs"] == 20 and out["min_re"] >= -1e-9
+        g = gs[0]
+        expect = [np.conj(2.0 * g.values_at(r * f.measure.points) @ f.measure.weights)
+                  for r in grid]
+        assert np.isclose(duality_sweep([(f, g)], grid)["min_re"],
+                          min(q.real for q in expect), rtol=1e-13, atol=0.0)
+
+    def test_pairs_are_streamed(self):
+        # the sampler yields pairs one at a time and the sweep counts them
+        pairs = sample_duality_pairs("S+", "R+", 3, 5, d=2)
+        assert iter(pairs) is pairs
+        assert duality_sweep(pairs)["pairs"] == 3
+        assert next(pairs, None) is None
 
     def test_exact_route_matches_series_route_for_tame_pairs(self):
         rng = np.random.default_rng(19)
@@ -425,7 +472,7 @@ class TestBatchedSweepMatchesPerRadius:
     def test_sampled_pairs(self, kinds, seed):
         # 40 O+ samples cover all five pool slots, the shifted boundary
         # kernel and measure-backed f included
-        pairs = sample_duality_pairs(*kinds, 40, seed, d=2)
+        pairs = list(sample_duality_pairs(*kinds, 40, seed, d=2))
         assert duality_sweep(pairs) == duality_sweep_per_r(pairs)
 
     def test_interior_measure_and_negative_f(self):
@@ -450,7 +497,7 @@ class TestExtremePoints:
         zeta /= np.linalg.norm(zeta)
         mu = AtomicMeasure(zeta[None, :], np.array([1.0]), "boundary")
         assert np.allclose(extreme_h(zeta, 7).coeffs,
-                           herglotz_of_measure(mu, 0.0, 7).coeffs)
+                           herglotz_of_measure(mu, 7).coeffs)
 
     def test_boundary_kernel_is_point_mass_transform(self):
         rng = np.random.default_rng(24)

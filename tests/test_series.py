@@ -456,7 +456,7 @@ class TestMonomialEngine:
         point[0, 0] = 1.0
         mu = AtomicMeasure(point, np.ones(1), "boundary")
         with pytest.raises(SizeCapError):
-            herglotz_of_measure(mu, 0.0, 10)
+            herglotz_of_measure(mu, 10)
         with pytest.raises(DimensionMismatchError):
             pairing_vs_measure_check(coordinate(2, 4, 0), mu, 0.5)
 
@@ -534,10 +534,10 @@ class TestMonomialEngine:
         pts = rng.standard_normal((150, d)) + 1j * rng.standard_normal((150, d))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         mu = AtomicMeasure(pts, rng.uniform(0.1, 1.0, 150), "boundary")
-        g = herglotz_of_measure(mu, 0.25, N, mode=mode)     # 150 atoms: 3 chunks
+        g = herglotz_of_measure(mu, N, mode=mode)     # 150 atoms: 3 chunks
         scale = 2.0 if mode == "full" else 1.0
         expect = np.empty(simplex_size(d, N), dtype=complex)
-        expect[0] = scale / 2.0 * mu.mass + 0.25j
+        expect[0] = scale / 2.0 * mu.mass
         for i, alpha in enumerate(enumerate_multiindices(d, N)[1:], start=1):
             mono = np.prod(np.conj(pts) ** np.asarray(alpha), axis=1)
             expect[i] = scale * weight(alpha) * np.sum(mu.weights * mono)
