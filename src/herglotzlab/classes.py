@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .optuple import HerglotzDatum, OperatorTuple, require_commuting
-from .pairing import (
-    R_GRID,
-    AtomicMeasure,
-    HerglotzMeasureFunction,
-    herglotz_of_measure,
-    sphere_sample,
-)
+from .pairing import R_GRID, AtomicMeasure, herglotz_of_measure, sphere_sample
 from .series import TruncatedSeries
 
 DEFAULT_POINTS = 25
@@ -42,7 +35,6 @@ class PreconditionError(ValueError):
 @dataclass(frozen=True, eq=False)
 class PointSet:
     points: np.ndarray        # (n, d) complex, |z| <= radius_cap
-    seed: int
     radius_cap: float
 
     def __post_init__(self):
@@ -60,7 +52,7 @@ def random_pointset(d: int, n: int = DEFAULT_POINTS,
     rng = np.random.default_rng(seed)
     dirs = sphere_sample(d, n, rng)
     radii = radius_cap * rng.random(n) ** (1.0 / (2 * d))
-    return PointSet(dirs * radii[:, None], seed, radius_cap)
+    return PointSet(dirs * radii[:, None], radius_cap)
 
 
 def boundary_biased_pointset(d: int, n: int = DEFAULT_POINTS,
@@ -70,7 +62,7 @@ def boundary_biased_pointset(d: int, n: int = DEFAULT_POINTS,
     dirs = sphere_sample(d, n, rng)
     lo, hi = BOUNDARY_BIASED_RANGE
     radii = rng.uniform(lo, hi, n)
-    return PointSet(dirs * radii[:, None], seed, hi)
+    return PointSet(dirs * radii[:, None], hi)
 
 
 # -- kernel reports --------------------------------------------------------
@@ -168,11 +160,12 @@ def kT_test(T: OperatorTuple, pts: PointSet, tol: Optional[float] = None,
 # -- extreme kernel functions ----------------------------------------------
 
 
-def _unit_mass(zeta: Sequence[complex], what: str) -> AtomicMeasure:
-    """The unit point mass at zeta, an extreme ray of M+; |zeta| = 1."""
+def boundary_kernel(zeta: Sequence[complex]) -> AtomicMeasure:
+    """The unit point mass at zeta, an extreme ray of M+, for |zeta| = 1:
+    its transform is the boundary kernel (1 + <z, zeta>) / (1 - <z, zeta>)."""
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(zeta) - 1.0) > 1e-12:
-        raise ValueError(f"{what} point must lie on the unit sphere")
+        raise ValueError("boundary kernel point must lie on the unit sphere")
     return AtomicMeasure(zeta[None, :], np.ones(1), "boundary")
 
 
@@ -180,16 +173,7 @@ def extreme_h(zeta: Sequence[complex], N: int) -> TruncatedSeries:
     """Truncation of (1 + <z, zeta>) / (1 - <z, zeta>) for |zeta| = 1:
     c_0 = 1 and c_alpha = 2 w(alpha) conj(zeta)^alpha, the transform of the
     unit point mass at zeta."""
-    return herglotz_of_measure(_unit_mass(zeta, "extreme kernel"), N)
-
-
-class BoundaryKernel(HerglotzMeasureFunction):
-    """Exact evaluator of the boundary kernel function
-    (1 + <z, zeta>) / (1 - <z, zeta>) for |zeta| = 1: the measure transform
-    of the unit point mass at zeta, with its pole clamping."""
-
-    def __init__(self, zeta: Sequence[complex]):
-        super().__init__(_unit_mass(zeta, "boundary kernel"))
+    return herglotz_of_measure(boundary_kernel(zeta), N)
 
 
 class ShiftedBoundaryKernel:
@@ -199,7 +183,7 @@ class ShiftedBoundaryKernel:
     d = 2
 
     def __init__(self):
-        self.base = BoundaryKernel(np.array([1.0, 0.0]))
+        self.base = boundary_kernel(np.array([1.0, 0.0]))
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
@@ -207,36 +191,6 @@ class ShiftedBoundaryKernel:
 
 
 # -- class generators -------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ClassMember:
-    """A generated member of one of the positive classes, read off its
-    backing: a measure, a Herglotz datum, or, for a sample with neither, its
-    evaluator."""
-
-    kind: str               # "M+" | "R+" | "S+" | "O+"
-    backing: object         # AtomicMeasure | HerglotzDatum | has d and values_at
-
-    @property
-    def measure(self) -> Optional[AtomicMeasure]:
-        return self.backing if isinstance(self.backing, AtomicMeasure) else None
-
-    @property
-    def datum(self) -> Optional[HerglotzDatum]:
-        return self.backing if isinstance(self.backing, HerglotzDatum) else None
-
-    @cached_property
-    def evaluator(self):
-        """The transform of a measure backing, the function the duality
-        reductions pair against, built once so that its clamp count
-        accumulates; otherwise the backing itself."""
-        if self.measure is not None:
-            return HerglotzMeasureFunction(self.measure)
-        return self.backing
-
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        return values_at(self.evaluator, points)
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -266,8 +220,8 @@ def random_row_contraction(d: int, n: int, seed: int) -> OperatorTuple:
 
 def random_commuting_contraction(d: int, n: int, seed: int) -> OperatorTuple:
     """Either a unitary conjugation of a diagonal tuple whose rows lie in the
-    closed ball, or a conjugated nilpotent pair; the latter produces members
-    with no boundary-atomic backing."""
+    closed ball, or a conjugated nilpotent pair; the latter gives members
+    that are not the transform of a boundary measure."""
     rng = np.random.default_rng(seed)
     if rng.random() < 0.5 or d < 2:
         diag_rows = sphere_sample(d, n, rng)
@@ -287,31 +241,27 @@ def random_commuting_contraction(d: int, n: int, seed: int) -> OperatorTuple:
 
 
 def generate_member(kind: str, seed: int, d: int = 2, n: int = 4,
-                    max_atoms: int = 8) -> ClassMember:
-    """Sample a member of M+, R+, or S+ from its generator family."""
+                    max_atoms: int = 8) -> AtomicMeasure | HerglotzDatum:
+    """Sample a member of M+ (its measure), or of R+ or S+ (its Herglotz
+    datum), from its generator family."""
     rng = np.random.default_rng(seed)
     if kind == "M+":
-        mu = random_boundary_measure(d, seed, max_atoms)
-        return ClassMember("M+", mu)
+        return random_boundary_measure(d, seed, max_atoms)
     if kind == "R+":
         T = random_commuting_contraction(d, n, seed)
-        xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        xi /= math.sqrt(n)
-        datum = HerglotzDatum(T, xi, 0.0)
-        return ClassMember("R+", datum)
-    if kind == "S+":
+    elif kind == "S+":
         T = random_row_contraction(d, n, seed)
-        xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        xi /= math.sqrt(n)
-        datum = HerglotzDatum(T, xi, 0.0)
-        return ClassMember("S+", datum)
-    raise ValueError(f"unknown class kind {kind!r}")
+    else:
+        raise ValueError(f"unknown class kind {kind!r}")
+    xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    xi /= math.sqrt(n)
+    return HerglotzDatum(T, xi, 0.0)
 
 
-def opool_member(seed: int, d: int = 2) -> ClassMember:
+def opool_member(seed: int, d: int = 2):
     """A positive-real-part sample: rotates through the class generators,
     boundary kernels, and (for d = 2) the shifted boundary kernel that has
-    no kernel-transform backing."""
+    neither a measure nor a datum."""
     slot = seed % 5
     if slot == 0:
         return generate_member("S+", seed, d=d)
@@ -323,27 +273,26 @@ def opool_member(seed: int, d: int = 2) -> ClassMember:
         rng = np.random.default_rng(seed)
         zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         zeta /= np.linalg.norm(zeta)
-        return ClassMember("O+", _unit_mass(zeta, "boundary kernel"))
+        return boundary_kernel(zeta)
     if d == 2:
-        return ClassMember("O+", ShiftedBoundaryKernel())
+        return ShiftedBoundaryKernel()
     return generate_member("S+", seed + 1, d=d)
 
 
 # -- duality sweeps ---------------------------------------------------------
 
 
-def qr_exact_vs_atoms(f: ClassMember, g: ClassMember,
-                      r_grid: Sequence[float]) -> np.ndarray:
-    """2 f(r p_j) for r in r_grid (rows) and atoms p_j of measure-backed g
+def qr_exact_vs_atoms(f, mu: AtomicMeasure, r_grid: Sequence[float]) -> np.ndarray:
+    """2 f(r p_j) for r in r_grid (rows) and atoms p_j of the measure mu
     (columns), f exact and evaluated once: Q_r of f against the mass at p_j."""
-    rp = np.multiply.outer(r_grid, g.measure.points)        # (r, atom, d)
+    rp = np.multiply.outer(r_grid, mu.points)               # (r, atom, d)
     return 2.0 * f.values_at(rp.reshape(-1, rp.shape[2])).reshape(rp.shape[:2])
 
 
-def qr_exact_vs_commuting(f: ClassMember, g: ClassMember,
+def qr_exact_vs_commuting(f: HerglotzDatum, g: HerglotzDatum,
                           r_grid: Sequence[float]) -> list:
-    """Q_r(f, g) at each r of the grid for datum-backed f and commuting
-    datum-backed g, through the joint resolvent.
+    """Q_r(f, g) at each r of the grid for a datum f and a datum g with a
+    commuting tuple, through the joint resolvent.
 
     With f given by (T_f, xi_f) and g by (T_g, xi_g), the reflected dilate of
     f evaluated on T_g is the compression of the kernel at the Kronecker
@@ -354,31 +303,33 @@ def qr_exact_vs_commuting(f: ClassMember, g: ClassMember,
     non-commuting g raises NonCommutingError: the reduction does not hold
     for it.
     """
-    Tf, Tg = f.datum.tuple, g.datum.tuple
+    Tf, Tg = f.tuple, g.tuple
     require_commuting(Tg)
     M = sum(np.kron(Tg.matrices[j], np.conj(Tf.matrices[j])) for j in range(Tg.d))
-    v = np.kron(g.datum.xi, np.conj(f.datum.xi))
+    v = np.kron(g.xi, np.conj(f.xi))
     ys = np.linalg.solve(np.eye(M.shape[0]) - np.multiply.outer(r_grid, M), v)
     return [complex(2.0 * np.conj(2.0 * np.vdot(v, y) - np.vdot(v, v))) for y in ys]
 
 
 def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> dict:
     """Minimum of Re Q_r over the given (f, g) pairs, the boundary atoms of
-    measure-backed g, and the r grid.
+    a measure g, and the r grid.
+
+    Each of f and g is an ``AtomicMeasure``, a ``HerglotzDatum`` or, for f,
+    any other function with ``values_at``.
 
     The pairing is evaluated exactly, the whole r grid at once, so the sweep
     sees the true pairing rather than a truncation partial sum, which can
     dip negative near the boundary for finite degree: by the atom sum of
-    2 f(r p_j) for measure-backed g; by its Hermitian mirror
-    conj(Q_r(g, f)), the conjugate atom sum of 2 g(r p_j), for
-    measure-backed f and any g; and by the joint resolvent for datum-backed
-    f and commuting datum-backed g.
+    2 f(r p_j) for a measure g; by its Hermitian mirror conj(Q_r(g, f)),
+    the conjugate atom sum of 2 g(r p_j), for a measure f and any g; and by
+    the joint resolvent for a datum f and a datum g with a commuting tuple.
 
-    When g is backed by a boundary-supported measure, each atom p_j is also
+    When g is a boundary-supported measure, each atom p_j is also
     tested on its own: 2 f(r p_j) is Q_r of f against the unit point mass at
     p_j, an extreme ray of M+.  These values come from the same evaluation
     as the atom sum, so a negative region of f is not averaged away by the
-    other atoms.  Interior atoms and datum-backed g are paired whole only.
+    other atoms.  Interior atoms and datum g are paired whole only.
 
     ``pairs`` is consumed once and no pair is kept, so a generator streams.
     A negative minimum, with its witness ``argmin`` (pair index, atom index
@@ -391,18 +342,18 @@ def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> d
     argmin = None
     atoms, k = 0, -1
     for k, (f, g) in enumerate(pairs):
-        boundary = g.measure is not None and g.measure.support == "boundary"
+        boundary = isinstance(g, AtomicMeasure) and g.support == "boundary"
         if boundary:
-            atoms += len(g.measure.weights)
-        if g.measure is not None:
+            atoms += len(g.weights)
+        if isinstance(g, AtomicMeasure):
             atom_rows = qr_exact_vs_atoms(f, g, r_grid)
-            wholes = (g.measure.weights * atom_rows).sum(axis=1)
-        elif f.measure is not None:
-            wholes = np.conj((f.measure.weights * qr_exact_vs_atoms(g, f, r_grid)).sum(axis=1))
-        elif f.datum is not None and g.datum is not None:
+            wholes = (g.weights * atom_rows).sum(axis=1)
+        elif isinstance(f, AtomicMeasure):
+            wholes = np.conj((f.weights * qr_exact_vs_atoms(g, f, r_grid)).sum(axis=1))
+        elif isinstance(f, HerglotzDatum) and isinstance(g, HerglotzDatum):
             wholes = qr_exact_vs_commuting(f, g, r_grid)
         else:
-            raise TypeError("sweep needs a measure-backed f or g, or datum-backed both")
+            raise TypeError("sweep needs a measure f or g, or a datum for both")
         for i, (r, q) in enumerate(zip(r_grid, wholes)):
             if q.real < min_re:
                 min_re = float(q.real)
@@ -466,19 +417,17 @@ def schwarz_probe(g: TruncatedSeries, budget: int = 200, seed: int = 0,
     tried = 0
     last = None
 
-    def try_set(points: np.ndarray) -> Optional[KernelReport]:
+    def try_set(ps: PointSet) -> Optional[KernelReport]:
         nonlocal tried, last
         if tried >= budget:
             return None
         tried += 1
-        ps = PointSet(np.array(points), seed, 1.0)
-        rep = schur_test(g, ps, tol)
-        last = rep
-        return rep if rep.verdict == "fail" else None
+        last = schur_test(g, ps, tol)
+        return last if last.verdict == "fail" else None
 
     # structured sets: two disk points plus an off-axis companion
     for x1 in disk:
-        rep = try_set([x1])
+        rep = try_set(PointSet(np.array([x1]), 1.0))
         if rep:
             return rep
     if g.d >= 2:
@@ -490,17 +439,14 @@ def schwarz_probe(g: TruncatedSeries, budget: int = 200, seed: int = 0,
                     off = rng.standard_normal(g.d) + 1j * rng.standard_normal(g.d)
                     off /= np.linalg.norm(off)
                     off *= rng.uniform(*BOUNDARY_BIASED_RANGE)
-                    rep = try_set([x1, x2, off])
+                    rep = try_set(PointSet(np.array([x1, x2, off]), 1.0))
                     if rep:
                         return rep
     # random and boundary-biased sets
     while tried < budget:
         maker = random_pointset if tried % 2 == 0 else boundary_biased_pointset
-        ps = maker(g.d, DEFAULT_POINTS, seed=seed + tried)
-        rep = schur_test(g, ps, tol)
-        tried += 1
-        last = rep
-        if rep.verdict == "fail":
+        rep = try_set(maker(g.d, DEFAULT_POINTS, seed=seed + tried))
+        if rep:
             return rep
     min_eig = last.min_eig if last is not None else 0.0
     return KernelReport("schur-rigidity (budget exhausted)", tried, min_eig,

@@ -27,8 +27,8 @@ from . import __version__
 from .classes import (
     GRAM_TOL_SCALE,
     MEMBER_KINDS,
-    BoundaryKernel,
     boundary_biased_pointset,
+    boundary_kernel,
     duality_sweep,
     generate_member,
     random_pointset,
@@ -80,6 +80,8 @@ TOLERANCES = {
 
 # duality builds 2 trials + identity_trials members, one at a time
 DUALITY_MEMBER_CAP = 16384
+# a datum pair's resolvent stack holds one (n^2 x n^2) matrix per radius
+RADII_CAP = 1024
 
 DEFAULT_TARGET = {"kind": "extreme", "zeta": ((1.0, 0.0), (0.0, 0.0))}
 
@@ -130,8 +132,10 @@ def Dimension(value, what: str) -> int:
 
 
 def Radii(value, what: str) -> tuple:
-    """A non-empty list of finite numbers in [0, 1]."""
-    radii = tuple(Float(r, what) for r in _json_list(value, what))
+    """A non-empty list of at most RADII_CAP finite numbers in [0, 1]."""
+    if len(value := _json_list(value, what)) > RADII_CAP:
+        raise SizeCapError(f"{what} has {len(value)} radii, over the cap of {RADII_CAP}")
+    radii = tuple(Float(r, what) for r in value)
     if not radii or not all(0.0 <= r <= 1.0 for r in radii):
         raise ValueError(f"{what} must be a non-empty list of radii in [0, 1], got {value!r}")
     return radii
@@ -166,7 +170,8 @@ TARGET_KEYS = {"extreme": ("zeta",), "series": ("series",), "datum": ("datum",),
 
 
 def Target(value, what: str):
-    """The function of the seed that gives the target's evaluator."""
+    """The function of the seed that gives the target: a measure, a datum,
+    a series, or a class sample (a measure or a datum)."""
     kind = value.get("kind") if isinstance(value, dict) else None
     if kind not in TARGET_KEYS:
         raise ValueError(f"{what} must be an object whose kind is one of "
@@ -176,9 +181,9 @@ def Target(value, what: str):
     if kind == "sample":
         cls = ClassKind(value.get("class", "S+"), "class")
         d = Dimension(value.get("d", 2), "d")
-        return lambda seed: generate_member(cls, seed, d=d).evaluator
+        return lambda seed: generate_member(cls, seed, d=d)
     if kind == "extreme":
-        func = BoundaryKernel(_json_complex(value["zeta"], "zeta", 1))
+        func = boundary_kernel(_json_complex(value["zeta"], "zeta", 1))
     else:
         func = {"series": Series, "datum": Datum}[kind](value[kind], kind)
     return lambda seed: func
@@ -294,9 +299,9 @@ def cmd_duality(seed: Int, trials: Count = 200, d: Dimension = 2, r_grid: Radii 
     worst_ident = 0.0
     m = simplex_size(d, 6)
     for k in range(identity_trials):
-        member = generate_member("R+", seed + 31 * k + 7, d=d, n=4)
+        datum = generate_member("R+", seed + 31 * k + 7, d=d, n=4)
         f = TruncatedSeries(d, 6, rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        worst_ident = max(worst_ident, rs_duality_residual(f, member.datum, r_grid))
+        worst_ident = max(worst_ident, rs_duality_residual(f, datum, r_grid))
     return {
         "om": {"min_re": om["min_re"], "argmin": om["argmin"]},
         "sr": {"min_re": sr["min_re"], "argmin": sr["argmin"]},
@@ -334,10 +339,8 @@ def cmd_membership(seed: Int, target: Target = DEFAULT_TARGET, points: Count = 2
 
 def cmd_growth(seed: Int, target: Target = DEFAULT_TARGET, p: Float = 1.0,
                grid: Radii = DEFAULT_R_GRID, samples: Count = DEFAULT_SAMPLES):
-    func = target(seed)
-    profile = growth_profile(func, p=p, r_grid=grid, n=samples, seed=seed)
-    out = profile.to_json()
-    return {"profile": out, "clamp_count": int(getattr(func, "clamps", 0))}
+    profile = growth_profile(target(seed), p=p, r_grid=grid, n=samples, seed=seed)
+    return {"profile": profile.to_json()}
 
 
 COMMANDS = {

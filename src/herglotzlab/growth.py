@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .classes import values_at
-from .pairing import HerglotzMeasureFunction, sphere_sample
+from .pairing import AtomicMeasure, sphere_sample
 from .series import SizeCapError
 
 DEFAULT_SAMPLES = 200000
@@ -45,8 +45,7 @@ def hp_radial_mean(f, p: float, r: float, n: int = DEFAULT_SAMPLES,
                    seed: int = 0):
     """Monte Carlo estimate of the surface mean of |f(r zeta)|^p.
 
-    Returns (mean, stderr).  Evaluation failures propagate; clamp counting
-    lives on the evaluator objects that support it.
+    Returns (mean, stderr).  Evaluation failures propagate.
     """
     if p <= 0.0:
         raise ValueError("exponent must be positive")
@@ -108,9 +107,9 @@ def _kernel_sum(p: float, d: int, y: float, terms: int) -> float:
     return total
 
 
-def series_radial_mean(f: HerglotzMeasureFunction, p: float, r: float):
-    """Surface mean of |f(r zeta)|^p for the transform f of one atom, summed
-    from its Taylor series (module docstring).
+def series_radial_mean(mu: AtomicMeasure, p: float, r: float):
+    """Surface mean of |f(r zeta)|^p for the transform f of a one-atom
+    measure mu, summed from its Taylor series (module docstring).
 
     Returns (mean, terms, tail_bound): the mean falls short of the exact
     value by at most tail_bound, apart from rounding.  The term count is
@@ -122,20 +121,20 @@ def series_radial_mean(f: HerglotzMeasureFunction, p: float, r: float):
         raise ValueError("exponent must be positive")
     if not 0.0 < r < 1.0:
         raise ValueError("radius must be in (0, 1)")
-    if len(f.mu.weights) != 1:
-        raise ValueError(f"series means need one atom, got {len(f.mu.weights)}")
-    y = r * float(np.linalg.norm(f.mu.points[0]))
-    terms = _series_terms(p, f.d, y * y)
+    if len(mu.weights) != 1:
+        raise ValueError(f"series means need one atom, got {len(mu.weights)}")
+    y = r * float(np.linalg.norm(mu.points[0]))
+    terms = _series_terms(p, mu.d, y * y)
     if terms <= SERIES_MAX_TERMS:
-        total = _kernel_sum(p, f.d, y, terms)
-        tail = math.exp(_log_tail_bound(p, f.d, y * y, terms))
+        total = _kernel_sum(p, mu.d, y, terms)
+        tail = math.exp(_log_tail_bound(p, mu.d, y * y, terms))
     else:
         terms, tail = SERIES_MAX_TERMS, math.inf
-        total = _kernel_sum(p, f.d, y, terms)
+        total = _kernel_sum(p, mu.d, y, terms)
         if total < math.inf:
             raise SizeCapError(f"the series mean at p={p}, r={r} needs more than "
                                f"{SERIES_MAX_TERMS} terms")
-    scale = float(np.float64(f.mu.weights[0]) ** p)
+    scale = float(np.float64(mu.weights[0]) ** p)
     return scale * total, terms, scale * tail
 
 
@@ -167,7 +166,7 @@ def growth_profile(f, p: float, r_grid: Sequence[float] = DEFAULT_R_GRID,
                    n: int = DEFAULT_SAMPLES, seed: int = 0) -> GrowthProfile:
     """Surface means across the radius grid with a tail-slope diagnostic.
 
-    The transform of one atom is summed from its series
+    A one-atom measure is summed from the series of its transform
     (``series_radial_mean``); any other f is sampled, n points per radius
     (``hp_radial_mean``).  The slope is the difference quotient of
     log(mean) against log(1/(1-r)) over the last grid segment, i.e. the
@@ -179,7 +178,7 @@ def growth_profile(f, p: float, r_grid: Sequence[float] = DEFAULT_R_GRID,
         raise ValueError("need a grid of at least two radii in (0, 1)")
     if sorted(r_grid) != list(r_grid):
         raise ValueError("radius grid must be increasing")
-    if isinstance(f, HerglotzMeasureFunction) and len(f.mu.weights) == 1:
+    if isinstance(f, AtomicMeasure) and len(f.weights) == 1:
         means, terms, tails = zip(*(series_radial_mean(f, p, r) for r in r_grid))
         errs = (0.0,) * len(r_grid)
         estimator, budget = "series", {"terms": list(terms), "tail_bound": list(tails)}

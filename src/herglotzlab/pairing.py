@@ -1,5 +1,5 @@
 """Weighted coefficient pairings, the two forms of the ball inner product,
-transforms of atomic measures, and the seeded sphere sampler.
+atomic measures and their transforms, and the seeded sphere sampler.
 
 The family Q_r pairs Taylor coefficients with weights r^|alpha| alpha!/|alpha|!
 and doubles the constant term.  For truncations the sums are finite and the
@@ -59,7 +59,8 @@ class IntegralEstimate(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class AtomicMeasure:
-    """Finitely many positive point masses on the closed unit ball."""
+    """Finitely many positive point masses on the closed unit ball, an M+
+    member evaluated by its transform (``values_at``)."""
 
     points: np.ndarray          # (n, d) complex
     weights: np.ndarray         # (n,) positive
@@ -93,6 +94,17 @@ class AtomicMeasure:
     @property
     def mass(self) -> float:
         return float(self.weights.sum())
+
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        """The transform sum_j w_j (1 + <z, p_j>)/(1 - <z, p_j>) at the
+        points; near-pole denominators are clamped at CLAMP_EPS."""
+        pts = np.atleast_2d(np.asarray(points, dtype=complex))
+        ip = pts @ np.conj(self.points.T)       # (m, natoms), <z, p_j>
+        den = 1.0 - ip
+        small = np.abs(den) < CLAMP_EPS
+        if np.any(small):
+            den = np.where(small, CLAMP_EPS * np.exp(1j * np.angle(den)), den)
+        return ((1.0 + ip) / den) @ self.weights
 
     @classmethod
     def from_json(cls, obj: dict) -> "AtomicMeasure":
@@ -240,30 +252,6 @@ def herglotz_of_measure(mu: AtomicMeasure, N: int = DEFAULT_DEGREE,
     c[0] = (kernel_scale / 2.0) * mu.mass
     return TruncatedSeries(d, N, c,
                            from_boundary_measure=(mu.support == "boundary"))
-
-
-class HerglotzMeasureFunction:
-    """Exact evaluator of the measure transform
-    sum_j w_j (1 + <z, p_j>)/(1 - <z, p_j>); near-pole denominators are
-    clamped at CLAMP_EPS and counted."""
-
-    def __init__(self, mu: AtomicMeasure):
-        self.mu = mu
-        self.clamps = 0
-
-    @property
-    def d(self) -> int:
-        return self.mu.d
-
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        ip = pts @ np.conj(self.mu.points.T)       # (m, natoms), <z, p_j>
-        den = 1.0 - ip
-        small = np.abs(den) < CLAMP_EPS
-        if np.any(small):
-            self.clamps += int(small.sum())
-            den = np.where(small, CLAMP_EPS * np.exp(1j * np.angle(den)), den)
-        return ((1.0 + ip) / den) @ self.mu.weights
 
 
 def pairing_vs_measure_check(f: TruncatedSeries, mu: AtomicMeasure, r: float,

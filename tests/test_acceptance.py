@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from herglotzlab.classes import (
-    BoundaryKernel,
+    boundary_kernel,
     duality_sweep,
     extreme_h,
     generate_member,
@@ -122,7 +122,7 @@ def test_05_duality_identity_commuting():
         member = generate_member("R+", 6000 + k, d=d, n=n)
         f = random_series(d, N, 7000 + k)
         for r in R_GRID:
-            worst = max(worst, rs_duality_residual(f, member.datum, r))
+            worst = max(worst, rs_duality_residual(f, member, r))
     report("05 duality-identity", worst <= 1e-10, f"max residual={worst:.2e}")
 
 
@@ -141,7 +141,7 @@ def test_06_positivity_suites():
     fails_b = 0
     for k in range(500):
         member = generate_member("S+", 10000 + k, d=2, n=4)
-        rep = splus_test(member.evaluator, random_pointset(2, 25, seed=20000 + k))
+        rep = splus_test(member, random_pointset(2, 25, seed=20000 + k))
         fails_b += rep.verdict != "pass"
     # (c) the weak-not-row tuple keeps its kernel positive
     T = OperatorTuple(np.array([E11, E12]))
@@ -176,7 +176,7 @@ def test_07_boundary_state_consistency():
         h2 = herglotz_of_measure(mu, 8)
         worst_triple = max(worst_triple, float(np.max(np.abs(h1.coeffs - h2.coeffs))))
         worst_triple = max(worst_triple,
-                           abs(BoundaryKernel(zeta).values_at(z[None, :])[0] - limit))
+                           abs(boundary_kernel(zeta).values_at(z[None, :])[0] - limit))
         # partial sums at K = 60 sit within the geometric tail of the limit
         err60 = abs(cuntz_state_herglotz(zeta, z, 60) - limit)
         worst_tail = max(worst_tail, err60 - 2 * abs(w) ** 61 / (1 - abs(w)))
@@ -206,18 +206,18 @@ def test_09_rigidity_probe():
 
 
 def test_10_growth():
-    h = BoundaryKernel(np.array([1.0, 0.0]))
+    h = boundary_kernel(np.array([1.0, 0.0]))
     p1 = growth_profile(h, 1.0, n=200000, seed=0)
     ratio1 = p1.means[-1] / p1.means[1]
     err1 = 3 * (p1.stderr[-1] / p1.means[1]
                 + p1.stderr[1] * p1.means[-1] / p1.means[1] ** 2)
-    h3 = BoundaryKernel(np.array([1.0, 0.0]))
+    h3 = boundary_kernel(np.array([1.0, 0.0]))
     p3 = growth_profile(h3, 3.0, n=200000, seed=0)
     ratio3 = p3.means[-1] / p3.means[1]
     bounded = 0
     for k in range(100):
         m = generate_member("S+", 5000 + k, d=2, n=4)
-        prof = growth_profile(m.evaluator, 1.0, n=20000, seed=k)
+        prof = growth_profile(m, 1.0, n=20000, seed=k)
         bounded += prof.verdict == "bounded"
     ok = (p1.verdict == "bounded" and ratio1 <= 2.0 + err1
           and p3.verdict == "divergent" and ratio3 >= 50.0

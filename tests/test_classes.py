@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from herglotzlab.classes import (
-    BoundaryKernel,
-    ClassMember,
     PointSet,
     PreconditionError,
+    ShiftedBoundaryKernel,
     boundary_biased_pointset,
+    boundary_kernel,
     duality_sweep,
     extreme_h,
     generate_member,
@@ -31,7 +31,6 @@ from herglotzlab.optuple import (
 )
 from herglotzlab.pairing import (
     AtomicMeasure,
-    HerglotzMeasureFunction,
     herglotz_of_measure,
     R_GRID,
     qr_pair,
@@ -46,10 +45,10 @@ ZERO2 = np.zeros((2, 2), dtype=complex)
 
 
 def member_series(m, N):
-    """The degree-N Taylor truncation of a datum- or measure-backed member."""
-    if m.datum is not None:
-        return herglotz_taylor(m.datum, N)
-    return herglotz_of_measure(m.measure, N)
+    """The degree-N Taylor truncation of a datum or of a measure's transform."""
+    if isinstance(m, HerglotzDatum):
+        return herglotz_taylor(m, N)
+    return herglotz_of_measure(m, N)
 
 
 def duality_sweep_series(pairs, N, r_grid):
@@ -57,7 +56,7 @@ def duality_sweep_series(pairs, N, r_grid):
     pairing, an oracle for the exact reductions on tame samples.
 
     It compares whole pairings only, so it agrees with ``duality_sweep``
-    only for interior-measure or datum-backed g, where that sweep tests no
+    only for an interior measure or a datum g, where that sweep tests no
     boundary atoms on their own.
     """
     min_re = math.inf
@@ -77,15 +76,16 @@ def duality_sweep_per_r(pairs, r_grid=R_GRID):
     argmin = None
     atoms = 0
     for k, (f, g) in enumerate(pairs):
-        boundary = g.measure is not None and g.measure.support == "boundary"
+        measure = isinstance(g, AtomicMeasure)
+        boundary = measure and g.support == "boundary"
         if boundary:
-            atoms += len(g.measure.weights)
-        if g.measure is None:
+            atoms += len(g.weights)
+        if not measure:
             commuting = _commuting_per_r(f, g, r_grid)
         for i, r in enumerate(r_grid):
-            if g.measure is not None:
-                per_atom = 2.0 * f.values_at(r * g.measure.points)
-                q = complex(np.sum(g.measure.weights * per_atom))
+            if measure:
+                per_atom = 2.0 * f.values_at(r * g.points)
+                q = complex(np.sum(g.weights * per_atom))
             else:
                 q = commuting[i]
             if q.real < min_re:
@@ -102,19 +102,18 @@ def duality_sweep_per_r(pairs, r_grid=R_GRID):
 
 
 def _commuting_per_r(f, g, r_grid):
-    """Q_r(f, g) for commuting datum-backed g, one resolvent solve per r and
-    term: the Kronecker pencil for datum-backed f, and for measure-backed f
+    """Q_r(f, g) for a datum g with a commuting tuple, one resolvent solve
+    per r and term: the Kronecker pencil for a datum f, and for a measure f
     one pencil I - r <p_j, T_g> per atom p_j, weighted by w_j."""
-    Tg = g.datum.tuple
-    if f.datum is not None:
-        Tf = f.datum.tuple
+    Tg = g.tuple
+    if isinstance(f, HerglotzDatum):
+        Tf = f.tuple
         M = sum(np.kron(Tg.matrices[j], np.conj(Tf.matrices[j]))
                 for j in range(Tg.d))
-        terms = [(1.0, M, np.kron(g.datum.xi, np.conj(f.datum.xi)))]
+        terms = [(1.0, M, np.kron(g.xi, np.conj(f.xi)))]
     else:
-        terms = [(wgt, sum(point[j] * Tg.matrices[j] for j in range(Tg.d)),
-                  g.datum.xi)
-                 for point, wgt in zip(f.measure.points, f.measure.weights)]
+        terms = [(wgt, sum(point[j] * Tg.matrices[j] for j in range(Tg.d)), g.xi)
+                 for point, wgt in zip(f.points, f.weights)]
     eye = np.eye(terms[0][1].shape[0], dtype=complex)
     out = []
     for r in r_grid:
@@ -200,13 +199,13 @@ class TestSplusMembership:
         for k in range(25):
             zeta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             zeta /= np.linalg.norm(zeta)
-            rep = splus_test(BoundaryKernel(zeta), random_pointset(2, 25, seed=k))
+            rep = splus_test(boundary_kernel(zeta), random_pointset(2, 25, seed=k))
             assert rep.verdict == "pass"
 
     def test_negative_real_part_fails_at_one_point(self):
         # the transform of T = (2, 0), xi = 1: (1 + 2 z1) / (1 - 2 z1)
         f = HerglotzDatum(OperatorTuple(np.array([[[2.0]], [[0.0]]])), [1.0])
-        rep = splus_test(f, PointSet(np.array([[-0.6 + 0j, 0.0 + 0j]]), 0, 0.95))
+        rep = splus_test(f, PointSet(np.array([[-0.6 + 0j, 0.0 + 0j]]), 0.95))
         assert rep.verdict == "fail"
         assert rep.witness is not None
 
@@ -222,7 +221,7 @@ class TestSchurMembership:
 
     def test_amplified_coordinate_fails_near_boundary(self):
         phi = make_series(2, 2, {(1, 0): 1.1})
-        rep = schur_test(phi, PointSet(np.array([[0.95 + 0j, 0.0 + 0j]]), 0, 0.95))
+        rep = schur_test(phi, PointSet(np.array([[0.95 + 0j, 0.0 + 0j]]), 0.95))
         assert rep.verdict == "fail"
 
     def test_cayley_verdict_equivalence(self):
@@ -233,10 +232,9 @@ class TestSchurMembership:
         for k in range(100):
             member = generate_member("S+", 3000 + k, d=2, n=3)
             if k % 3 == 0:
-                func = member.evaluator
+                func = member
             else:
-                shift = 0.4 * float(np.abs(
-                    member.evaluator.values_at(np.zeros((1, 2)))[0]))
+                shift = 0.4 * float(np.abs(member.values_at(np.zeros((1, 2)))[0]))
 
                 class Shifted:
                     d = 2
@@ -247,7 +245,7 @@ class TestSchurMembership:
                     def values_at(self, pts):
                         return self.base.values_at(pts) - self.delta
 
-                func = Shifted(member.evaluator, shift + 0.05)
+                func = Shifted(member, shift + 0.05)
 
             class Cayley:
                 d = 2
@@ -285,26 +283,26 @@ class TestKtKernel:
 
 
 class TestGenerators:
-    def test_mplus_backing(self):
+    def test_mplus_is_a_boundary_measure(self):
         m = generate_member("M+", 16, d=2)
-        assert m.measure is not None and m.measure.support == "boundary"
-        assert len(m.measure.points) <= 8
+        assert isinstance(m, AtomicMeasure) and m.support == "boundary"
+        assert len(m.points) <= 8
 
     def test_rplus_commutes_and_contracts(self):
         for k in range(10):
             m = generate_member("R+", 700 + k, d=2, n=4)
-            assert is_commuting(m.datum.tuple, 1e-9)[0]
-            assert is_row_contraction(m.datum.tuple, 1e-9)[0]
+            assert is_commuting(m.tuple, 1e-9)[0]
+            assert is_row_contraction(m.tuple, 1e-9)[0]
 
     def test_splus_contracts(self):
         for k in range(10):
             m = generate_member("S+", 800 + k, d=3, n=5)
-            assert is_row_contraction(m.datum.tuple, 1e-9)[0]
+            assert is_row_contraction(m.tuple, 1e-9)[0]
 
     def test_nilpotent_example_function(self):
         D = HerglotzDatum(OperatorTuple(np.array([E12, ZERO2])),
                           np.array([2 ** -0.5, 2 ** -0.5]), 0.0)
-        s = member_series(ClassMember("R+", D), 4)
+        s = member_series(D, 4)
         assert abs(s.coeff((1, 0)) - 1.0) < 1e-14
         assert abs(s.constant_term - 1.0) < 1e-14
         rest = [abs(c) for i, c in enumerate(s.coeffs) if i not in (0, 1)]
@@ -313,47 +311,55 @@ class TestGenerators:
     def test_generated_splus_members_pass_kernel_test(self):
         for k in range(25):
             m = generate_member("S+", 900 + k, d=2, n=4)
-            rep = splus_test(m.evaluator, random_pointset(2, 25, seed=950 + k))
+            rep = splus_test(m, random_pointset(2, 25, seed=950 + k))
             assert rep.verdict == "pass"
 
     def test_opool_rotation(self):
-        kinds = {opool_member(s, d=2).kind for s in range(10)}
-        assert "O+" in kinds and "S+" in kinds
+        # slots 0-2 are the S+, R+ and M+ generators, slot 3 a unit point
+        # mass, slot 4 the shifted boundary kernel (at d = 2) or an S+ datum
+        for s in range(10):
+            m = opool_member(s, d=2)
+            slot = s % 5
+            if slot < 2:
+                assert isinstance(m, HerglotzDatum)
+            elif slot == 4:
+                assert isinstance(m, ShiftedBoundaryKernel)
+            else:
+                assert isinstance(m, AtomicMeasure) and m.support == "boundary"
+        assert isinstance(opool_member(4, d=3), HerglotzDatum)
 
 
-class TestClassMemberBacking:
+class TestMemberTypes:
     def _measure(self):
         zeta = np.array([0.6, 0.8j])
         return AtomicMeasure(zeta[None, :], np.array([0.7]), "boundary")
 
     def test_accepts_consistent_members(self):
         mu = self._measure()
-        own = ClassMember("M+", mu)
-        kernel = ClassMember("O+", AtomicMeasure(mu.points, np.ones(1), "boundary"))
+        kernel = boundary_kernel(mu.points[0])
         pts = 0.5 * mu.points
-        assert np.allclose(own.values_at(pts), 0.7 * kernel.values_at(pts))
-        assert own.backing is own.measure is mu and own.datum is None
-        assert generate_member("M+", 3).measure is not None
-        assert opool_member(3).measure is not None
+        assert np.allclose(mu.values_at(pts), 0.7 * kernel.values_at(pts))
+        assert isinstance(generate_member("M+", 3), AtomicMeasure)
+        assert isinstance(opool_member(3), AtomicMeasure)
 
-    def test_measure_evaluator_is_the_transform_of_the_backing(self):
-        # M+ members and the O+ pool's point masses (slot 3) are evaluated
-        # by the transform of their own measure, built once
+    def test_measure_members_evaluate_their_transform(self):
+        # M+ members and the O+ pool's point masses (slot 3) are measures,
+        # evaluated as sum_j w_j (1 + <z, p_j>) / (1 - <z, p_j>)
         members = [generate_member("M+", s) for s in range(3)]
         members += [opool_member(s) for s in (3, 8, 13)]
+        pts = random_pointset(2, 50, seed=23).points
         for m in members:
-            assert isinstance(m.evaluator, HerglotzMeasureFunction)
-            assert m.evaluator.mu is m.measure
-            assert m.evaluator is m.evaluator
-        assert all(len(m.measure.weights) == 1 for m in members[3:])
+            assert isinstance(m, AtomicMeasure)
+            ip = pts @ np.conj(m.points.T)
+            expect = ((1.0 + ip) / (1.0 - ip)) @ m.weights
+            assert np.allclose(m.values_at(pts), expect, rtol=1e-13, atol=0.0)
+        assert all(np.array_equal(m.weights, np.ones(1)) for m in members[3:])
 
-    def test_datum_and_sample_backings(self):
+    def test_datum_and_sample_members(self):
         m = generate_member("R+", 4)
-        assert m.evaluator is m.backing is m.datum
-        assert m.measure is None
+        assert isinstance(m, HerglotzDatum)
         sample = opool_member(4)
-        assert sample.evaluator is sample.backing
-        assert sample.measure is None and sample.datum is None
+        assert isinstance(sample, ShiftedBoundaryKernel)
         with pytest.raises(TypeError):
             duality_sweep([(sample, m)], (0.5,))
 
@@ -366,9 +372,7 @@ class TestDualitySweeps:
     def test_kernel_against_own_atom(self):
         zeta = np.array([0.8, 0.6], dtype=complex)
         mu = AtomicMeasure(zeta[None, :], np.array([1.0]), "boundary")
-        f = ClassMember("O+", mu)
-        g = ClassMember("M+", mu)
-        out = duality_sweep([(f, g)], r_grid=(0.1, 0.5, 0.9))
+        out = duality_sweep([(mu, mu)], r_grid=(0.1, 0.5, 0.9))
         # 2 h(r zeta) stays real and positive on its own ray
         assert out["min_re"] > 2.0
 
@@ -396,7 +400,7 @@ class TestDualitySweeps:
         # this sample used to give min_re 0.5223 from a reduction that does
         # not hold for it: none of its 200 g commutes
         pairs = list(sample_duality_pairs("S+", "S+", 200, 7))
-        assert not any(is_commuting(g.datum.tuple)[0] for _, g in pairs)
+        assert not any(is_commuting(g.tuple)[0] for _, g in pairs)
         with pytest.raises(NonCommutingError):
             duality_sweep(pairs)
         with pytest.raises(NonCommutingError):
@@ -433,11 +437,11 @@ class TestDualitySweeps:
         grid = (0.2, 0.6, 0.9)
         f = generate_member("M+", 5, d=2)
         gs = [g for _, g in sample_duality_pairs("S+", "S+", 20, 7)]
-        assert not any(is_commuting(g.datum.tuple)[0] for g in gs)
+        assert not any(is_commuting(g.tuple)[0] for g in gs)
         out = duality_sweep([(f, g) for g in gs], grid)
         assert out["pairs"] == 20 and out["min_re"] >= -1e-9
         g = gs[0]
-        expect = [np.conj(2.0 * g.values_at(r * f.measure.points) @ f.measure.weights)
+        expect = [np.conj(2.0 * g.values_at(r * f.points) @ f.weights)
                   for r in grid]
         assert np.isclose(duality_sweep([(f, g)], grid)["min_re"],
                           min(q.real for q in expect), rtol=1e-13, atol=0.0)
@@ -456,9 +460,7 @@ class TestDualitySweeps:
             pts = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             pts = 0.4 * pts / np.linalg.norm(pts, axis=1, keepdims=True)
             mu = AtomicMeasure(pts, rng.uniform(0.5, 1.0, 2), "interior")
-            f = ClassMember("M+", mu)
-            m = generate_member("R+", 20 + k, d=2, n=3)
-            pairs.append((f, m))
+            pairs.append((mu, generate_member("R+", 20 + k, d=2, n=3)))
         exact = duality_sweep(pairs, r_grid=(0.2, 0.5, 0.8))
         series = duality_sweep_series(pairs, N=16, r_grid=(0.2, 0.5, 0.8))
         assert abs(exact["min_re"] - series["min_re"]) < 1e-4
@@ -478,8 +480,8 @@ class TestBatchedSweepMatchesPerRadius:
     def test_interior_measure_and_negative_f(self):
         mu = AtomicMeasure(np.array([[-0.9, 0.0], [0.5, 0.2]], dtype=complex),
                            np.array([1.0, 0.5]), "interior")
-        f = ClassMember("O+", _AffineZ1())
-        pairs = [(f, ClassMember("M+", mu))]
+        f = _AffineZ1()
+        pairs = [(f, mu)]
         pairs += [(f, generate_member("M+", 1500 + k, d=2)) for k in range(5)]
         grid = (0.0, 0.3, 0.99, 1.0)
         for subset in (pairs[:1], pairs):
@@ -504,20 +506,19 @@ class TestExtremePoints:
         for d in (1, 2, 3, 4):
             zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             zeta /= np.linalg.norm(zeta)
-            mu = AtomicMeasure(zeta[None, :], np.ones(1), "boundary")
             pts = random_pointset(d, 500, radius_cap=0.999, seed=d).points
-            h = BoundaryKernel(zeta)
-            assert h.d == d
-            assert np.array_equal(h.values_at(pts),
-                                  HerglotzMeasureFunction(mu).values_at(pts))
-        # one point at the pole is clamped and counted, the rest are not
-        h = BoundaryKernel(zeta)
-        near = np.vstack([zeta * (1.0 - 1e-14), 0.5 * zeta])
-        vals = h.values_at(near)
-        assert h.clamps == 1
+            h = boundary_kernel(zeta)
+            assert h.d == d and h.support == "boundary"
+            assert np.array_equal(h.points, zeta[None, :])
+            assert np.array_equal(h.weights, np.ones(1))
+            ip = pts @ np.conj(zeta)
+            assert np.allclose(h.values_at(pts), (1.0 + ip) / (1.0 - ip),
+                               rtol=1e-12, atol=0.0)
+        # a point at the pole is clamped to a large finite value
+        vals = boundary_kernel(zeta).values_at(np.vstack([zeta * (1.0 - 1e-14), 0.5 * zeta]))
         assert np.isfinite(vals).all() and abs(vals[0]) > 1e11
         with pytest.raises(ValueError):
-            BoundaryKernel(0.5 * zeta)
+            boundary_kernel(0.5 * zeta)
 
     def test_matches_word_state_limit(self):
         from herglotzlab.fock import cuntz_state_herglotz
@@ -526,7 +527,7 @@ class TestExtremePoints:
         zeta /= np.linalg.norm(zeta)
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         z = z / np.linalg.norm(z) * 0.55
-        exact = BoundaryKernel(zeta).values_at(z[None, :])[0]
+        exact = boundary_kernel(zeta).values_at(z[None, :])[0]
         assert abs(cuntz_state_herglotz(zeta, z, 300) - exact) < 1e-10
 
     def test_rejects_interior_point(self):
@@ -568,7 +569,7 @@ class TestChainEvidence:
             def values_at(self, pts):
                 return 1.0 + 3.0 * np.asarray(pts)[:, 0]
 
-        f = ClassMember("O+", Affine())
+        f = Affine()
         pairs = [(f, generate_member("M+", 1500 + k, d=2)) for k in range(20)]
         swept = duality_sweep(pairs)
         pts = random_pointset(2, 400, seed=1600).points
@@ -580,30 +581,28 @@ class TestChainEvidence:
         # the sweep tests each boundary atom as a unit point mass: for
         # f = 1 + 3 z1 the witness is the atom with the least Re p_1, at the
         # largest r, and the sweep evaluates f once per pair, on all r
-        f = ClassMember("O+", _AffineZ1())
+        f = _AffineZ1()
         pairs = [(f, generate_member("M+", 1500 + k, d=2)) for k in range(20)]
         swept = duality_sweep(pairs)
         argmin = swept["argmin"]
         assert argmin == {"pair": 13, "atom": 6, "r": 0.99,
                           "value": swept["min_re"]}
         atoms = [(k, j, p) for k, (_, g) in enumerate(pairs)
-                 for j, p in enumerate(g.measure.points)]
+                 for j, p in enumerate(g.points)]
         k, j, p = min(atoms, key=lambda a: a[2][0].real)
         assert (k, j) == (13, 6)
         assert abs(swept["min_re"] - 2.0 * (1.0 + 3.0 * 0.99 * p[0].real)) < 1e-12
         assert swept["atoms"] == len(atoms)
         assert swept["pairs"] == 20
-        assert f.evaluator.calls == swept["pairs"]
+        assert f.calls == swept["pairs"]
 
     def test_interior_measure_pair_reports_whole_pairing(self):
         # interior atoms are not point masses of M+, so only the whole
         # pairing 2 sum_j w_j f(r p_j) = 2 (2 - 1.2 r) enters the minimum,
         # although the atom at -0.9 alone would pair negative
-        f = ClassMember("O+", _AffineZ1())
         mu = AtomicMeasure(np.array([[-0.9, 0.0], [0.5, 0.2]], dtype=complex),
                            np.array([1.0, 1.0]), "interior")
-        g = ClassMember("M+", mu)
-        swept = duality_sweep([(f, g)])
+        swept = duality_sweep([(_AffineZ1(), mu)])
         assert swept["argmin"]["atom"] is None
         assert swept["argmin"]["pair"] == 0 and swept["argmin"]["r"] == 0.99
         assert abs(swept["min_re"] - 2.0 * (2.0 - 1.2 * 0.99)) < 1e-12
@@ -620,5 +619,5 @@ class TestChainEvidence:
     def test_rplus_members_pass_splus_test(self):
         for k in range(15):
             m = generate_member("R+", 1300 + k, d=2, n=4)
-            rep = splus_test(m.evaluator, random_pointset(2, 25, seed=1400 + k))
+            rep = splus_test(m, random_pointset(2, 25, seed=1400 + k))
             assert rep.verdict == "pass"

@@ -416,6 +416,33 @@ class TestDualityCommand:
         with pytest.raises(SizeCapError):
             cli.cmd_duality(0, trials=1, identity_trials=16383)
 
+    def test_radii_capped_before_any_sampling(self, tmp_path, capsys, monkeypatch):
+        # RADII_CAP = 1024 radii pass the kind check and reach the sampler;
+        # one more exits 3 before it
+        class Sampled(Exception):
+            pass
+
+        def sampler(*args, **kwargs):
+            raise Sampled
+        monkeypatch.setattr(cli, "sample_duality_pairs", sampler)
+        radii = [0.5] * cli.RADII_CAP
+        with pytest.raises(Sampled):
+            run_cli(["duality", "--param", f"r_grid={json.dumps(radii)}"], tmp_path)
+        code, report = run_cli(
+            ["duality", "--param", f"r_grid={json.dumps(radii + [0.5])}"], tmp_path)
+        assert code == 3 and report is None
+        assert "over the cap of 1024" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [("pair", "r_grid"), ("growth", "grid")])
+    def test_radii_cap_covers_pair_and_growth(self, tmp_path, capsys, command, key):
+        radii = [0.5] * (cli.RADII_CAP + 1)
+        fg = series_file(tmp_path, "f.json", coordinate(2, 4, 0))
+        extra = ["--param", f"f=\"{fg}\"", "--param", f"g=\"{fg}\""] if command == "pair" else []
+        code, report = run_cli([command, *extra, "--param", f"{key}={json.dumps(radii)}"],
+                               tmp_path)
+        assert code == 3 and report is None
+        assert f"'{key}' has 1025 radii" in capsys.readouterr().err
+
     def test_peak_memory_flat_in_trials(self):
         # pairs are streamed, so 16 times the trials hold no more members
         def peak(trials):
@@ -464,7 +491,7 @@ class TestGrowthCommand:
                              "estimator", "budget"}
         assert prof["estimator"] == "series"
         assert set(prof["budget"]) == {"terms", "tail_bound"}
-        assert "clamp_count" in report["results"]
+        assert set(report["results"]) == {"profile"}
 
     def test_csv_export(self, tmp_path):
         csv_path = tmp_path / "growth.csv"

@@ -6,7 +6,7 @@ from scipy import integrate
 
 import herglotzlab.growth as growth
 from herglotzlab import cli
-from herglotzlab.classes import BoundaryKernel, generate_member, random_pointset
+from herglotzlab.classes import boundary_kernel, generate_member, random_pointset
 from herglotzlab.growth import (
     DEFAULT_R_GRID,
     growth_profile,
@@ -14,7 +14,7 @@ from herglotzlab.growth import (
     series_radial_mean,
     sphere_sample,
 )
-from herglotzlab.pairing import AtomicMeasure, HerglotzMeasureFunction
+from herglotzlab.pairing import AtomicMeasure
 from herglotzlab.series import SizeCapError, TruncatedSeries
 
 
@@ -61,7 +61,7 @@ class TestRadialMean:
             d = 2
 
             def __init__(self):
-                self.base = BoundaryKernel(np.array([1.0, 0.0]))
+                self.base = boundary_kernel(np.array([1.0, 0.0]))
 
             def values_at(self, pts):
                 return 1.0 + self.base.values_at(pts)
@@ -85,12 +85,12 @@ class TestRadialMean:
             d = 2
 
             def __init__(self):
-                self.base = BoundaryKernel(zeta)
+                self.base = boundary_kernel(zeta)
 
             def values_at(self, pts):
                 return self.base.values_at(np.asarray(pts) @ U.T)
 
-        m1, e1 = hp_radial_mean(BoundaryKernel(zeta), 1.0, 0.9, n=100000, seed=6)
+        m1, e1 = hp_radial_mean(boundary_kernel(zeta), 1.0, 0.9, n=100000, seed=6)
         m2, e2 = hp_radial_mean(Rotated(), 1.0, 0.9, n=100000, seed=7)
         assert abs(m1 - m2) <= 3 * (e1 + e2)
 
@@ -110,13 +110,13 @@ class TestGrowthProfile:
         assert abs(prof.slope) < 1e-12
 
     def test_boundary_kernel_p1_bounded(self):
-        prof = growth_profile(BoundaryKernel(np.array([1.0, 0.0])), 1.0,
+        prof = growth_profile(boundary_kernel(np.array([1.0, 0.0])), 1.0,
                               n=50000, seed=9)
         assert prof.verdict == "bounded"
         assert prof.means[-1] / prof.means[1] <= 2.0
 
     def test_boundary_kernel_p3_divergent(self):
-        prof = growth_profile(BoundaryKernel(np.array([1.0, 0.0])), 3.0,
+        prof = growth_profile(boundary_kernel(np.array([1.0, 0.0])), 3.0,
                               n=200000, seed=10)
         assert prof.verdict == "divergent"
         assert prof.means[-1] / prof.means[1] >= 50.0
@@ -142,7 +142,7 @@ class TestGrowthProfile:
         verdicts = []
         for k in range(20):
             m = generate_member("S+", 2000 + k, d=2, n=4)
-            prof = growth_profile(m.evaluator, 1.0, n=10000, seed=k)
+            prof = growth_profile(m, 1.0, n=10000, seed=k)
             verdicts.append(prof.verdict)
         assert sum(v == "bounded" for v in verdicts) >= 19
 
@@ -163,13 +163,13 @@ class TestGrowthProfile:
 
 
 def e1_kernel(d):
-    return BoundaryKernel(np.eye(d)[0])
+    return boundary_kernel(np.eye(d)[0])
 
 
 def one_atom(point, weight):
     point = np.asarray(point, dtype=complex)
     support = "boundary" if abs(np.linalg.norm(point) - 1.0) < 1e-12 else "interior"
-    return HerglotzMeasureFunction(AtomicMeasure(point[None, :], [weight], support))
+    return AtomicMeasure(point[None, :], [weight], support)
 
 
 def disk_quadrature_mean(p, r):
@@ -260,9 +260,9 @@ class TestSeriesMeans:
             series_radial_mean(e1_kernel(2), 3.0, 0.999)
 
     def test_other_targets_stay_monte_carlo(self):
-        two = HerglotzMeasureFunction(AtomicMeasure(
-            np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), [0.5, 0.5], "boundary"))
-        datum = generate_member("R+", 3, d=2, n=2).datum
+        two = AtomicMeasure(
+            np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), [0.5, 0.5], "boundary")
+        datum = generate_member("R+", 3, d=2, n=2)
         for f in (two, datum):
             prof = growth_profile(f, 1.0, (0.5, 0.9), n=2000, seed=1)
             assert prof.estimator == "monte-carlo"
@@ -274,7 +274,6 @@ class TestSeriesMeans:
             series_radial_mean(e1_kernel(2), 0.0, 0.5)
         with pytest.raises(ValueError):
             series_radial_mean(e1_kernel(2), 1.0, 1.0)
-        two = HerglotzMeasureFunction(AtomicMeasure(
-            np.eye(2, dtype=complex), [1.0, 1.0], "boundary"))
+        two = AtomicMeasure(np.eye(2, dtype=complex), [1.0, 1.0], "boundary")
         with pytest.raises(ValueError):
             series_radial_mean(two, 1.0, 0.5)

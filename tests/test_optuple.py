@@ -222,14 +222,14 @@ class TestTransform:
         assert abs(herglotz_transform_many(D, [0.3, -0.2])[0] - 1.0) < 1e-14
 
     def test_scalar_tuple_gives_boundary_kernel(self):
-        from herglotzlab.classes import BoundaryKernel
+        from herglotzlab.classes import boundary_kernel
         zeta = np.array([0.6, 0.8j])
         zeta /= np.linalg.norm(zeta)
         D = HerglotzDatum(OperatorTuple(np.conj(zeta).reshape(2, 1, 1)),
                           np.array([1.0]), 0.0)
         pts = np.random.default_rng(5).standard_normal((7, 2)) * 0.3 + 0j
         assert np.allclose(herglotz_transform_many(D, pts),
-                           BoundaryKernel(zeta).values_at(pts), atol=1e-12)
+                           boundary_kernel(zeta).values_at(pts), atol=1e-12)
 
     def test_nilpotent_affine(self):
         D = HerglotzDatum(OperatorTuple(np.array([E12, ZERO2])),
@@ -424,7 +424,7 @@ class TestRsDualityIdentity:
             member = generate_member("R+", 700 + k, d=d, n=5)
             f = random_series(d, int(rng.integers(1, 7)), 800 + k)
             for r in (0.05, 0.5, 0.99):
-                assert rs_duality_residual(f, member.datum, r) < 1e-10
+                assert rs_duality_residual(f, member, r) < 1e-10
 
     def test_grid_form_is_the_max_of_the_per_r_residuals(self):
         # the grid form builds the truncation and the monomial table once;
@@ -439,7 +439,7 @@ class TestRsDualityIdentity:
             return float(abs(qr_pair(f, g, r) - rhs))
 
         for k in range(6):
-            D = generate_member("R+", 1100 + k, d=2 + k % 2, n=4).datum
+            D = generate_member("R+", 1100 + k, d=2 + k % 2, n=4)
             D = HerglotzDatum(D.tuple, D.xi, 0.3 * k)
             f = random_series(D.d, 6, 1200 + k)
             assert rs_duality_residual(f, D, R_GRID) == max(per_r(f, D, r) for r in R_GRID)
@@ -459,11 +459,11 @@ class TestRsDualityIdentity:
         from herglotzlab.classes import generate_member
         member = generate_member("R+", 1000, d=2, n=4)
         f = random_series(2, 5, 1001)
-        g = herglotz_taylor(member.datum, 5)
+        g = herglotz_taylor(member, 5)
         r = 0.6
         lhs = qr_pair(f, g, r)
-        M = commuting_calculus(f.reflect().dilate(r), member.datum.tuple)
-        inner = np.vdot(member.datum.xi, M @ member.datum.xi)
+        M = commuting_calculus(f.reflect().dilate(r), member.tuple)
+        inner = np.vdot(member.xi, M @ member.xi)
         assert abs(lhs.real - 2 * inner.real) < 1e-11
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from herglotzlab import pairing
 from herglotzlab.pairing import (
+    CLAMP_EPS,
     AtomicMeasure,
-    HerglotzMeasureFunction,
     IntegralEstimate,
     QuadratureSpec,
     R_GRID,
@@ -300,20 +300,19 @@ class TestMeasureTransform:
 
     def test_exact_evaluator_matches_truncation_inside(self):
         mu = boundary_atoms(2, 3, 17)
-        func = HerglotzMeasureFunction(mu)
         g = herglotz_of_measure(mu, 16)
         pts = np.random.default_rng(3).standard_normal((6, 2)) * 0.1 + 0j
-        exact = func.values_at(pts)
+        exact = mu.values_at(pts)
         trunc = g.values_at(pts)
         # geometric tail at radius <~ 0.35 against degree 16 sits below 1e-8
         assert np.max(np.abs(exact - trunc)) < 1e-8
 
-    def test_clamp_counting(self):
+    def test_pole_is_clamped(self):
+        # at the atom the denominator 0 is clamped to CLAMP_EPS
         zeta = np.array([1.0 + 0j, 0.0])
         mu = AtomicMeasure(zeta[None, :], np.array([1.0]), "boundary")
-        func = HerglotzMeasureFunction(mu)
-        func.values_at(np.array([[1.0 + 0j, 0.0]]))
-        assert func.clamps == 1
+        vals = mu.values_at(np.array([[1.0 + 0j, 0.0], [0.5 + 0j, 0.0]]))
+        assert vals[0] == 2.0 / CLAMP_EPS and vals[1] == 3.0
 
 
 class TestPairingVsMeasure:
@@ -352,7 +351,7 @@ class TestDualityPositivitySample:
     def test_series_route_agrees_on_interior_scaled_atoms(self):
         # cross-check the exact reduction against the coefficient pairing
         # where the truncation tail is negligible
-        from herglotzlab.classes import ClassMember, duality_sweep
+        from herglotzlab.classes import duality_sweep
         from test_classes import duality_sweep_series
         rng = np.random.default_rng(31)
         pairs = []
@@ -363,9 +362,7 @@ class TestDualityPositivitySample:
             pts2 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
             pts2 = 0.45 * pts2 / np.linalg.norm(pts2, axis=1, keepdims=True)
             mu_g = AtomicMeasure(pts2, rng.uniform(0.2, 1.0, 3), "interior")
-            f = ClassMember("M+", mu_f)
-            g = ClassMember("M+", mu_g)
-            pairs.append((f, g))
+            pairs.append((mu_f, mu_g))
         exact = duality_sweep(pairs, r_grid=(0.3, 0.6, 0.9))
         series = duality_sweep_series(pairs, N=16, r_grid=(0.3, 0.6, 0.9))
         assert abs(exact["min_re"] - series["min_re"]) < 1e-5

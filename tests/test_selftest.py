@@ -11,10 +11,10 @@ import pytest
 from scipy.sparse.linalg import aslinearoperator
 
 from herglotzlab.classes import (
-    BoundaryKernel,
     PointSet,
     ShiftedBoundaryKernel,
     boundary_biased_pointset,
+    boundary_kernel,
     extreme_h,
     generate_member,
     kT_test,
@@ -373,11 +373,11 @@ def _checks():
         pts = random_pointset(2, 20, seed=11)
         one = splus_test(TruncatedSeries.constant(2, 4, 1.0), pts)
         zeta = np.array([0.8, 0.6], dtype=complex)
-        h = splus_test(BoundaryKernel(zeta), pts)
+        h = splus_test(boundary_kernel(zeta), pts)
         # Re of (1+2z1)/(1-2z1), the transform of T = (2, 0) and xi = 1,
         # turns negative past z1 = -1/2
         bad = HerglotzDatum(OperatorTuple(np.array([[[2.0]], [[0.0]]])), [1.0])
-        rep_bad = splus_test(bad, PointSet(np.array([[-0.6 + 0j, 0.0 + 0j]]), 0, 0.95))
+        rep_bad = splus_test(bad, PointSet(np.array([[-0.6 + 0j, 0.0 + 0j]]), 0.95))
         return (one.verdict == "pass" and h.verdict == "pass"
                 and rep_bad.verdict == "fail" and rep_bad.witness is not None)
     yield ("positive-class kernel tests", splus_checks)
@@ -387,7 +387,7 @@ def _checks():
         flat = schur_test(zero(2, 4), pts)
         coord = schur_test(coordinate(2, 4, 0), pts)
         amplified = schur_test(make_series(2, 2, {(1, 0): 1.1}),
-                               PointSet(np.array([[0.95, 0.0]]), 0, 0.95))
+                               PointSet(np.array([[0.95, 0.0]]), 0.95))
         return (flat.verdict == "pass" and coord.verdict == "pass"
                 and amplified.verdict == "fail")
     yield ("schur kernel tests", schur_checks)
@@ -408,7 +408,7 @@ def _checks():
         s = herglotz_taylor(nil, 4)
         member = generate_member("S+", 23, d=2, n=4)
         pts = random_pointset(2, 25, seed=29)
-        rep = splus_test(member.evaluator, pts)
+        rep = splus_test(member, pts)
         return (abs(s.coeff((1, 0)) - 1.0) < 1e-14 and rep.verdict == "pass")
     yield ("generated members pass necessary tests", member_checks)
 
@@ -420,7 +420,7 @@ def _checks():
         same = np.allclose(herglotz_of_measure(mu, 6).coeffs, h.coeffs)
         z = np.array([0.45, 0.1j])
         lim = cuntz_state_herglotz(zeta, z, 300)
-        exact = BoundaryKernel(zeta).values_at(z[None, :])[0]
+        exact = boundary_kernel(zeta).values_at(z[None, :])[0]
         return slice_ok and same and abs(lim - exact) < 1e-10
     yield ("three routes to the boundary kernel agree", extreme_checks)
 
