@@ -14,6 +14,7 @@ Any other exit, such as 1 with a traceback, is a bug.
 """
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -375,7 +376,10 @@ def _write_csv(path: str, command: str, results: dict) -> None:
         fh.write("\n".join(CSV_EXPORTS[command](results)) + "\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged,
+    since the ``append`` action copies its default list before adding."""
     parser = argparse.ArgumentParser(
         prog="herglotzlab",
         description="Reproducible experiments on positive-real-part functions "

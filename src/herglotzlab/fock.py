@@ -2,10 +2,11 @@
 
 The full Fock side carries left creation operators on words over {1..d}; the
 symmetric side carries the coordinate shifts on the normalized monomial
-basis.  Words are never stored: in graded lexicographic order the word
-(j+1) w, with w of grade k and rank r and j = 0..d-1, sits at
-fock_count(d, k) + j d^k + r, so each creation operator, and each word of
-a polynomial in them, acts by one contiguous slice copy per grade.
+basis.  Words are never stored: grade k starts at fock_count(d, k - 1) and
+orders its words with the first letter as the least significant base-d
+digit, so prepending the letter j + 1 sends index i to d i + 1 + j, in every
+grade alike.  Each creation operator, and each word of a polynomial in
+them, acts by one strided slice over all grades.
 Matrix-free norms run Lanczos on A*A with full reorthogonalization.
 
 No shift matrix is built: S1 + S1 S2 maps each z1-degree block of
@@ -43,12 +44,13 @@ def fock_count(d: int, L: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Word basis in graded lexicographic order, addressed by arithmetic.
+    """Word basis, graded, then first letter least significant, addressed by
+    arithmetic.
 
-    Grade k occupies indices offsets[k] .. offsets[k+1].  Prepending the
-    word p = (i1..im) (letters 0-based) to grade k lands in the block of d^k
-    indices starting at offsets[k+m] + rank(p) d^k, in the same order, where
-    rank(p) reads p as base-d digits.
+    Grade k occupies indices offsets[k] .. offsets[k+1], and the word
+    (i1..ik) (letters 0-based) sits at offsets[k] + sum_t i_t d^(t-1).  As
+    offsets[k+1] = d offsets[k] + 1, prepending the word p = (i1..im) sends
+    index i of any grade to d^m i + c_p, where c_p = sum_t (1 + i_t) d^(t-1).
     """
 
     d: int
@@ -71,16 +73,13 @@ class FockBasis:
     def size(self) -> int:
         return self.offsets[-1]
 
-    def _blocks(self, word: tuple, K: int):
-        """(slice of grade k, slice of word + grade k) for k <= K that stay
-        within the basis."""
-        o, d, m = self.offsets, self.d, len(word)
-        rank = 0
-        for letter in word:
-            rank = rank * d + letter
-        for k in range(min(K, self.L - m) + 1):
-            t = o[k + m] + rank * d ** k
-            yield slice(o[k], o[k + 1]), slice(t, t + d ** k)
+    def _image(self, word: tuple, K: int):
+        """(n, dst): prepending ``word`` sends index i < n to dst[i], where n
+        counts the words of grade <= K whose image stays within the basis."""
+        d, m = self.d, len(word)
+        n = self.offsets[min(K, self.L - m) + 1] if m <= self.L else 0
+        c = sum((1 + letter) * d ** t for t, letter in enumerate(word))
+        return n, slice(c, c + d ** m * n, d ** m)
 
     def apply_words(self, terms: dict, v: np.ndarray) -> np.ndarray:
         """sum_p c_p L_p v for the word polynomial ``terms`` {p: c_p}, where
@@ -92,8 +91,8 @@ class FockBasis:
         K = self.offsets.index(len(v)) - 1
         out = np.zeros(self.size, np.result_type(v, *terms.values()))
         for word, c in terms.items():
-            for src, dst in self._blocks(word, K):
-                out[dst] += c * v[src]
+            n, dst = self._image(word, K)
+            out[dst] += c * v[:n]
         return out
 
     def apply_words_adjoint(self, terms: dict, v: np.ndarray,
@@ -103,8 +102,8 @@ class FockBasis:
         K = self.L if K is None else K
         out = np.zeros(self.offsets[K + 1], np.result_type(v, *terms.values()))
         for word, c in terms.items():
-            for src, dst in self._blocks(word, K):
-                out[src] += np.conj(c) * v[dst]
+            n, dst = self._image(word, K)
+            out[:n] += np.conj(c) * v[dst]
         return out
 
 
@@ -126,7 +125,8 @@ def operator_norm(A, iters: int = LANCZOS_MAX_STEPS, tol: float = LANCZOS_TOL,
     if None).  It stops at breakdown (the new direction is
     below LANCZOS_BREAKDOWN times ||A*A q||), when the Ritz residual bound
     beta_k |s_k| falls to tol * theta, or after ``iters`` steps; the Krylov
-    basis grows one vector per step.  ``iters`` reports the steps taken,
+    basis grows one row per step in a buffer that doubles when full, and the
+    tridiagonal is filled in place.  ``iters`` reports the steps taken,
     ``residual`` the true ||A*A x - theta x|| / theta of the Ritz vector x,
     and ``converged`` whether that residual is within tol.  Non-convergence
     is reported, not raised.
@@ -138,35 +138,38 @@ def operator_norm(A, iters: int = LANCZOS_MAX_STEPS, tol: float = LANCZOS_TOL,
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     q = np.asarray(x0) / np.linalg.norm(x0)
-    basis, alpha, beta = [], [], []
-    theta, s = 0.0, np.ones(1)
-    for _ in range(min(iters, n)):
-        basis.append(q)
+    Q, T = np.empty((0, n)), np.zeros((1, 1))   # T keeps one row to spare
+    theta, s = 0.0, np.zeros(0)
+    for k in range(min(iters, n)):
         w = np.array(rmv(mv(q)))
+        if k == len(Q):
+            grow = max(k, 16)
+            Q = np.concatenate([Q, np.empty((grow, n), np.result_type(Q, q, w))])
+            T = np.pad(T, (0, grow))
+        Q[k] = q
         w_norm = float(np.linalg.norm(w))
-        alpha.append(float(np.vdot(q, w).real))
+        T[k, k] = float(np.vdot(q, w).real)
         # full reorthogonalization, twice: one Gram-Schmidt pass leaves a
         # component along the basis of the size of the rounding in what it
         # removed, large next to w when most of w is removed; the basis
         # then loses orthogonality and Ritz values can pass the spectrum
-        Q = np.array(basis)
+        Qk = Q[:k + 1]
         for _ in range(2):
-            w -= Q.T @ (Q.conj() @ w)
+            w -= Qk.T @ (Qk.conj() @ w)
         b = float(np.linalg.norm(w))
-        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        vals, vecs = np.linalg.eigh(T)
+        vals, vecs = np.linalg.eigh(T[:k + 1, :k + 1])
         theta, s = max(float(vals[-1]), 0.0), vecs[:, -1]
         # breakdown: what is left of A*A q is rounding noise, so the Krylov
         # space is invariant to working precision
         if b <= LANCZOS_BREAKDOWN * w_norm or b * abs(s[-1]) <= tol * theta:
             break
-        beta.append(b)
+        T[k, k + 1] = T[k + 1, k] = b
         q = w / b
 
-    x = sum(c * u for c, u in zip(s, basis))
+    x = sum(c * u for c, u in zip(s, Q))
     x /= np.linalg.norm(x)
     resid = float(np.linalg.norm(rmv(mv(x)) - theta * x) / max(theta, 1e-300))
-    return NormResult(math.sqrt(theta), len(basis), resid, resid <= tol)
+    return NormResult(math.sqrt(theta), len(s), resid, resid <= tol)
 
 
 # -- the separation experiment -------------------------------------------
@@ -270,20 +273,6 @@ def _check_boundary(zeta: np.ndarray) -> np.ndarray:
     if abs(np.linalg.norm(zeta) - 1.0) > 1e-12:
         raise ValueError("state point must lie on the unit sphere to 1e-12")
     return zeta
-
-
-def cuntz_state_word(zeta: Sequence[complex], i_word: Sequence[int],
-                     j_word: Sequence[int]) -> complex:
-    """Value of the multiplicative boundary state on V_{i1}..V_{im} V*_{j1}..V*_{jn}:
-    the product of the zeta letters over i_word times the conjugated product
-    over j_word.  Letters are 1-based."""
-    zeta = _check_boundary(zeta)
-    val = 1.0 + 0.0j
-    for i in i_word:
-        val *= zeta[i - 1]
-    for j in j_word:
-        val *= np.conj(zeta[j - 1])
-    return complex(val)
 
 
 def cuntz_state_herglotz(zeta: Sequence[complex], z: Sequence[complex],

@@ -251,13 +251,6 @@ def _commuting_powers(T: OperatorTuple, d: int, N: int, tol: float = 1e-10) -> n
     return powers
 
 
-def commuting_calculus(p: TruncatedSeries, T: OperatorTuple,
-                       tol: float = 1e-10) -> np.ndarray:
-    """Evaluate a polynomial on a commuting tuple with cached monomial
-    products; rejects non-commuting input."""
-    return np.tensordot(p.coeffs, _commuting_powers(T, p.d, p.N, tol), axes=(0, 0))
-
-
 def rs_duality_residual(f: TruncatedSeries, D: HerglotzDatum,
                         r_grid: float | Sequence[float]) -> float:
     """Max over r in r_grid (one float is a one-radius grid) of |Q_r(f, g) -

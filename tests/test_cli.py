@@ -733,6 +733,20 @@ class TestContract:
         assert epilog.startswith("trials=200, d=2, r_grid=[0.05, 0.1,")
         assert epilog.endswith("0.99], identity_trials=20")
 
+    def test_params_do_not_carry_over_between_calls(self, tmp_path):
+        # main reuses one parser, whose --param default list is shared
+        code, first = run_cli(["davidson-pitts", "--param", "N_sym=2",
+                               "--param", "L_sweep=[4]"], tmp_path, "first.json")
+        config = json_file(tmp_path, "config.json", {"params": {"L_sweep": [5]}})
+        code2, second = run_cli(["davidson-pitts", "--config", config], tmp_path,
+                                "second.json")
+        assert code == code2 == 0
+        assert first["config"]["params"] == {"N_sym": 2, "L_sweep": [4]}
+        assert second["config"]["params"] == {"L_sweep": [5]}
+        assert second["results"]["N_sym"] == 16
+        assert build_parser() is build_parser()
+        assert build_parser().parse_args(["davidson-pitts"]).param == []
+
 
     @pytest.mark.parametrize("command", ["growth", "membership"])
     @pytest.mark.parametrize("kind,shown", [('"X+"', "'X+'"), ('["S+"]', "['S+']"),

@@ -10,9 +10,9 @@ from herglotzlab.fock import (
     N_SYM_CAP,
     FockBasis,
     SizeCapError,
+    _check_boundary,
     _sym_shift_norm,
     cuntz_state_herglotz,
-    cuntz_state_word,
     davidson_pitts_sweep,
     fock_count,
     operator_norm,
@@ -24,10 +24,11 @@ from herglotzlab.series import enumerate_multiindices, index_of, simplex_size
 
 
 def fock_words(d, L):
-    """All words over {1..d} of length <= L, graded then lexicographic."""
+    """All words over {1..d} of length <= L, graded, then ordered by the
+    reversed word, so the first letter varies fastest."""
     out = []
     for k in range(L + 1):
-        out.extend(itertools.product(range(1, d + 1), repeat=k))
+        out.extend(w[::-1] for w in itertools.product(range(1, d + 1), repeat=k))
     return tuple(out)
 
 
@@ -41,6 +42,19 @@ def creation_operators(d, L):
     return [sp.csr_matrix((np.ones(len(cols)), ([index[(j,) + words[c]] for c in cols], cols)),
                           shape=(len(words), len(words)))
             for j in range(1, d + 1)]
+
+
+def cuntz_state_word(zeta, i_word, j_word):
+    """Value of the multiplicative boundary state on V_{i1}..V_{im} V*_{j1}..V*_{jn}:
+    the product of the zeta letters over i_word times the conjugated product
+    over j_word.  Letters are 1-based."""
+    zeta = _check_boundary(zeta)
+    val = 1.0 + 0.0j
+    for i in i_word:
+        val *= zeta[i - 1]
+    for j in j_word:
+        val *= np.conj(zeta[j - 1])
+    return complex(val)
 
 
 def cuntz_state_herglotz_bruteforce(zeta, z, K):
@@ -104,9 +118,9 @@ class TestWordBasis:
     def test_empty_word_first(self):
         assert fock_words(2, 3)[0] == ()
 
-    def test_graded_lex(self):
+    def test_graded_colex(self):
         words = fock_words(2, 2)
-        assert words == ((), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
+        assert words == ((), (1,), (2,), (1, 1), (2, 1), (1, 2), (2, 2))
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
@@ -180,6 +194,75 @@ class TestCreationOperators:
                            (A.conj().T @ u)[:m])
         with pytest.raises(ValueError):
             basis.apply_words(terms, v[:-1])
+
+
+def word_polynomial(ops, terms):
+    """sum_p c_p L_p as a sparse matrix, read off the creation operators."""
+    A = 0 * ops[0]
+    for word, c in terms.items():
+        prod = sp.identity(ops[0].shape[0], format="csr")
+        for letter in word:
+            prod = prod @ ops[letter]
+        A = A + c * prod
+    return A
+
+
+class TestStridedAction:
+    """Each word acts by one strided slice over all grades; checked against
+    the sparse word-product oracle on every domain grade K."""
+
+    @pytest.mark.parametrize("d,L", [(2, 5), (3, 3)])
+    def test_every_domain_grade_matches_sparse(self, d, L):
+        basis = FockBasis.create(d, L)
+        ops = creation_operators(d, L)
+        rng = np.random.default_rng(d * 10 + L)
+        # the empty word, short words, a word of length L and one past it
+        terms = {(): 0.25 - 1j, (0,): 1.0 + 0.5j, (d - 1, 0): -0.5j,
+                 (1, 1, 0): 2.0 - 1j, (0,) * L: 0.75j, (1,) * (L + 1): 3.0}
+        A = word_polynomial(ops, terms)
+        n = basis.size
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for K in range(L + 1):
+            m = fock_count(d, K)
+            v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            padded = np.concatenate([v, np.zeros(n - m)])
+            assert np.allclose(basis.apply_words(terms, v), A @ padded, atol=1e-13), K
+            assert np.allclose(basis.apply_words_adjoint(terms, u, K),
+                               (A.conj().T @ u)[:m], atol=1e-13), K
+
+    def test_word_past_the_cap_contributes_nothing(self):
+        basis = FockBasis.create(2, 4)
+        v = np.arange(1.0, basis.size + 1)
+        for word in ((0,) * 5, (1, 0) * 3, (0, 1) * 40):
+            assert not basis.apply_words({word: 1.0}, v).any()
+            assert not basis.apply_words_adjoint({word: 1.0}, v).any()
+
+    def test_long_word_reaches_only_the_grades_below_the_cap(self):
+        # a word of length 3 on grades <= 3 of a grade-4 basis: only the
+        # grade-0 and grade-1 parts of v land inside
+        basis = FockBasis.create(2, 4)
+        ops = creation_operators(2, 4)
+        terms = {(1, 0, 1): 1.0 - 2j}
+        m = fock_count(2, 3)
+        v = np.arange(1.0, m + 1)
+        out = basis.apply_words(terms, v)
+        padded = np.concatenate([v, np.zeros(basis.size - m)])
+        assert np.allclose(out, word_polynomial(ops, terms) @ padded)
+        assert np.count_nonzero(out) == fock_count(2, 1)
+
+    @pytest.mark.parametrize("d,L,K", [(2, 6, 4), (3, 4, 2), (2, 3, 3)])
+    def test_adjoint_identity(self, d, L, K):
+        # <A v, u> = <v, A* u> on random complex vectors and weights
+        basis = FockBasis.create(d, L)
+        rng = np.random.default_rng(100 + d + L + K)
+        words = [tuple(rng.integers(0, d, size=rng.integers(0, L + 2))) for _ in range(6)]
+        terms = {w: complex(*rng.standard_normal(2)) for w in words}
+        m, n = fock_count(d, K), basis.size
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lhs = np.vdot(u, basis.apply_words(terms, v))
+        rhs = np.vdot(basis.apply_words_adjoint(terms, u, K), v)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestDshift:

@@ -9,7 +9,6 @@ from herglotzlab.optuple import (
     _commuting_powers,
     OperatorTuple,
     SingularPencilError,
-    commuting_calculus,
     herglotz_kernel,
     herglotz_taylor,
     herglotz_transform_many,
@@ -93,6 +92,13 @@ def sym_poly(p: TruncatedSeries, T: OperatorTuple) -> np.ndarray:
     for i in np.nonzero(p.coeffs)[0]:
         acc += p.coeffs[i] * sym_monomial(alphas[i], T)
     return acc
+
+
+def commuting_calculus(p: TruncatedSeries, T: OperatorTuple,
+                       tol: float = 1e-10) -> np.ndarray:
+    """p(T) on a commuting tuple, from the monomial table T^alpha;
+    rejects non-commuting input."""
+    return np.tensordot(p.coeffs, _commuting_powers(T, p.d, p.N, tol), axes=(0, 0))
 
 
 # -- per-index recursions -------------------------------------------------

@@ -25,7 +25,6 @@ from herglotzlab.classes import (
 )
 from herglotzlab.fock import (
     cuntz_state_herglotz,
-    cuntz_state_word,
     davidson_pitts_sweep,
     operator_norm,
 )
@@ -33,7 +32,6 @@ from herglotzlab.growth import growth_profile, hp_radial_mean, sphere_sample
 from herglotzlab.optuple import (
     HerglotzDatum,
     OperatorTuple,
-    commuting_calculus,
     herglotz_kernel,
     herglotz_taylor,
     herglotz_transform_many,
@@ -57,8 +55,8 @@ from herglotzlab.series import (
     index_of,
 )
 
-from test_fock import creation_operators, dense_shifts
-from test_optuple import E11, E12, E21, ZERO2, sym_monomial, sym_poly
+from test_fock import creation_operators, cuntz_state_word, dense_shifts
+from test_optuple import E11, E12, E21, ZERO2, commuting_calculus, sym_monomial, sym_poly
 from test_series import compose_univariate, coordinate, make_series, weight, zero
 
 
