@@ -8,8 +8,9 @@ pass means "no violation found" for the sampled points.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,8 @@ DEFAULT_RADIUS_CAP = 0.95
 BOUNDARY_BIASED_RANGE = (0.9, 0.99)
 GRAM_TOL_SCALE = 1e-8
 MEMBER_KINDS = ("M+", "R+", "S+")
+MAX_ATOMS = 8                 # an M+ sample has 1 to MAX_ATOMS atoms
+KT_ETA_SAMPLES = 8            # compression vectors per kT_test
 
 
 class PreconditionError(ValueError):
@@ -45,20 +48,16 @@ class PointSet:
         object.__setattr__(self, "points", pts)
 
 
-def random_pointset(d: int, n: int = DEFAULT_POINTS,
-                    radius_cap: float = DEFAULT_RADIUS_CAP,
-                    seed: int = 0) -> PointSet:
+def random_pointset(d: int, n: int, rng: np.random.Generator,
+                    radius_cap: float = DEFAULT_RADIUS_CAP) -> PointSet:
     """n distinct points, uniform directions with ball-volume radii."""
-    rng = np.random.default_rng(seed)
     dirs = sphere_sample(d, n, rng)
     radii = radius_cap * rng.random(n) ** (1.0 / (2 * d))
     return PointSet(dirs * radii[:, None], radius_cap)
 
 
-def boundary_biased_pointset(d: int, n: int = DEFAULT_POINTS,
-                             seed: int = 0) -> PointSet:
+def boundary_biased_pointset(d: int, n: int, rng: np.random.Generator) -> PointSet:
     """Points with radii in the boundary band; violations concentrate there."""
-    rng = np.random.default_rng(seed)
     dirs = sphere_sample(d, n, rng)
     lo, hi = BOUNDARY_BIASED_RANGE
     radii = rng.uniform(lo, hi, n)
@@ -71,11 +70,12 @@ def boundary_biased_pointset(d: int, n: int = DEFAULT_POINTS,
 @dataclass(frozen=True, eq=False)
 class KernelReport:
     kernel: str
-    points: int
+    points: int                        # Gram size
     min_eig: float
     tol: float
     verdict: str                       # "pass" | "fail"
     witness: Optional[np.ndarray]      # Gram eigenvector on fail
+    sets_tried: Optional[int] = None   # point sets a search tested
 
     def to_json(self) -> dict:
         return {
@@ -89,11 +89,10 @@ class KernelReport:
         }
 
 
-def _gram_report(G: np.ndarray, name: str, tol: Optional[float]) -> KernelReport:
+def _gram_report(G: np.ndarray, name: str) -> KernelReport:
     n = G.shape[0]
     G = (G + G.conj().T) / 2.0
-    if tol is None:
-        tol = GRAM_TOL_SCALE * max(float(np.trace(G).real), 0.0) / n + 1e-14
+    tol = GRAM_TOL_SCALE * max(float(np.trace(G).real), 0.0) / n + 1e-14
     vals, vecs = np.linalg.eigh(G)
     min_eig = float(vals[0])
     ok = min_eig >= -tol
@@ -116,42 +115,40 @@ def _pair_matrix(pts: PointSet) -> np.ndarray:
     return z @ np.conj(z.T)       # <z_i, z_j>
 
 
-def splus_test(f, pts: PointSet, tol: Optional[float] = None) -> KernelReport:
+def splus_test(f, pts: PointSet) -> KernelReport:
     """PSD verdict for (f(z) + conj(f(w))) / (1 - <z, w>) on the point set."""
     v = values_at(f, pts.points)
     ip = _pair_matrix(pts)
     G = (v[:, None] + np.conj(v[None, :])) / (1.0 - ip)
-    return _gram_report(G, "splus", tol)
+    return _gram_report(G, "splus")
 
 
-def schur_test(phi, pts: PointSet, tol: Optional[float] = None) -> KernelReport:
+def schur_test(phi, pts: PointSet) -> KernelReport:
     """PSD verdict for (1 - phi(z) conj(phi(w))) / (1 - <z, w>)."""
     v = values_at(phi, pts.points)
     ip = _pair_matrix(pts)
     G = (1.0 - v[:, None] * np.conj(v[None, :])) / (1.0 - ip)
-    return _gram_report(G, "schur", tol)
+    return _gram_report(G, "schur")
 
 
-def kT_test(T: OperatorTuple, pts: PointSet, tol: Optional[float] = None,
-            n_eta: int = 8, seed: int = 0) -> KernelReport:
+def kT_test(T: OperatorTuple, pts: PointSet, rng: np.random.Generator) -> KernelReport:
     """Vector-sampled PSD test of (I - <z,T><w,T>*) / (1 - <z,w>).
 
-    The operator kernel is compressed along random unit vectors eta; the
-    worst min-eigenvalue over the batch is reported.
+    The operator kernel is compressed along KT_ETA_SAMPLES random unit
+    vectors eta; the worst min-eigenvalue over the batch is reported.
     """
     z = pts.points
     A = T.zeta_dot_many(z)                     # (m, n, n)
     ip = _pair_matrix(pts)
     # B[i, j] = A_i A_j^*
     B = np.einsum("ink,jmk->ijnm", A, np.conj(A))
-    rng = np.random.default_rng(seed)
     worst = None
-    for _ in range(n_eta):
+    for _ in range(KT_ETA_SAMPLES):
         eta = rng.standard_normal(T.n) + 1j * rng.standard_normal(T.n)
         eta /= np.linalg.norm(eta)
         quad = np.einsum("ijnm,n,m->ij", B, np.conj(eta), eta)
         G = (1.0 - quad) / (1.0 - ip)
-        rep = _gram_report(G, "kT", tol)
+        rep = _gram_report(G, "kT")
         if worst is None or rep.min_eig < worst.min_eig:
             worst = rep
     return worst
@@ -199,18 +196,16 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_boundary_measure(d: int, seed: int, max_atoms: int = 8) -> AtomicMeasure:
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, max_atoms + 1))
+def random_boundary_measure(d: int, rng: np.random.Generator) -> AtomicMeasure:
+    n = int(rng.integers(1, MAX_ATOMS + 1))
     pts = sphere_sample(d, n, rng)
     w = rng.uniform(0.2, 1.0, n)
     return AtomicMeasure(pts, w, "boundary")
 
 
-def random_row_contraction(d: int, n: int, seed: int) -> OperatorTuple:
+def random_row_contraction(d: int, n: int, rng: np.random.Generator) -> OperatorTuple:
     """Gaussian tuple scaled so the row block [T_1 ... T_d] has norm drawn
     uniformly from [0.3, 1.0]."""
-    rng = np.random.default_rng(seed)
     mats = (rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n)))
     row = np.concatenate(list(mats), axis=1)
     s = np.linalg.norm(row, 2)
@@ -218,11 +213,10 @@ def random_row_contraction(d: int, n: int, seed: int) -> OperatorTuple:
     return OperatorTuple(mats * (target / s))
 
 
-def random_commuting_contraction(d: int, n: int, seed: int) -> OperatorTuple:
+def random_commuting_contraction(d: int, n: int, rng: np.random.Generator) -> OperatorTuple:
     """Either a unitary conjugation of a diagonal tuple whose rows lie in the
     closed ball, or a conjugated nilpotent pair; the latter gives members
     that are not the transform of a boundary measure."""
-    rng = np.random.default_rng(seed)
     if rng.random() < 0.5 or d < 2:
         diag_rows = sphere_sample(d, n, rng)
         radii = rng.random(n) ** (1.0 / (2 * d))
@@ -240,17 +234,16 @@ def random_commuting_contraction(d: int, n: int, seed: int) -> OperatorTuple:
     return OperatorTuple(np.array([U @ M @ U.conj().T for M in mats]))
 
 
-def generate_member(kind: str, seed: int, d: int = 2, n: int = 4,
-                    max_atoms: int = 8) -> AtomicMeasure | HerglotzDatum:
+def generate_member(kind: str, rng: np.random.Generator, d: int = 2,
+                    n: int = 4) -> AtomicMeasure | HerglotzDatum:
     """Sample a member of M+ (its measure), or of R+ or S+ (its Herglotz
-    datum), from its generator family."""
-    rng = np.random.default_rng(seed)
+    datum: the tuple, then xi), from its generator family."""
     if kind == "M+":
-        return random_boundary_measure(d, seed, max_atoms)
+        return random_boundary_measure(d, rng)
     if kind == "R+":
-        T = random_commuting_contraction(d, n, seed)
+        T = random_commuting_contraction(d, n, rng)
     elif kind == "S+":
-        T = random_row_contraction(d, n, seed)
+        T = random_row_contraction(d, n, rng)
     else:
         raise ValueError(f"unknown class kind {kind!r}")
     xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -258,25 +251,24 @@ def generate_member(kind: str, seed: int, d: int = 2, n: int = 4,
     return HerglotzDatum(T, xi, 0.0)
 
 
-def opool_member(seed: int, d: int = 2):
-    """A positive-real-part sample: rotates through the class generators,
-    boundary kernels, and (for d = 2) the shifted boundary kernel that has
-    neither a measure nor a datum."""
-    slot = seed % 5
+def opool_member(k: int, rng: np.random.Generator, d: int = 2):
+    """The k-th positive-real-part sample: slot k % 5 rotates through the
+    class generators, boundary kernels, and (for d = 2) the shifted boundary
+    kernel that has neither a measure nor a datum."""
+    slot = k % 5
     if slot == 0:
-        return generate_member("S+", seed, d=d)
+        return generate_member("S+", rng, d=d)
     if slot == 1:
-        return generate_member("R+", seed, d=d)
+        return generate_member("R+", rng, d=d)
     if slot == 2:
-        return generate_member("M+", seed, d=d)
+        return generate_member("M+", rng, d=d)
     if slot == 3:
-        rng = np.random.default_rng(seed)
         zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         zeta /= np.linalg.norm(zeta)
         return boundary_kernel(zeta)
     if d == 2:
         return ShiftedBoundaryKernel()
-    return generate_member("S+", seed + 1, d=d)
+    return generate_member("S+", rng, d=d)
 
 
 # -- duality sweeps ---------------------------------------------------------
@@ -368,17 +360,17 @@ def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> d
             "atoms": atoms, "r_grid": list(r_grid)}
 
 
-def sample_duality_pairs(kind_f: str, kind_g: str, trials: int, seed: int,
-                         d: int = 2) -> Iterator[tuple]:
+def sample_duality_pairs(kind_f: str, kind_g: str, trials: int,
+                         rng: np.random.Generator, d: int = 2) -> Iterator[tuple]:
     """The (f, g) sample pairs of the class-duality sweeps, yielded one at a
-    time: f from seed + 2k (from the O+ pool for kind_f "O+") and g from
-    seed + 2k + 1, for k < trials."""
+    time and drawn in order from rng: f (the k-th O+ pool member for kind_f
+    "O+"), then g, for k < trials.  Fewer trials give a prefix of the pairs."""
     for k in range(trials):
         if kind_f == "O+":
-            f = opool_member(seed + 2 * k, d=d)
+            f = opool_member(k, rng, d=d)
         else:
-            f = generate_member(kind_f, seed + 2 * k, d=d)
-        yield f, generate_member(kind_g, seed + 2 * k + 1, d=d)
+            f = generate_member(kind_f, rng, d=d)
+        yield f, generate_member(kind_g, rng, d=d)
 
 
 # -- rigidity probe ----------------------------------------------------------
@@ -394,60 +386,40 @@ def _disk_candidates(d: int) -> list:
     return pts
 
 
-def schwarz_probe(g: TruncatedSeries, budget: int = 200, seed: int = 0,
-                  tol: Optional[float] = None) -> KernelReport:
+def schwarz_probe(g: TruncatedSeries, rng: np.random.Generator,
+                  budget: int = 200) -> KernelReport:
     """Search for a Schur-kernel Gram violation of a normalized candidate.
 
     Preconditions: g(0) = 0 and the z_1 coefficient is 1 (to 1e-12).  Any
     candidate other than z_1 itself must fail the kernel test on some finite
     set; the search mixes structured sets (pairs on the z_1 disk plus an
     off-disk point, where the rank-one restriction forces violations) with
-    random and boundary-biased sets.  Returns the first failing report, or a
-    passing report once the budget is exhausted.
+    random and boundary-biased sets, all drawn from rng, one set at a time.
+    Returns the first failing report, or once ``budget`` sets have passed the
+    last one, renamed as exhausted; either way with ``sets_tried`` set.
     """
     if g.d < 1:
         raise PreconditionError("need at least one variable")
+    if budget < 1:
+        raise PreconditionError("need a budget of at least one point set")
     e1 = (1,) + (0,) * (g.d - 1)
     if abs(g.constant_term) > 1e-12 or abs(g.coeff(e1) - 1.0) > 1e-12:
         raise PreconditionError(
             "probe requires g(0) = 0 and unit z_1 coefficient")
 
-    rng = np.random.default_rng(seed)
-    disk = _disk_candidates(g.d)
-    tried = 0
-    last = None
+    def point_sets():
+        disk = _disk_candidates(g.d)
+        for x1 in disk:
+            yield PointSet(np.array([x1]), 1.0)
+        # two disk points plus an off-axis companion in the boundary band
+        for x1, x2 in itertools.permutations(disk[:6] if g.d >= 2 else [], 2):
+            for _ in range(2):
+                off = sphere_sample(g.d, 1, rng)[0] * rng.uniform(*BOUNDARY_BIASED_RANGE)
+                yield PointSet(np.array([x1, x2, off]), 1.0)
+        for maker in itertools.cycle((random_pointset, boundary_biased_pointset)):
+            yield maker(g.d, DEFAULT_POINTS, rng)
 
-    def try_set(ps: PointSet) -> Optional[KernelReport]:
-        nonlocal tried, last
-        if tried >= budget:
-            return None
-        tried += 1
-        last = schur_test(g, ps, tol)
-        return last if last.verdict == "fail" else None
-
-    # structured sets: two disk points plus an off-axis companion
-    for x1 in disk:
-        rep = try_set(PointSet(np.array([x1]), 1.0))
-        if rep:
-            return rep
-    if g.d >= 2:
-        for x1 in disk[:6]:
-            for x2 in disk[:6]:
-                if np.allclose(x1, x2):
-                    continue
-                for _ in range(2):
-                    off = rng.standard_normal(g.d) + 1j * rng.standard_normal(g.d)
-                    off /= np.linalg.norm(off)
-                    off *= rng.uniform(*BOUNDARY_BIASED_RANGE)
-                    rep = try_set(PointSet(np.array([x1, x2, off]), 1.0))
-                    if rep:
-                        return rep
-    # random and boundary-biased sets
-    while tried < budget:
-        maker = random_pointset if tried % 2 == 0 else boundary_biased_pointset
-        rep = try_set(maker(g.d, DEFAULT_POINTS, seed=seed + tried))
-        if rep:
-            return rep
-    min_eig = last.min_eig if last is not None else 0.0
-    return KernelReport("schur-rigidity (budget exhausted)", tried, min_eig,
-                        last.tol if last else 0.0, "pass", None)
+    for tried, ps in enumerate(itertools.islice(point_sets(), budget), 1):
+        if (rep := schur_test(g, ps)).verdict == "fail":
+            return replace(rep, sets_tried=tried)
+    return replace(rep, kernel="schur-rigidity (budget exhausted)", sets_tried=tried)

@@ -8,6 +8,8 @@ for identical configs apart from the timing field.  Each ``cmd_*`` takes the
 seed and its params as keyword arguments: its signature is the param schema,
 and each annotation is a param kind that ``main`` applies to the JSON value,
 default included, before any work, so the commands get typed values.
+A command splits its seed once (``SeedSequence.spawn``) into one Generator
+per sampled role; each sampler draws only from the Generator it is handed.
 Exit codes: 0 success; 2 malformed input, an unknown or missing param, or an
 input outside a function's domain; 3 a resource cap (SizeCapError) exceeded.
 Any other exit, such as 1 with a traceback, is a bug.
@@ -118,11 +120,21 @@ def _c2(v: complex) -> list:
 # and a name, and returns the typed value or a ValueError that names it ---
 
 
-def Count(value, what: str) -> int:
+def Count(value, what: str, least: int = 1) -> int:
     n = Int(value, what)
-    if n < 1:
-        raise ValueError(f"{what} must be >= 1, got {n}")
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
     return n
+
+
+def Seed(value, what: str) -> int:
+    """A non-negative integer: the entropy of ``np.random.SeedSequence``."""
+    return Count(value, what, 0)
+
+
+def _streams(seed: int, roles: int) -> list:
+    """One independent Generator for each of a command's sampled roles."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(roles)]
 
 
 def Dimension(value, what: str) -> int:
@@ -171,8 +183,8 @@ TARGET_KEYS = {"extreme": ("zeta",), "series": ("series",), "datum": ("datum",),
 
 
 def Target(value, what: str):
-    """The function of the seed that gives the target: a measure, a datum,
-    a series, or a class sample (a measure or a datum)."""
+    """The function of a Generator that gives the target: a measure, a
+    datum, a series, or a class sample (a measure or a datum) drawn from it."""
     kind = value.get("kind") if isinstance(value, dict) else None
     if kind not in TARGET_KEYS:
         raise ValueError(f"{what} must be an object whose kind is one of "
@@ -182,18 +194,18 @@ def Target(value, what: str):
     if kind == "sample":
         cls = ClassKind(value.get("class", "S+"), "class")
         d = Dimension(value.get("d", 2), "d")
-        return lambda seed: generate_member(cls, seed, d=d)
+        return lambda rng: generate_member(cls, rng, d=d)
     if kind == "extreme":
         func = boundary_kernel(_json_complex(value["zeta"], "zeta", 1))
     else:
         func = {"series": Series, "datum": Datum}[kind](value[kind], kind)
-    return lambda seed: func
+    return lambda rng: func
 
 
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_pair(seed: Int, f: Series, g: Series, r_grid: Radii = R_GRID,
+def cmd_pair(seed: Seed, f: Series, g: Series, r_grid: Radii = R_GRID,
              measure: Measure = None, mode: Mode = "full"):
     if measure is not None and min(r_grid) >= 1.0:
         raise ValueError(f"pair: 'measure' needs a radius below 1 in 'r_grid', got {r_grid}")
@@ -220,12 +232,13 @@ def cmd_pair(seed: Int, f: Series, g: Series, r_grid: Radii = R_GRID,
     return results
 
 
-def cmd_herglotz(seed: Int, datum: Datum, N: Int = DEFAULT_DEGREE, points: Count = 200):
+def cmd_herglotz(seed: Seed, datum: Datum, N: Int = DEFAULT_DEGREE, points: Count = 200):
     _check_caps(datum.d, N)
+    weak_rng, points_rng = _streams(seed, 2)
     row_ok, row_eig = is_row_contraction(datum.tuple)
-    weak = is_weak_row_contraction(datum.tuple, seed=seed)
+    weak = is_weak_row_contraction(datum.tuple, weak_rng)
     comm_ok, comm_norm = is_commuting(datum.tuple)
-    pts = random_pointset(datum.d, points, seed=seed).points
+    pts = random_pointset(datum.d, points, points_rng).points
     failures = 0
     re_min = None           # stays null when the batched transform fails
     fact_res = 0.0
@@ -260,7 +273,7 @@ def cmd_herglotz(seed: Int, datum: Datum, N: Int = DEFAULT_DEGREE, points: Count
     }
 
 
-def cmd_davidson_pitts(seed: Int, N_sym: Int = 16, L_full: Int = 16, L_sweep: Lengths = None):
+def cmd_davidson_pitts(seed: Seed, N_sym: Int = 16, L_full: Int = 16, L_sweep: Lengths = None):
     if L_sweep is None:
         if L_full < 4:
             raise ValueError(f"davidson-pitts: 'L_full' must be >= 4 when no 'L_sweep' is "
@@ -289,18 +302,18 @@ def cmd_davidson_pitts(seed: Int, N_sym: Int = 16, L_full: Int = 16, L_sweep: Le
     }
 
 
-def cmd_duality(seed: Int, trials: Count = 200, d: Dimension = 2, r_grid: Radii = R_GRID,
+def cmd_duality(seed: Seed, trials: Count = 200, d: Dimension = 2, r_grid: Radii = R_GRID,
                 identity_trials: Count = 20):
     if (need := 2 * trials + identity_trials) > DUALITY_MEMBER_CAP:
         raise SizeCapError(f"{need} duality members (2 trials + identity_trials) are over "
                            f"the cap of {DUALITY_MEMBER_CAP}: lower trials or identity_trials")
-    om = duality_sweep(sample_duality_pairs("O+", "M+", trials, seed, d=d), r_grid)
-    sr = duality_sweep(sample_duality_pairs("S+", "R+", trials, seed + 10 ** 6, d=d), r_grid)
-    rng = np.random.default_rng(seed)
+    om_rng, sr_rng, rng = _streams(seed, 3)       # rng: the identity members
+    om = duality_sweep(sample_duality_pairs("O+", "M+", trials, om_rng, d=d), r_grid)
+    sr = duality_sweep(sample_duality_pairs("S+", "R+", trials, sr_rng, d=d), r_grid)
     worst_ident = 0.0
     m = simplex_size(d, 6)
-    for k in range(identity_trials):
-        datum = generate_member("R+", seed + 31 * k + 7, d=d, n=4)
+    for _ in range(identity_trials):
+        datum = generate_member("R+", rng, d=d, n=4)
         f = TruncatedSeries(d, 6, rng.standard_normal(m) + 1j * rng.standard_normal(m))
         worst_ident = max(worst_ident, rs_duality_residual(f, datum, r_grid))
     return {
@@ -311,9 +324,10 @@ def cmd_duality(seed: Int, trials: Count = 200, d: Dimension = 2, r_grid: Radii 
     }
 
 
-def cmd_membership(seed: Int, target: Target = DEFAULT_TARGET, points: Count = 25,
+def cmd_membership(seed: Seed, target: Target = DEFAULT_TARGET, points: Count = 25,
                    trials: Count = 8):
-    func = target(seed)
+    target_rng, points_rng = _streams(seed, 2)
+    func = target(target_rng)
 
     class _Cayley:
         d = func.d
@@ -327,20 +341,19 @@ def cmd_membership(seed: Int, target: Target = DEFAULT_TARGET, points: Count = 2
     all_pass = True
     for k in range(trials):
         maker = random_pointset if k % 2 == 0 else boundary_biased_pointset
-        pts = maker(func.d, points, seed=seed + k)
-        rep = splus_test(func, pts)
+        rep = splus_test(func, maker(func.d, points, points_rng))
         reports.append(rep.to_json())
         all_pass &= rep.verdict == "pass"
-        pts2 = maker(func.d, points, seed=seed + 1000 + k)
-        rep2 = schur_test(_Cayley, pts2)
+        rep2 = schur_test(_Cayley, maker(func.d, points, points_rng))
         reports.append(rep2.to_json())
         all_pass &= rep2.verdict == "pass"
     return {"reports": reports, "all_pass": bool(all_pass)}
 
 
-def cmd_growth(seed: Int, target: Target = DEFAULT_TARGET, p: Float = 1.0,
+def cmd_growth(seed: Seed, target: Target = DEFAULT_TARGET, p: Float = 1.0,
                grid: Radii = DEFAULT_R_GRID, samples: Count = DEFAULT_SAMPLES):
-    profile = growth_profile(target(seed), p=p, r_grid=grid, n=samples, seed=seed)
+    target_rng, directions_rng = _streams(seed, 2)
+    profile = growth_profile(target(target_rng), p, directions_rng, r_grid=grid, n=samples)
     return {"profile": profile.to_json()}
 
 

@@ -115,28 +115,24 @@ class NormResult:
     converged: bool
 
 
-def operator_norm(A, iters: int = LANCZOS_MAX_STEPS, tol: float = LANCZOS_TOL,
-                  x0: np.ndarray = None) -> NormResult:
+def operator_norm(A, x0: np.ndarray, iters: int = LANCZOS_MAX_STEPS,
+                  tol: float = LANCZOS_TOL) -> NormResult:
     """Largest singular value of an operator given by ``shape``, ``matvec``
     and ``rmatvec``.
 
     Lanczos on A*A with full reorthogonalization (two classical
-    Gram-Schmidt passes per step), started from x0 (a fixed random vector
-    if None).  It stops at breakdown (the new direction is
-    below LANCZOS_BREAKDOWN times ||A*A q||), when the Ritz residual bound
-    beta_k |s_k| falls to tol * theta, or after ``iters`` steps; the Krylov
-    basis grows one row per step in a buffer that doubles when full, and the
-    tridiagonal is filled in place.  ``iters`` reports the steps taken,
-    ``residual`` the true ||A*A x - theta x|| / theta of the Ritz vector x,
-    and ``converged`` whether that residual is within tol.  Non-convergence
-    is reported, not raised.
+    Gram-Schmidt passes per step), started from x0.  It stops at breakdown
+    (the new direction is below LANCZOS_BREAKDOWN times ||A*A q||), when the
+    Ritz residual bound beta_k |s_k| falls to tol * theta, or after
+    ``iters`` steps; the Krylov basis grows one row per step in a buffer
+    that doubles when full, and the tridiagonal is filled in place.
+    ``iters`` reports the steps taken, ``residual`` the true
+    ||A*A x - theta x|| / theta of the Ritz vector x, and ``converged``
+    whether that residual is within tol.  Non-convergence is reported, not
+    raised.
     """
     mv, rmv = A.matvec, A.rmatvec
     n = A.shape[1]
-
-    if x0 is None:
-        rng = np.random.default_rng(0)
-        x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     q = np.asarray(x0) / np.linalg.norm(x0)
     Q, T = np.empty((0, n)), np.zeros((1, 1))   # T keeps one row to spare
     theta, s = 0.0, np.zeros(0)

@@ -41,9 +41,10 @@ SERIES_MAX_TERMS = 10 ** 6
 _CHUNK = 50000
 
 
-def hp_radial_mean(f, p: float, r: float, n: int = DEFAULT_SAMPLES,
-                   seed: int = 0):
-    """Monte Carlo estimate of the surface mean of |f(r zeta)|^p.
+def hp_radial_mean(f, p: float, r: float, rng: np.random.Generator,
+                   n: int = DEFAULT_SAMPLES):
+    """Monte Carlo estimate of the surface mean of |f(r zeta)|^p, the n
+    directions drawn from rng.
 
     Returns (mean, stderr).  Evaluation failures propagate.
     """
@@ -51,7 +52,7 @@ def hp_radial_mean(f, p: float, r: float, n: int = DEFAULT_SAMPLES,
         raise ValueError("exponent must be positive")
     if not 0.0 < r < 1.0:
         raise ValueError("radius must be in (0, 1)")
-    zetas = sphere_sample(f.d, n, seed)
+    zetas = sphere_sample(f.d, n, rng)
     total = 0.0
     total_sq = 0.0
     for lo in range(0, n, _CHUNK):
@@ -162,16 +163,18 @@ class GrowthProfile:
         }
 
 
-def growth_profile(f, p: float, r_grid: Sequence[float] = DEFAULT_R_GRID,
-                   n: int = DEFAULT_SAMPLES, seed: int = 0) -> GrowthProfile:
+def growth_profile(f, p: float, rng: np.random.Generator,
+                   r_grid: Sequence[float] = DEFAULT_R_GRID,
+                   n: int = DEFAULT_SAMPLES) -> GrowthProfile:
     """Surface means across the radius grid with a tail-slope diagnostic.
 
     A one-atom measure is summed from the series of its transform
     (``series_radial_mean``); any other f is sampled, n points per radius
-    (``hp_radial_mean``).  The slope is the difference quotient of
-    log(mean) against log(1/(1-r)) over the last grid segment, i.e. the
-    empirical growth exponent at the boundary; profiles are "bounded" when
-    it is <= 0.1 and "divergent" from 0.3 up.
+    drawn from rng one radius after another (``hp_radial_mean``).  The
+    slope is the difference quotient of log(mean) against log(1/(1-r)) over
+    the last grid segment, i.e. the empirical growth exponent at the
+    boundary; profiles are "bounded" when it is <= 0.1 and "divergent" from
+    0.3 up.
     """
     r_grid = tuple(r_grid)
     if any(not 0.0 < r < 1.0 for r in r_grid) or len(r_grid) < 2:
@@ -183,8 +186,7 @@ def growth_profile(f, p: float, r_grid: Sequence[float] = DEFAULT_R_GRID,
         errs = (0.0,) * len(r_grid)
         estimator, budget = "series", {"terms": list(terms), "tail_bound": list(tails)}
     else:
-        means, errs = zip(*(hp_radial_mean(f, p, r, n=n, seed=seed + k)
-                            for k, r in enumerate(r_grid)))
+        means, errs = zip(*(hp_radial_mean(f, p, r, rng, n=n) for r in r_grid))
         estimator, budget = "monte-carlo", {"samples": n}
     x = [math.log(1.0 / (1.0 - r)) for r in r_grid]
     y = [math.log(max(m, 1e-300)) for m in means]

@@ -29,6 +29,10 @@ from .series import (
     simplex_size,
 )
 
+WEAK_TOL = 1e-9               # sup ||<zeta, T>|| <= 1 + WEAK_TOL is weak
+WEAK_REFINE_TOP = 10          # ascents, from the best sampled directions
+WEAK_REFINE_STEPS = 50        # ascent steps at most, each one full SVD
+
 
 class SingularPencilError(ArithmeticError):
     """I - <z, T> was numerically singular at a requested point."""
@@ -128,30 +132,30 @@ class WeakContractionReport:
     worst_zeta: np.ndarray
 
 
-def is_weak_row_contraction(T: OperatorTuple, tol: float = 1e-9,
-                            samples: int = 2000, refine_steps: int = 50,
-                            refine_top: int = 10, seed: int = 0) -> WeakContractionReport:
-    """Estimate sup over unit zeta of ||<zeta, T>|| by sphere sampling with
-    local ascent refinement.
+def is_weak_row_contraction(T: OperatorTuple, rng: np.random.Generator,
+                            samples: int = 2000) -> WeakContractionReport:
+    """Estimate sup over unit zeta of ||<zeta, T>|| by sphere sampling from
+    rng with local ascent refinement: up to WEAK_REFINE_STEPS steps from
+    each of the WEAK_REFINE_TOP best samples; weak within WEAK_TOL.
 
     One-sided certificate: a violation found is conclusive, a pass only
     accumulates evidence.  The ascent step replaces zeta by the normalized
     conjugate of (u* T_j v) for the current top singular pair (u, v), which
     can only increase the objective.
     """
-    if samples < 1 or refine_steps < 0:
+    if samples < 1:
         raise ValueError("budget must be >= 1 sample")
-    zetas = sphere_sample(T.d, samples, seed)
+    zetas = sphere_sample(T.d, samples, rng)
     mats = T.zeta_dot_many(zetas)
     svals = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    order = np.argsort(svals)[::-1][:refine_top]
+    order = np.argsort(svals)[::-1][:WEAK_REFINE_TOP]
 
     best_val = float(svals[order[0]])
     best_zeta = zetas[order[0]]
     for idx in order:
         zeta = zetas[idx]
         val = float(svals[idx])
-        for _ in range(refine_steps):
+        for _ in range(WEAK_REFINE_STEPS):
             U, s, Vh = np.linalg.svd(T.zeta_dot(zeta))
             u, v = U[:, 0], Vh[0].conj()
             grad = np.array([np.vdot(u, M @ v) for M in T.matrices])
@@ -165,7 +169,7 @@ def is_weak_row_contraction(T: OperatorTuple, tol: float = 1e-9,
             zeta, val = new_zeta, new_val
         if val > best_val:
             best_val, best_zeta = val, zeta
-    return WeakContractionReport(best_val <= 1.0 + tol, best_val, best_zeta)
+    return WeakContractionReport(best_val <= 1.0 + WEAK_TOL, best_val, best_zeta)
 
 
 def _commutators(T: OperatorTuple):

@@ -1,5 +1,5 @@
 """Weighted coefficient pairings, the two forms of the ball inner product,
-atomic measures and their transforms, and the seeded sphere sampler.
+atomic measures and their transforms, and the sphere sampler.
 
 The family Q_r pairs Taylor coefficients with weights r^|alpha| alpha!/|alpha|!
 and doubles the constant term.  For truncations the sums are finite and the
@@ -175,14 +175,12 @@ def radial_factorial_weights(d: int, N: int) -> np.ndarray:
     return out
 
 
-def sphere_sample(d: int, n: int,
-                  seed: int | np.random.Generator = 0) -> np.ndarray:
+def sphere_sample(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. uniform points on the unit sphere of C^d (normalized complex
-    Gaussians), deterministic per seed.  A Generator passed as the seed is
-    drawn from in place, so the caller can keep drawing from it."""
+    Gaussians), drawn from rng in place, so the caller can keep drawing
+    from it."""
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     # regenerate the (measure-zero) degenerate rows rather than dividing by ~0
@@ -213,7 +211,7 @@ def h2d_inner_integral(f: TruncatedSeries, g: TruncatedSeries,
     if f.d != g.d:
         raise DimensionMismatchError(f"dimension mismatch: {f.d} vs {g.d}")
     d = f.d
-    dirs = sphere_sample(d, q.sphere_samples, q.seed)
+    dirs = sphere_sample(d, q.sphere_samples, np.random.default_rng(q.seed))
     x, w = np.polynomial.legendre.leggauss(q.radial_nodes)
     r = 0.5 * (x + 1.0)
     w = 0.5 * w

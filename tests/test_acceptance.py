@@ -119,7 +119,7 @@ def test_05_duality_identity_commuting():
         d = int(rng.integers(2, 4))
         n = int(rng.integers(2, 9))
         N = int(rng.integers(1, 9))
-        member = generate_member("R+", 6000 + k, d=d, n=n)
+        member = generate_member("R+", np.random.default_rng(6000 + k), d=d, n=n)
         f = random_series(d, N, 7000 + k)
         for r in R_GRID:
             worst = max(worst, rs_duality_residual(f, member, r))
@@ -133,21 +133,22 @@ def test_06_positivity_suites():
     for k in range(200):
         d = int(rng.integers(2, 4))
         n = int(rng.integers(2, 7))
-        member = generate_member("S+", 8000 + k, d=d, n=n)
-        pts = random_pointset(d, 200, seed=300 + k).points
+        member = generate_member("S+", np.random.default_rng(8000 + k), d=d, n=n)
+        pts = random_pointset(d, 200, np.random.default_rng(300 + k)).points
         re_min = min(re_min, float(member.values_at(pts).real.min()))
     ok_a = re_min >= -1e-10
     # (b) kernel PSD for generated members
     fails_b = 0
     for k in range(500):
-        member = generate_member("S+", 10000 + k, d=2, n=4)
-        rep = splus_test(member, random_pointset(2, 25, seed=20000 + k))
+        member = generate_member("S+", np.random.default_rng(10000 + k), d=2, n=4)
+        rep = splus_test(member, random_pointset(2, 25, np.random.default_rng(20000 + k)))
         fails_b += rep.verdict != "pass"
     # (c) the weak-not-row tuple keeps its kernel positive
     T = OperatorTuple(np.array([E11, E12]))
     fails_c = 0
     for k in range(100):
-        rep = kT_test(T, random_pointset(2, 25, seed=40000 + k), seed=k)
+        rep = kT_test(T, random_pointset(2, 25, np.random.default_rng(40000 + k)),
+                      np.random.default_rng(k))
         fails_c += rep.verdict != "pass"
     ok = ok_a and fails_b == 0 and fails_c == 0
     report("06 positivity-suites", ok,
@@ -186,8 +187,8 @@ def test_07_boundary_state_consistency():
 
 
 def test_08_duality_sweeps():
-    om = duality_sweep(sample_duality_pairs("O+", "M+", 200, 42, d=2))
-    sr = duality_sweep(sample_duality_pairs("S+", "R+", 200, 43, d=2))
+    om = duality_sweep(sample_duality_pairs("O+", "M+", 200, np.random.default_rng(42), d=2))
+    sr = duality_sweep(sample_duality_pairs("S+", "R+", 200, np.random.default_rng(43), d=2))
     ok = om["min_re"] >= -1e-9 and sr["min_re"] >= -1e-9
     report("08 duality-sweeps", ok,
            f"min Re (O+,M+)={om['min_re']:.3e}, min Re (S+,R+)={sr['min_re']:.3e}")
@@ -196,9 +197,9 @@ def test_08_duality_sweeps():
 def test_09_rigidity_probe():
     from test_series import make_series
     bad = make_series(2, 4, {(1, 0): 1.0, (0, 2): 0.5})
-    rep_bad = schwarz_probe(bad, budget=200, seed=0)
+    rep_bad = schwarz_probe(bad, budget=200, rng=np.random.default_rng(0))
     good = make_series(2, 4, {(1, 0): 1.0})
-    rep_good = schwarz_probe(good, budget=200, seed=0)
+    rep_good = schwarz_probe(good, budget=200, rng=np.random.default_rng(0))
     ok = rep_bad.verdict == "fail" and rep_good.verdict == "pass"
     report("09 rigidity-probe", ok,
            f"perturbed={rep_bad.verdict} (min eig {rep_bad.min_eig:.2e}), "
@@ -207,17 +208,17 @@ def test_09_rigidity_probe():
 
 def test_10_growth():
     h = boundary_kernel(np.array([1.0, 0.0]))
-    p1 = growth_profile(h, 1.0, n=200000, seed=0)
+    p1 = growth_profile(h, 1.0, np.random.default_rng(0), n=200000)
     ratio1 = p1.means[-1] / p1.means[1]
     err1 = 3 * (p1.stderr[-1] / p1.means[1]
                 + p1.stderr[1] * p1.means[-1] / p1.means[1] ** 2)
     h3 = boundary_kernel(np.array([1.0, 0.0]))
-    p3 = growth_profile(h3, 3.0, n=200000, seed=0)
+    p3 = growth_profile(h3, 3.0, np.random.default_rng(0), n=200000)
     ratio3 = p3.means[-1] / p3.means[1]
     bounded = 0
     for k in range(100):
-        m = generate_member("S+", 5000 + k, d=2, n=4)
-        prof = growth_profile(m, 1.0, n=20000, seed=k)
+        m = generate_member("S+", np.random.default_rng(5000 + k), d=2, n=4)
+        prof = growth_profile(m, 1.0, np.random.default_rng(k), n=20000)
         bounded += prof.verdict == "bounded"
     ok = (p1.verdict == "bounded" and ratio1 <= 2.0 + err1
           and p3.verdict == "divergent" and ratio3 >= 50.0

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from herglotzlab import cli, optuple
@@ -760,6 +761,95 @@ class TestContract:
         assert code == 2 and report is None
         assert capsys.readouterr().err == (
             f"error: class must be one of ['M+', 'R+', 'S+'], got {shown}\n")
+
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_seed_exit_2_naming_seed_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, command, how):
+        # SeedSequence takes a non-negative integer: membership and duality
+        # used to exit 2 with numpy's text, naming no field, and pair,
+        # davidson-pitts and growth on its default target exited 0
+        @functools.wraps(cli.COMMANDS[command])
+        def no_work(*a, **k):
+            raise AssertionError("the command ran on a negative seed")
+        monkeypatch.setitem(cli.COMMANDS, command, no_work)
+        required = {"pair": ["--param", 'f={"d": 2, "N": 2}', "--param", 'g={"d": 2, "N": 2}'],
+                    "herglotz": ["--param", f"datum={SMALL_DATUM}"]}.get(command, [])
+        args = [command, *required] + (["--seed", "-1"] if how == "flag" else
+                                       ["--config", json_file(tmp_path, "cfg.json", {"seed": -1})])
+        code, report = run_cli(args, tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == f"error: {command}: 'seed' must be >= 0, got -1\n"
+
+
+class TestRoleStreams:
+    """A command splits its seed once: each sampled role draws from its own
+    Generator, and every draw of a role comes from that one Generator."""
+
+    @staticmethod
+    def spy(monkeypatch, roles, name, pick):
+        """Record, under ``name``, the Generator each call of cli.<name> gets."""
+        original = getattr(cli, name)
+
+        def spied(*args, **kwargs):
+            roles.setdefault(name, []).append(pick(*args, **kwargs))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spied)
+
+    @staticmethod
+    def assert_one_generator_per_role(roles, names):
+        assert sorted(roles) == sorted(names)
+        firsts = [roles[name][0] for name in names]
+        assert all(isinstance(rng, np.random.Generator) for rng in firsts)
+        assert len({id(rng) for rng in firsts}) == len(names)
+        for name in names:
+            assert all(rng is roles[name][0] for rng in roles[name])
+
+    def test_duality(self, tmp_path, monkeypatch):
+        roles = {}
+        original = cli.sample_duality_pairs
+
+        def pairs(kind_f, kind_g, trials, rng, d=2):
+            roles.setdefault(kind_f + kind_g, []).append(rng)
+            return original(kind_f, kind_g, trials, rng, d=d)
+        monkeypatch.setattr(cli, "sample_duality_pairs", pairs)
+        self.spy(monkeypatch, roles, "generate_member", lambda kind, rng, **k: rng)
+        code, _ = run_cli(["duality", "--param", "trials=4", "--param", "identity_trials=3"],
+                          tmp_path)
+        assert code == 0 and len(roles["generate_member"]) == 3
+        self.assert_one_generator_per_role(roles, ["O+M+", "S+R+", "generate_member"])
+
+    def test_herglotz(self, tmp_path, monkeypatch):
+        roles = {}
+        self.spy(monkeypatch, roles, "is_weak_row_contraction", lambda T, rng, **k: rng)
+        self.spy(monkeypatch, roles, "random_pointset", lambda d, n, rng, **k: rng)
+        code, _ = run_cli(["herglotz", "--param", f"datum={SMALL_DATUM}", "--param", "N=2",
+                           "--param", "points=5"], tmp_path)
+        assert code == 0
+        self.assert_one_generator_per_role(roles, ["is_weak_row_contraction",
+                                                   "random_pointset"])
+
+    def test_membership(self, tmp_path, monkeypatch):
+        roles = {}
+        self.spy(monkeypatch, roles, "generate_member", lambda kind, rng, **k: rng)
+        for name in ("random_pointset", "boundary_biased_pointset"):
+            self.spy(monkeypatch, roles, name, lambda d, n, rng, **k: rng)
+        code, _ = run_cli(["membership", "--param", 'target={"kind": "sample"}',
+                           "--param", "points=4", "--param", "trials=3"], tmp_path)
+        assert code == 0
+        roles["point sets"] = roles.pop("random_pointset") + roles.pop("boundary_biased_pointset")
+        assert len(roles["point sets"]) == 2 * 3
+        self.assert_one_generator_per_role(roles, ["generate_member", "point sets"])
+
+    def test_growth(self, tmp_path, monkeypatch):
+        roles = {}
+        self.spy(monkeypatch, roles, "generate_member", lambda kind, rng, **k: rng)
+        self.spy(monkeypatch, roles, "growth_profile", lambda f, p, rng, **k: rng)
+        code, _ = run_cli(["growth", "--param", 'target={"kind": "sample"}',
+                           "--param", "samples=50"], tmp_path)
+        assert code == 0
+        self.assert_one_generator_per_role(roles, ["generate_member", "growth_profile"])
 
 
 class TestReproducibility:

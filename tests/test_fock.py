@@ -23,6 +23,13 @@ from herglotzlab.series import enumerate_multiindices, index_of, simplex_size
 # -- independent oracles: explicit word enumeration ------------------------
 
 
+def random_start(A):
+    """A fixed random start vector for operator_norm on A."""
+    rng = np.random.default_rng(0)
+    n = A.shape[1]
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
 def fock_words(d, L):
     """All words over {1..d} of length <= L, graded, then ordered by the
     reversed word, so the first letter varies fastest."""
@@ -299,21 +306,22 @@ class TestDshift:
 
 class TestOperatorNorm:
     def test_identity(self):
-        assert abs(operator_norm(aslinearoperator(np.eye(7))).value - 1.0) < 1e-13
+        eye = np.eye(7)
+        assert abs(operator_norm(aslinearoperator(eye), random_start(eye)).value - 1.0) < 1e-13
 
     def test_rank_one(self):
         rng = np.random.default_rng(1)
         u = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         A = np.outer(u, np.conj(v))
-        assert abs(operator_norm(aslinearoperator(A)).value
+        assert abs(operator_norm(aslinearoperator(A), random_start(A)).value
                    - np.linalg.norm(u) * np.linalg.norm(v)) < 1e-10
 
     def test_power_iteration_matches_dense(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
         dense = np.linalg.svd(A, compute_uv=False)[0]
-        power = operator_norm(aslinearoperator(A), tol=1e-14)
+        power = operator_norm(aslinearoperator(A), random_start(A), tol=1e-14)
         assert abs(dense - power.value) < 1e-8
         assert power.converged
 
@@ -332,14 +340,14 @@ class TestOperatorNorm:
     def test_step_cap_reports_nonconvergence(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((40, 40))
-        res = operator_norm(aslinearoperator(A), iters=2)
+        res = operator_norm(aslinearoperator(A), random_start(A), iters=2)
         assert res.iters == 2
         assert not res.converged
         assert res.residual > 1e-10
 
     def test_sparse_input(self):
         L1, _ = creation_operators(2, 6)
-        res = operator_norm(aslinearoperator(L1))
+        res = operator_norm(aslinearoperator(L1), random_start(L1))
         assert abs(res.value - 1.0) < 1e-8
 
     @pytest.mark.parametrize("L", [4, 6, 8, 10])
@@ -354,7 +362,7 @@ class TestOperatorNorm:
         rng = np.random.default_rng(L)
         x0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         for res in (operator_norm(aslinearoperator(A), x0=x0),
-                    operator_norm(aslinearoperator(A))):
+                    operator_norm(aslinearoperator(A), random_start(A))):
             assert abs(res.value - top) <= 1e-12
             assert res.converged
 

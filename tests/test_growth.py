@@ -20,23 +20,24 @@ from herglotzlab.series import SizeCapError, TruncatedSeries
 
 class TestSphereSample:
     def test_unit_norm(self):
-        pts = sphere_sample(3, 5000, seed=0)
+        pts = sphere_sample(3, 5000, np.random.default_rng(0))
         assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-14
 
     def test_univariate_unit_modulus(self):
-        pts = sphere_sample(1, 1000, seed=1)
+        pts = sphere_sample(1, 1000, np.random.default_rng(1))
         assert np.max(np.abs(np.abs(pts[:, 0]) - 1.0)) < 1e-14
 
     def test_coordinate_second_moment(self):
         # symmetry oracle: E |zeta_1|^2 = 1/d
         for d in (2, 3):
-            pts = sphere_sample(d, 100000, seed=d)
+            pts = sphere_sample(d, 100000, np.random.default_rng(d))
             m = np.abs(pts[:, 0]) ** 2
             stderr = m.std(ddof=1) / math.sqrt(len(m))
             assert abs(m.mean() - 1.0 / d) <= 3 * stderr
 
     def test_deterministic(self):
-        assert np.allclose(sphere_sample(2, 50, seed=9), sphere_sample(2, 50, seed=9))
+        assert np.allclose(sphere_sample(2, 50, np.random.default_rng(9)),
+                           sphere_sample(2, 50, np.random.default_rng(9)))
 
     def test_generator_seed_keeps_its_stream(self):
         # a caller's Generator is drawn from in place, so the caller can keep
@@ -44,15 +45,15 @@ class TestSphereSample:
         rng = np.random.default_rng(9)
         dirs = sphere_sample(2, 50, rng)
         radii = 0.95 * rng.random(50) ** (1.0 / 4)
-        assert np.array_equal(dirs, sphere_sample(2, 50, seed=9))
-        assert np.array_equal(random_pointset(2, 50, seed=9).points,
+        assert np.array_equal(dirs, sphere_sample(2, 50, np.random.default_rng(9)))
+        assert np.array_equal(random_pointset(2, 50, np.random.default_rng(9)).points,
                               dirs * radii[:, None])
 
 
 class TestRadialMean:
     def test_constant_exact(self):
         one = TruncatedSeries.constant(2, 2, 1.0)
-        m, e = hp_radial_mean(one, 1.0, 0.5, n=500, seed=0)
+        m, e = hp_radial_mean(one, 1.0, 0.5, n=500, rng=np.random.default_rng(0))
         assert abs(m - 1.0) < 1e-14 and e < 1e-14
 
     def test_monotone_in_p_when_modulus_above_one(self):
@@ -69,7 +70,7 @@ class TestRadialMean:
         f = Shifted()
         means = []
         for p in (0.5, 1.0, 2.0):
-            m, e = hp_radial_mean(f, p, 0.8, n=40000, seed=4)
+            m, e = hp_radial_mean(f, p, 0.8, n=40000, rng=np.random.default_rng(4))
             means.append((m, e))
         for (m1, e1), (m2, e2) in zip(means, means[1:]):
             assert m2 >= m1 - 3 * (e1 + e2)
@@ -90,34 +91,35 @@ class TestRadialMean:
             def values_at(self, pts):
                 return self.base.values_at(np.asarray(pts) @ U.T)
 
-        m1, e1 = hp_radial_mean(boundary_kernel(zeta), 1.0, 0.9, n=100000, seed=6)
-        m2, e2 = hp_radial_mean(Rotated(), 1.0, 0.9, n=100000, seed=7)
+        m1, e1 = hp_radial_mean(boundary_kernel(zeta), 1.0, 0.9, np.random.default_rng(6),
+                                n=100000)
+        m2, e2 = hp_radial_mean(Rotated(), 1.0, 0.9, n=100000, rng=np.random.default_rng(7))
         assert abs(m1 - m2) <= 3 * (e1 + e2)
 
     def test_parameter_guards(self):
         one = TruncatedSeries.constant(2, 2, 1.0)
         with pytest.raises(ValueError):
-            hp_radial_mean(one, -1.0, 0.5)
+            hp_radial_mean(one, -1.0, 0.5, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            hp_radial_mean(one, 1.0, 1.0)
+            hp_radial_mean(one, 1.0, 1.0, np.random.default_rng(0))
 
 
 class TestGrowthProfile:
     def test_constant_flat(self):
-        prof = growth_profile(TruncatedSeries.constant(2, 2, 2.0), 1.0,
-                              (0.3, 0.6, 0.9), n=2000, seed=8)
+        prof = growth_profile(TruncatedSeries.constant(2, 2, 2.0), 1.0, np.random.default_rng(8),
+                              (0.3, 0.6, 0.9), n=2000)
         assert prof.verdict == "bounded"
         assert abs(prof.slope) < 1e-12
 
     def test_boundary_kernel_p1_bounded(self):
         prof = growth_profile(boundary_kernel(np.array([1.0, 0.0])), 1.0,
-                              n=50000, seed=9)
+                              np.random.default_rng(9), n=50000)
         assert prof.verdict == "bounded"
         assert prof.means[-1] / prof.means[1] <= 2.0
 
     def test_boundary_kernel_p3_divergent(self):
         prof = growth_profile(boundary_kernel(np.array([1.0, 0.0])), 3.0,
-                              n=200000, seed=10)
+                              np.random.default_rng(10), n=200000)
         assert prof.verdict == "divergent"
         assert prof.means[-1] / prof.means[1] >= 50.0
 
@@ -135,27 +137,27 @@ class TestGrowthProfile:
                 phi = np.asarray(pts) @ c
                 return (1.0 + phi) / (1.0 - phi)
 
-        prof = growth_profile(Composed(), 1.0, n=50000, seed=12)
+        prof = growth_profile(Composed(), 1.0, np.random.default_rng(12), n=50000)
         assert prof.verdict == "bounded"
 
     def test_splus_samples_mostly_bounded(self):
         verdicts = []
         for k in range(20):
-            m = generate_member("S+", 2000 + k, d=2, n=4)
-            prof = growth_profile(m, 1.0, n=10000, seed=k)
+            m = generate_member("S+", np.random.default_rng(2000 + k), d=2, n=4)
+            prof = growth_profile(m, 1.0, np.random.default_rng(k), n=10000)
             verdicts.append(prof.verdict)
         assert sum(v == "bounded" for v in verdicts) >= 19
 
     def test_grid_validation(self):
         one = TruncatedSeries.constant(2, 2, 1.0)
         with pytest.raises(ValueError):
-            growth_profile(one, 1.0, (0.9, 0.5), n=100)
+            growth_profile(one, 1.0, np.random.default_rng(0), (0.9, 0.5), n=100)
         with pytest.raises(ValueError):
-            growth_profile(one, 1.0, (0.5,), n=100)
+            growth_profile(one, 1.0, np.random.default_rng(0), (0.5,), n=100)
 
     def test_json_schema(self):
-        prof = growth_profile(TruncatedSeries.constant(2, 2, 1.0), 1.0,
-                              (0.3, 0.7), n=500, seed=13)
+        prof = growth_profile(TruncatedSeries.constant(2, 2, 1.0), 1.0, np.random.default_rng(13),
+                              (0.3, 0.7), n=500)
         obj = prof.to_json()
         assert set(obj) == {"p", "grid", "means", "stderr", "slope", "verdict",
                             "estimator", "budget"}
@@ -189,14 +191,14 @@ def disk_quadrature_mean(p, r):
 class TestSeriesMeans:
     def test_p2_closed_form_d2(self):
         # sum_n 4 x^n / (n + 1) over n >= 1
-        prof = growth_profile(e1_kernel(2), 2.0)
+        prof = growth_profile(e1_kernel(2), 2.0, np.random.default_rng(0))
         for r, m in zip(DEFAULT_R_GRID, prof.means):
             closed = 1 + 4 * (-math.log1p(-r * r) / (r * r) - 1)
             assert abs(m - closed) <= 1e-12 * closed, r
 
     def test_p2_closed_form_d1(self):
         # |h|^2 = |1 + 2 sum_n z^n|^2 on a circle: 1 + 4 r^2 / (1 - r^2)
-        prof = growth_profile(e1_kernel(1), 2.0)
+        prof = growth_profile(e1_kernel(1), 2.0, np.random.default_rng(0))
         for r, m in zip(DEFAULT_R_GRID, prof.means):
             closed = (1 + 3 * r * r) / (1 - r * r)
             assert abs(m - closed) <= 1e-12 * closed, r
@@ -216,7 +218,7 @@ class TestSeriesMeans:
     ])
     def test_monte_carlo_agrees(self, f, p, r):
         m, _, _ = series_radial_mean(f, p, r)
-        mc, err = hp_radial_mean(f, p, r, n=200000, seed=21)
+        mc, err = hp_radial_mean(f, p, r, n=200000, rng=np.random.default_rng(21))
         assert abs(m - mc) <= 4 * err
 
     @pytest.mark.parametrize("p,d,y,terms", [(3.0, 2, 0.99, 200), (0.5, 1, 0.9, 20),
@@ -245,12 +247,13 @@ class TestSeriesMeans:
         assert abs(profiles[0]["means"][-1] - 5032.2186) < 1e-4
 
     def test_interior_atom_at_origin_is_constant(self):
-        prof = growth_profile(one_atom([0.0, 0.0], 2.0), 3.0, (0.5, 0.99))
+        prof = growth_profile(one_atom([0.0, 0.0], 2.0), 3.0, np.random.default_rng(0),
+                              (0.5, 0.99))
         assert prof.means == (8.0, 8.0) and prof.budget["terms"] == [1, 1]
         assert prof.verdict == "bounded"
 
     def test_overflow_stays_infinite(self):
-        prof = growth_profile(e1_kernel(2), 1000.0)
+        prof = growth_profile(e1_kernel(2), 1000.0, np.random.default_rng(0))
         assert prof.means[-1] == math.inf and prof.verdict == "divergent"
 
     def test_term_cap(self, monkeypatch):
@@ -262,9 +265,9 @@ class TestSeriesMeans:
     def test_other_targets_stay_monte_carlo(self):
         two = AtomicMeasure(
             np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), [0.5, 0.5], "boundary")
-        datum = generate_member("R+", 3, d=2, n=2)
+        datum = generate_member("R+", np.random.default_rng(3), d=2, n=2)
         for f in (two, datum):
-            prof = growth_profile(f, 1.0, (0.5, 0.9), n=2000, seed=1)
+            prof = growth_profile(f, 1.0, np.random.default_rng(1), (0.5, 0.9), n=2000)
             assert prof.estimator == "monte-carlo"
             assert prof.budget == {"samples": 2000}
             assert all(e > 0.0 for e in prof.stderr)

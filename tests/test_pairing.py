@@ -149,7 +149,7 @@ def h2d_inner_integral_per_node(f, g, q):
     """h2d_inner_integral through the (samples x nodes) radial profiles of
     f and g, summed node by node: an oracle for the moment contraction."""
     d = f.d
-    dirs = pairing.sphere_sample(d, q.sphere_samples, q.seed)
+    dirs = pairing.sphere_sample(d, q.sphere_samples, np.random.default_rng(q.seed))
     x, w = np.polynomial.legendre.leggauss(q.radial_nodes)
     r, w = 0.5 * (x + 1.0), 0.5 * w
     F, G = f.grade_values(dirs), g.grade_values(dirs)
@@ -344,7 +344,7 @@ class TestDualityPositivitySample:
         # one direction of the measure duality, at sampled scale: pair class
         # generators against boundary measures across the r grid
         from herglotzlab.classes import sample_duality_pairs, duality_sweep
-        pairs = sample_duality_pairs("O+", "M+", 25, 999, d=2)
+        pairs = sample_duality_pairs("O+", "M+", 25, np.random.default_rng(999), d=2)
         out = duality_sweep(pairs)
         assert out["min_re"] >= -1e-9
 
