@@ -35,33 +35,18 @@ class PreconditionError(ValueError):
 # -- point sets -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PointSet:
-    points: np.ndarray        # (n, d) complex, |z| <= radius_cap
-    radius_cap: float
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=complex))
-        if np.any(np.linalg.norm(pts, axis=1) > self.radius_cap + 1e-12):
-            raise ValueError("point outside the radius cap")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-
 def random_pointset(d: int, n: int, rng: np.random.Generator,
-                    radius_cap: float = DEFAULT_RADIUS_CAP) -> PointSet:
-    """n distinct points, uniform directions with ball-volume radii."""
+                    radius_cap: float = DEFAULT_RADIUS_CAP) -> np.ndarray:
+    """n distinct points, (n, d) complex: uniform directions with
+    ball-volume radii, |z| <= radius_cap."""
     dirs = sphere_sample(d, n, rng)
-    radii = radius_cap * rng.random(n) ** (1.0 / (2 * d))
-    return PointSet(dirs * radii[:, None], radius_cap)
+    return dirs * (radius_cap * rng.random(n) ** (1.0 / (2 * d)))[:, None]
 
 
-def boundary_biased_pointset(d: int, n: int, rng: np.random.Generator) -> PointSet:
+def boundary_biased_pointset(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Points with radii in the boundary band; violations concentrate there."""
     dirs = sphere_sample(d, n, rng)
-    lo, hi = BOUNDARY_BIASED_RANGE
-    radii = rng.uniform(lo, hi, n)
-    return PointSet(dirs * radii[:, None], hi)
+    return dirs * rng.uniform(*BOUNDARY_BIASED_RANGE, n)[:, None]
 
 
 # -- kernel reports --------------------------------------------------------
@@ -90,14 +75,11 @@ class KernelReport:
 
 
 def _gram_report(G: np.ndarray, name: str) -> KernelReport:
-    n = G.shape[0]
     G = (G + G.conj().T) / 2.0
-    tol = GRAM_TOL_SCALE * max(float(np.trace(G).real), 0.0) / n + 1e-14
+    tol = GRAM_TOL_SCALE * max(float(np.trace(G).real), 0.0) / len(G) + 1e-14
     vals, vecs = np.linalg.eigh(G)
-    min_eig = float(vals[0])
-    ok = min_eig >= -tol
-    return KernelReport(name, n, min_eig, float(tol),
-                        "pass" if ok else "fail",
+    ok = vals[0] >= -tol
+    return KernelReport(name, len(G), float(vals[0]), float(tol), "pass" if ok else "fail",
                         None if ok else vecs[:, 0])
 
 
@@ -110,48 +92,43 @@ def values_at(f, points: np.ndarray) -> np.ndarray:
     return f.values_at(points)
 
 
-def _pair_matrix(pts: PointSet) -> np.ndarray:
-    z = pts.points
-    return z @ np.conj(z.T)       # <z_i, z_j>
+def _szego_denominator(z: np.ndarray) -> np.ndarray:
+    """1 - <z_i, z_j> for the rows of an (n, d) point array."""
+    return 1.0 - z @ np.conj(z.T)
 
 
-def splus_test(f, pts: PointSet) -> KernelReport:
-    """PSD verdict for (f(z) + conj(f(w))) / (1 - <z, w>) on the point set."""
-    v = values_at(f, pts.points)
-    ip = _pair_matrix(pts)
-    G = (v[:, None] + np.conj(v[None, :])) / (1.0 - ip)
+def splus_test(f, pts: np.ndarray) -> KernelReport:
+    """PSD verdict for (f(z) + conj(f(w))) / (1 - <z, w>) on the (n, d)
+    point array."""
+    v = values_at(f, pts)
+    G = (v[:, None] + np.conj(v[None, :])) / _szego_denominator(pts)
     return _gram_report(G, "splus")
 
 
-def schur_test(phi, pts: PointSet) -> KernelReport:
+def schur_test(phi, pts: np.ndarray) -> KernelReport:
     """PSD verdict for (1 - phi(z) conj(phi(w))) / (1 - <z, w>)."""
-    v = values_at(phi, pts.points)
-    ip = _pair_matrix(pts)
-    G = (1.0 - v[:, None] * np.conj(v[None, :])) / (1.0 - ip)
+    v = values_at(phi, pts)
+    G = (1.0 - v[:, None] * np.conj(v[None, :])) / _szego_denominator(pts)
     return _gram_report(G, "schur")
 
 
-def kT_test(T: OperatorTuple, pts: PointSet, rng: np.random.Generator) -> KernelReport:
+def kT_test(T: OperatorTuple, pts: np.ndarray, rng: np.random.Generator) -> KernelReport:
     """Vector-sampled PSD test of (I - <z,T><w,T>*) / (1 - <z,w>).
 
     The operator kernel is compressed along KT_ETA_SAMPLES random unit
-    vectors eta; the worst min-eigenvalue over the batch is reported.
+    vectors eta: with W_i = A_i^* eta for A_i = <z_i, T>, the compressed
+    numerator is 1 - <W_j, W_i>.  The worst min-eigenvalue over the batch is
+    reported.
     """
-    z = pts.points
-    A = T.zeta_dot_many(z)                     # (m, n, n)
-    ip = _pair_matrix(pts)
-    # B[i, j] = A_i A_j^*
-    B = np.einsum("ink,jmk->ijnm", A, np.conj(A))
-    worst = None
-    for _ in range(KT_ETA_SAMPLES):
+    A_conj = np.conj(T.zeta_dot_many(pts))              # (m, n, n)
+    denom = _szego_denominator(pts)
+
+    def compressed():
         eta = rng.standard_normal(T.n) + 1j * rng.standard_normal(T.n)
-        eta /= np.linalg.norm(eta)
-        quad = np.einsum("ijnm,n,m->ij", B, np.conj(eta), eta)
-        G = (1.0 - quad) / (1.0 - ip)
-        rep = _gram_report(G, "kT")
-        if worst is None or rep.min_eig < worst.min_eig:
-            worst = rep
-    return worst
+        W = (eta / np.linalg.norm(eta)) @ A_conj        # W[i] = A_i^* eta
+        return _gram_report((1.0 - np.conj(W) @ W.T) / denom, "kT")
+
+    return min((compressed() for _ in range(KT_ETA_SAMPLES)), key=lambda rep: rep.min_eig)
 
 
 # -- extreme kernel functions ----------------------------------------------
@@ -160,10 +137,7 @@ def kT_test(T: OperatorTuple, pts: PointSet, rng: np.random.Generator) -> Kernel
 def boundary_kernel(zeta: Sequence[complex]) -> AtomicMeasure:
     """The unit point mass at zeta, an extreme ray of M+, for |zeta| = 1:
     its transform is the boundary kernel (1 + <z, zeta>) / (1 - <z, zeta>)."""
-    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(zeta) - 1.0) > 1e-12:
-        raise ValueError("boundary kernel point must lie on the unit sphere")
-    return AtomicMeasure(zeta[None, :], np.ones(1), "boundary")
+    return AtomicMeasure(np.asarray(zeta, dtype=complex).reshape(1, -1), np.ones(1), "boundary")
 
 
 def extreme_h(zeta: Sequence[complex], N: int) -> TruncatedSeries:
@@ -178,9 +152,7 @@ class ShiftedBoundaryKernel:
     outside the kernel-generated classes' usual sample pool."""
 
     d = 2
-
-    def __init__(self):
-        self.base = boundary_kernel(np.array([1.0, 0.0]))
+    base = boundary_kernel(np.array([1.0, 0.0]))
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
@@ -198,40 +170,33 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_boundary_measure(d: int, rng: np.random.Generator) -> AtomicMeasure:
     n = int(rng.integers(1, MAX_ATOMS + 1))
-    pts = sphere_sample(d, n, rng)
-    w = rng.uniform(0.2, 1.0, n)
-    return AtomicMeasure(pts, w, "boundary")
+    return AtomicMeasure(sphere_sample(d, n, rng), rng.uniform(0.2, 1.0, n), "boundary")
 
 
 def random_row_contraction(d: int, n: int, rng: np.random.Generator) -> OperatorTuple:
     """Gaussian tuple scaled so the row block [T_1 ... T_d] has norm drawn
     uniformly from [0.3, 1.0]."""
-    mats = (rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n)))
-    row = np.concatenate(list(mats), axis=1)
-    s = np.linalg.norm(row, 2)
-    target = rng.uniform(0.3, 1.0)
-    return OperatorTuple(mats * (target / s))
+    mats = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    return OperatorTuple(mats * (rng.uniform(0.3, 1.0) / np.linalg.norm(np.hstack(mats), 2)))
 
 
 def random_commuting_contraction(d: int, n: int, rng: np.random.Generator) -> OperatorTuple:
     """Either a unitary conjugation of a diagonal tuple whose rows lie in the
     closed ball, or a conjugated nilpotent pair; the latter gives members
     that are not the transform of a boundary measure."""
+    mats = np.zeros((d, n, n), dtype=complex)
     if rng.random() < 0.5 or d < 2:
-        diag_rows = sphere_sample(d, n, rng)
-        radii = rng.random(n) ** (1.0 / (2 * d))
-        diag_rows *= radii[:, None]
-        mats = np.zeros((d, n, n), dtype=complex)
-        for j in range(d):
-            np.fill_diagonal(mats[j], diag_rows[:, j])
+        i = np.arange(n)
+        mats[:, i, i] = random_pointset(d, n, rng, 1.0).T
     else:
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         a /= np.linalg.norm(a) / rng.uniform(0.3, 1.0)
-        mats = np.zeros((d, n, n), dtype=complex)
-        mats[0][0, 1] = a[0]
-        mats[1][0, 1] = a[1]
+        mats[:2, 0, 1] = a
     U = _random_unitary(rng, n)
-    return OperatorTuple(np.array([U @ M @ U.conj().T for M in mats]))
+    return OperatorTuple(U @ mats @ U.conj().T)
+
+
+TUPLE_SAMPLERS = {"R+": random_commuting_contraction, "S+": random_row_contraction}
 
 
 def generate_member(kind: str, rng: np.random.Generator, d: int = 2,
@@ -240,14 +205,10 @@ def generate_member(kind: str, rng: np.random.Generator, d: int = 2,
     datum: the tuple, then xi), from its generator family."""
     if kind == "M+":
         return random_boundary_measure(d, rng)
-    if kind == "R+":
-        T = random_commuting_contraction(d, n, rng)
-    elif kind == "S+":
-        T = random_row_contraction(d, n, rng)
-    else:
+    if kind not in TUPLE_SAMPLERS:
         raise ValueError(f"unknown class kind {kind!r}")
-    xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    xi /= math.sqrt(n)
+    T = TUPLE_SAMPLERS[kind](d, n, rng)
+    xi = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(n)
     return HerglotzDatum(T, xi, 0.0)
 
 
@@ -256,19 +217,13 @@ def opool_member(k: int, rng: np.random.Generator, d: int = 2):
     class generators, boundary kernels, and (for d = 2) the shifted boundary
     kernel that has neither a measure nor a datum."""
     slot = k % 5
-    if slot == 0:
-        return generate_member("S+", rng, d=d)
-    if slot == 1:
-        return generate_member("R+", rng, d=d)
-    if slot == 2:
-        return generate_member("M+", rng, d=d)
+    if slot < 3:
+        return generate_member(("S+", "R+", "M+")[slot], rng, d=d)
     if slot == 3:
         zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         zeta /= np.linalg.norm(zeta)
         return boundary_kernel(zeta)
-    if d == 2:
-        return ShiftedBoundaryKernel()
-    return generate_member("S+", rng, d=d)
+    return ShiftedBoundaryKernel() if d == 2 else generate_member("S+", rng, d=d)
 
 
 # -- duality sweeps ---------------------------------------------------------
@@ -282,80 +237,70 @@ def qr_exact_vs_atoms(f, mu: AtomicMeasure, r_grid: Sequence[float]) -> np.ndarr
 
 
 def qr_exact_vs_commuting(f: HerglotzDatum, g: HerglotzDatum,
-                          r_grid: Sequence[float]) -> list:
-    """Q_r(f, g) at each r of the grid for a datum f and a datum g with a
-    commuting tuple, through the joint resolvent.
-
-    With f given by (T_f, xi_f) and g by (T_g, xi_g), the reflected dilate of
-    f evaluated on T_g is the compression of the kernel at the Kronecker
-    tuple sum_j T_gj (x) conj(T_fj); the pairing is twice the conjugate of
-    the resulting quadratic form.  Exact whenever the joint spectral radius
-    is below 1/r, which holds for weak-contractive f and ball-spectrum g.
-    The tuple is built once and solved for the whole grid in one stack.  A
-    non-commuting g raises NonCommutingError: the reduction does not hold
-    for it.
+                          r_grid: Sequence[float]) -> np.ndarray:
+    """Q_r(f, g) at each r of the grid, as an array, for a datum f and a
+    datum g with a commuting tuple, through the joint resolvent: the
+    reflected dilate of f evaluated on T_g is the compression of the kernel
+    at the Kronecker tuple sum_j T_gj (x) conj(T_fj), and the pairing is
+    twice the conjugate of that quadratic form.  Exact while the joint
+    spectral radius is below 1/r, as for weak-contractive f and ball-spectrum
+    g.  The tuple is built once and solved for the whole grid in one stack.
+    A non-commuting g raises NonCommutingError: the reduction fails for it.
     """
     Tf, Tg = f.tuple, g.tuple
     require_commuting(Tg)
     M = sum(np.kron(Tg.matrices[j], np.conj(Tf.matrices[j])) for j in range(Tg.d))
     v = np.kron(g.xi, np.conj(f.xi))
     ys = np.linalg.solve(np.eye(M.shape[0]) - np.multiply.outer(r_grid, M), v)
-    return [complex(2.0 * np.conj(2.0 * np.vdot(v, y) - np.vdot(v, v))) for y in ys]
+    return 2.0 * np.conj(2.0 * np.array([np.vdot(v, y) for y in ys]) - np.vdot(v, v))
 
 
 def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> dict:
     """Minimum of Re Q_r over the given (f, g) pairs, the boundary atoms of
     a measure g, and the r grid.
 
-    Each of f and g is an ``AtomicMeasure``, a ``HerglotzDatum`` or, for f,
-    any other function with ``values_at``.
-
-    The pairing is evaluated exactly, the whole r grid at once, so the sweep
-    sees the true pairing rather than a truncation partial sum, which can
-    dip negative near the boundary for finite degree: by the atom sum of
-    2 f(r p_j) for a measure g; by its Hermitian mirror conj(Q_r(g, f)),
-    the conjugate atom sum of 2 g(r p_j), for a measure f and any g; and by
+    f and g are each an ``AtomicMeasure`` or a ``HerglotzDatum``; f may also
+    be any function with ``values_at``.  Q_r is exact on the whole r grid at
+    once, where a finite-degree partial sum can dip negative near the
+    boundary: the atom sum of 2 f(r p_j) for a measure g; its Hermitian
+    mirror, the conjugate atom sum of 2 g(r p_j), for a measure f and any g;
     the joint resolvent for a datum f and a datum g with a commuting tuple.
-
-    When g is a boundary-supported measure, each atom p_j is also
-    tested on its own: 2 f(r p_j) is Q_r of f against the unit point mass at
-    p_j, an extreme ray of M+.  These values come from the same evaluation
-    as the atom sum, so a negative region of f is not averaged away by the
-    other atoms.  Interior atoms and datum g are paired whole only.
+    For a boundary g each atom p_j is also tested alone, from the same
+    evaluation: 2 f(r p_j) pairs f with the unit point mass at p_j, an
+    extreme ray of M+, so the other atoms cannot average a negative region
+    of f away.  Interior atoms and a datum g are paired whole only.
 
     ``pairs`` is consumed once and no pair is kept, so a generator streams.
     A negative minimum, with its witness ``argmin`` (pair index, atom index
     or None for a whole pairing, r), certifies that f lies outside the dual
-    of M+.  A non-negative minimum is evidence only.  The report's ``pairs``
-    and ``r_grid`` give the pairing evaluations made; ``atoms`` counts the
-    boundary atoms tested, each at every r of the grid.
+    of M+; a non-negative one is evidence only.  A tie goes to the first
+    value in the order pair, r, whole pairing, atoms.  ``pairs`` and
+    ``r_grid`` give the pairing evaluations made; ``atoms`` counts the
+    boundary atoms tested, each at every r.
     """
-    min_re = math.inf
-    argmin = None
-    atoms, k = 0, -1
+    min_re, argmin, atoms, k = math.inf, None, 0, -1
     for k, (f, g) in enumerate(pairs):
-        boundary = isinstance(g, AtomicMeasure) and g.support == "boundary"
-        if boundary:
-            atoms += len(g.weights)
+        # one table per pair: a row per radius, the whole pairing in column
+        # 0 and, for a boundary g, atom j in column j + 1
         if isinstance(g, AtomicMeasure):
             atom_rows = qr_exact_vs_atoms(f, g, r_grid)
-            wholes = (g.weights * atom_rows).sum(axis=1)
+            table = (g.weights * atom_rows).sum(axis=1, keepdims=True)
+            if g.support == "boundary":
+                atoms += len(g.weights)
+                table = np.hstack([table, atom_rows])
         elif isinstance(f, AtomicMeasure):
-            wholes = np.conj((f.weights * qr_exact_vs_atoms(g, f, r_grid)).sum(axis=1))
+            table = np.conj((f.weights * qr_exact_vs_atoms(g, f, r_grid))
+                            .sum(axis=1, keepdims=True))
         elif isinstance(f, HerglotzDatum) and isinstance(g, HerglotzDatum):
-            wholes = qr_exact_vs_commuting(f, g, r_grid)
+            table = qr_exact_vs_commuting(f, g, r_grid)[:, None]
         else:
             raise TypeError("sweep needs a measure f or g, or a datum for both")
-        for i, (r, q) in enumerate(zip(r_grid, wholes)):
-            if q.real < min_re:
-                min_re = float(q.real)
-                argmin = {"pair": k, "atom": None, "r": r, "value": min_re}
-            if boundary and atom_rows[i].size:
-                re = atom_rows[i].real
-                j = int(re.argmin())
-                if re[j] < min_re:
-                    min_re = float(re[j])
-                    argmin = {"pair": k, "atom": j, "r": r, "value": min_re}
+        # the first minimum in row-major order: r, then the whole before atoms
+        i, c = np.unravel_index(np.argmin(table.real), table.shape)
+        if table[i, c].real < min_re:
+            min_re = float(table[i, c].real)
+            argmin = {"pair": k, "atom": None if c == 0 else int(c) - 1,
+                      "r": r_grid[i], "value": min_re}
     return {"min_re": min_re, "argmin": argmin, "pairs": k + 1,
             "atoms": atoms, "r_grid": list(r_grid)}
 
@@ -366,23 +311,17 @@ def sample_duality_pairs(kind_f: str, kind_g: str, trials: int,
     time and drawn in order from rng: f (the k-th O+ pool member for kind_f
     "O+"), then g, for k < trials.  Fewer trials give a prefix of the pairs."""
     for k in range(trials):
-        if kind_f == "O+":
-            f = opool_member(k, rng, d=d)
-        else:
-            f = generate_member(kind_f, rng, d=d)
+        f = opool_member(k, rng, d=d) if kind_f == "O+" else generate_member(kind_f, rng, d=d)
         yield f, generate_member(kind_g, rng, d=d)
 
 
 # -- rigidity probe ----------------------------------------------------------
 
 
-def _disk_candidates(d: int) -> list:
-    xs = [0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9, 0.95, -0.95]
-    pts = []
-    for x in xs:
-        p = np.zeros(d, dtype=complex)
-        p[0] = x
-        pts.append(p)
+def _disk_candidates(d: int) -> np.ndarray:
+    """The (9, d) points x e_1 on the z_1 disk, x from 0 out to +-0.95."""
+    pts = np.zeros((9, d), dtype=complex)
+    pts[:, 0] = [0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9, 0.95, -0.95]
     return pts
 
 
@@ -398,24 +337,20 @@ def schwarz_probe(g: TruncatedSeries, rng: np.random.Generator,
     Returns the first failing report, or once ``budget`` sets have passed the
     last one, renamed as exhausted; either way with ``sets_tried`` set.
     """
-    if g.d < 1:
-        raise PreconditionError("need at least one variable")
     if budget < 1:
         raise PreconditionError("need a budget of at least one point set")
     e1 = (1,) + (0,) * (g.d - 1)
     if abs(g.constant_term) > 1e-12 or abs(g.coeff(e1) - 1.0) > 1e-12:
-        raise PreconditionError(
-            "probe requires g(0) = 0 and unit z_1 coefficient")
+        raise PreconditionError("probe requires g(0) = 0 and unit z_1 coefficient")
 
     def point_sets():
         disk = _disk_candidates(g.d)
-        for x1 in disk:
-            yield PointSet(np.array([x1]), 1.0)
+        yield from disk[:, None, :]
         # two disk points plus an off-axis companion in the boundary band
         for x1, x2 in itertools.permutations(disk[:6] if g.d >= 2 else [], 2):
             for _ in range(2):
                 off = sphere_sample(g.d, 1, rng)[0] * rng.uniform(*BOUNDARY_BIASED_RANGE)
-                yield PointSet(np.array([x1, x2, off]), 1.0)
+                yield np.array([x1, x2, off])
         for maker in itertools.cycle((random_pointset, boundary_biased_pointset)):
             yield maker(g.d, DEFAULT_POINTS, rng)
 

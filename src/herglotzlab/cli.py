@@ -21,8 +21,10 @@ import inspect
 import json
 import math
 import sys
+import textwrap
 import time
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -202,6 +204,24 @@ def Target(value, what: str):
     return lambda rng: func
 
 
+# the JSON format of each object kind, listed by a command's --help; each
+# but a target is an inline object, a path, or '-' for stdin
+FORMATS = {
+    Series: 'series format: {"d": int, "N": int, "coeffs": [{"alpha": [int, ...], "re": float, '
+            '"im": float}, ...]}',
+    Measure: 'measure format: {"points": [[[re, im] x d], ...], "weights": [float, ...], '
+             '"support": "boundary" | "interior"}',
+    Datum: 'datum format: {"d": int, "n": int, "matrices": [[[[re, im], ...], ...], ...], '
+           '"xi": [[re, im], ...], "t": float}',
+    Target: 'target format (inline JSON only): {"kind": "extreme", "zeta": [[re, im] x d]}, {"kind": '
+            '"series", "series": <series>}, {"kind": "datum", "datum": <datum>} or {"kind": '
+            '"sample", "class": "M+" | "R+" | "S+", "d": int}, with <series> and <datum> '
+            'as listed by pair --help and herglotz --help',
+}
+_fill = functools.partial(textwrap.fill, width=79, break_long_words=False,
+                          break_on_hyphens=False)
+
+
 # -- subcommands ------------------------------------------------------------
 
 
@@ -238,7 +258,7 @@ def cmd_herglotz(seed: Seed, datum: Datum, N: Int = DEFAULT_DEGREE, points: Coun
     row_ok, row_eig = is_row_contraction(datum.tuple)
     weak = is_weak_row_contraction(datum.tuple, weak_rng)
     comm_ok, comm_norm = is_commuting(datum.tuple)
-    pts = random_pointset(datum.d, points, points_rng).points
+    pts = random_pointset(datum.d, points, points_rng)
     failures = 0
     re_min = None           # stays null when the batched transform fails
     fact_res = 0.0
@@ -329,25 +349,17 @@ def cmd_membership(seed: Seed, target: Target = DEFAULT_TARGET, points: Count = 
     target_rng, points_rng = _streams(seed, 2)
     func = target(target_rng)
 
-    class _Cayley:
-        d = func.d
+    def cayley_values(points):
+        v = values_at(func, points)
+        return (v - 1.0) / (v + 1.0)
 
-        @staticmethod
-        def values_at(points):
-            v = values_at(func, points)
-            return (v - 1.0) / (v + 1.0)
-
+    cayley = SimpleNamespace(values_at=cayley_values)       # the Schur transform of func
     reports = []
-    all_pass = True
     for k in range(trials):
         maker = random_pointset if k % 2 == 0 else boundary_biased_pointset
-        rep = splus_test(func, maker(func.d, points, points_rng))
-        reports.append(rep.to_json())
-        all_pass &= rep.verdict == "pass"
-        rep2 = schur_test(_Cayley, maker(func.d, points, points_rng))
-        reports.append(rep2.to_json())
-        all_pass &= rep2.verdict == "pass"
-    return {"reports": reports, "all_pass": bool(all_pass)}
+        for test, f in ((splus_test, func), (schur_test, cayley)):
+            reports.append(test(f, maker(func.d, points, points_rng)).to_json())
+    return {"reports": reports, "all_pass": all(r["verdict"] == "pass" for r in reports)}
 
 
 def cmd_growth(seed: Seed, target: Target = DEFAULT_TARGET, p: Float = 1.0,
@@ -401,9 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         params = list(inspect.signature(cmd).parameters.values())[1:]
-        sp = sub.add_parser(name, epilog="params (--param KEY=JSON): " + ", ".join(
+        epilog = [_fill("params (--param KEY=JSON): " + ", ".join(
             p.name if p.default is p.empty else f"{p.name}={json.dumps(p.default)}"
-            for p in params))
+            for p in params))]
+        epilog += [_fill(FORMATS[k], subsequent_indent="  ")
+                   for k in dict.fromkeys(p.annotation for p in params) if k in FORMATS]
+        sp = sub.add_parser(name, epilog="\n\n".join(epilog),
+                            formatter_class=argparse.RawDescriptionHelpFormatter)
         sp.add_argument("--config", default=None,
                         help="JSON config file ('-' for stdin)")
         sp.add_argument("--seed", type=int, default=None)

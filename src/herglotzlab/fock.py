@@ -257,8 +257,7 @@ def davidson_pitts_sweep(L_values: Sequence[int], N_sym: int = 16) -> dict:
         res = operator_norm(op, x0=op.vacuum())
         rows.append({"L": L, "norm_sym_calculus": res.value, "iters": res.iters,
                      "residual": res.residual, "converged": res.converged})
-    return {"N_sym": N_sym, "norm_sym_shift": norm_shift, "rows": rows,
-            "limit_norm": DP_LIMIT_NORM}
+    return {"N_sym": N_sym, "norm_sym_shift": norm_shift, "rows": rows}
 
 
 # -- multiplicative boundary states ---------------------------------------

@@ -134,7 +134,7 @@ def test_06_positivity_suites():
         d = int(rng.integers(2, 4))
         n = int(rng.integers(2, 7))
         member = generate_member("S+", np.random.default_rng(8000 + k), d=d, n=n)
-        pts = random_pointset(d, 200, np.random.default_rng(300 + k)).points
+        pts = random_pointset(d, 200, np.random.default_rng(300 + k))
         re_min = min(re_min, float(member.values_at(pts).real.min()))
     ok_a = re_min >= -1e-10
     # (b) kernel PSD for generated members

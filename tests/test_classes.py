@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from herglotzlab.classes import (
-    PointSet,
     PreconditionError,
     ShiftedBoundaryKernel,
     boundary_biased_pointset,
@@ -142,20 +141,20 @@ class _AffineZ1:
 class TestPointSets:
     def test_radius_cap_enforced(self):
         pts = random_pointset(3, 40, np.random.default_rng(0))
-        assert np.linalg.norm(pts.points, axis=1).max() <= 0.95 + 1e-12
+        assert np.linalg.norm(pts, axis=1).max() <= 0.95 + 1e-12
 
     def test_boundary_biased_band(self):
         pts = boundary_biased_pointset(2, 40, np.random.default_rng(1))
-        radii = np.linalg.norm(pts.points, axis=1)
+        radii = np.linalg.norm(pts, axis=1)
         assert radii.min() >= 0.9 - 1e-12 and radii.max() <= 0.99 + 1e-12
 
     def test_deterministic(self):
         a = random_pointset(2, 10, np.random.default_rng(7))
         b = random_pointset(2, 10, np.random.default_rng(7))
-        assert np.allclose(a.points, b.points)
+        assert np.allclose(a, b)
 
     def test_distinct(self):
-        pts = random_pointset(2, 50, np.random.default_rng(3)).points
+        pts = random_pointset(2, 50, np.random.default_rng(3))
         diffs = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         np.fill_diagonal(diffs, 1.0)
         assert diffs.min() > 1e-8
@@ -209,7 +208,7 @@ class TestSplusMembership:
     def test_negative_real_part_fails_at_one_point(self):
         # the transform of T = (2, 0), xi = 1: (1 + 2 z1) / (1 - 2 z1)
         f = HerglotzDatum(OperatorTuple(np.array([[[2.0]], [[0.0]]])), [1.0])
-        rep = splus_test(f, PointSet(np.array([[-0.6 + 0j, 0.0 + 0j]]), 0.95))
+        rep = splus_test(f, np.array([[-0.6 + 0j, 0.0 + 0j]]))
         assert rep.verdict == "fail"
         assert rep.witness is not None
 
@@ -225,7 +224,7 @@ class TestSchurMembership:
 
     def test_amplified_coordinate_fails_near_boundary(self):
         phi = make_series(2, 2, {(1, 0): 1.1})
-        rep = schur_test(phi, PointSet(np.array([[0.95 + 0j, 0.0 + 0j]]), 0.95))
+        rep = schur_test(phi, np.array([[0.95 + 0j, 0.0 + 0j]]))
         assert rep.verdict == "fail"
 
     def test_cayley_verdict_equivalence(self):
@@ -363,7 +362,7 @@ class TestMemberTypes:
         # evaluated as sum_j w_j (1 + <z, p_j>) / (1 - <z, p_j>)
         members = [generate_member("M+", np.random.default_rng(s)) for s in range(3)]
         members += [opool_member(s, np.random.default_rng(s)) for s in (3, 8, 13)]
-        pts = random_pointset(2, 50, np.random.default_rng(23)).points
+        pts = random_pointset(2, 50, np.random.default_rng(23))
         for m in members:
             assert isinstance(m, AtomicMeasure)
             ip = pts @ np.conj(m.points.T)
@@ -538,7 +537,7 @@ class TestExtremePoints:
         for d in (1, 2, 3, 4):
             zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             zeta /= np.linalg.norm(zeta)
-            pts = random_pointset(d, 500, radius_cap=0.999, rng=np.random.default_rng(d)).points
+            pts = random_pointset(d, 500, radius_cap=0.999, rng=np.random.default_rng(d))
             h = boundary_kernel(zeta)
             assert h.d == d and h.support == "boundary"
             assert np.array_equal(h.points, zeta[None, :])
@@ -619,7 +618,7 @@ class TestChainEvidence:
         pairs = [(f, generate_member("M+", np.random.default_rng(1500 + k), d=2))
                  for k in range(20)]
         swept = duality_sweep(pairs)
-        pts = random_pointset(2, 400, np.random.default_rng(1600)).points
+        pts = random_pointset(2, 400, np.random.default_rng(1600))
         pointwise_min = float(f.values_at(pts).real.min())
         assert swept["min_re"] < 0
         assert pointwise_min < 0
@@ -656,12 +655,51 @@ class TestChainEvidence:
         assert abs(swept["min_re"] - 2.0 * (2.0 - 1.2 * 0.99)) < 1e-12
         assert swept["atoms"] == 0
 
+    @staticmethod
+    def _witness_scan(pairs, r_grid):
+        """The witness by brute force: pairs in order, then r, then the
+        whole pairing before atoms 0, 1, ...; a value replaces the running
+        minimum only when strictly smaller."""
+        min_re, argmin = math.inf, None
+        for k, (f, g) in enumerate(pairs):
+            for r in r_grid:
+                atoms = [2.0 * f.values_at(r * p[None, :])[0] for p in g.points]
+                whole = sum(w * q for w, q in zip(g.weights, atoms))
+                for atom, q in [(None, whole)] + list(enumerate(atoms)):
+                    if q.real < min_re:
+                        min_re = float(q.real)
+                        argmin = {"pair": k, "atom": atom, "r": r, "value": min_re}
+        return min_re, argmin
+
+    def test_witness_ties_go_to_the_whole_pairing(self):
+        # one boundary atom of weight 1: the whole pairing is its atom bit
+        # for bit, and the tie goes to the whole pairing, which comes first
+        mu = AtomicMeasure(np.array([[-1.0, 0.0]], dtype=complex), np.ones(1), "boundary")
+        grid = (0.2, 0.6, 0.99)
+        pairs = [(_AffineZ1(), mu), (_AffineZ1(), mu)]
+        swept = duality_sweep(pairs, grid)
+        assert (swept["min_re"], swept["argmin"]) == self._witness_scan(pairs, grid)
+        assert swept["argmin"] == {"pair": 0, "atom": None, "r": 0.99,
+                                   "value": 2.0 * (1.0 - 3.0 * 0.99)}
+
+    def test_witness_ties_between_atoms_go_to_the_first(self):
+        # two equal atoms whose whole pairing (weights 1/4 each: half an
+        # atom's value, which is negative) is larger: atom 0 is the witness
+        mu = AtomicMeasure(np.array([[-1.0, 0.0], [-1.0, 0.0]], dtype=complex),
+                           np.array([0.25, 0.25]), "boundary")
+        grid = (0.2, 0.6, 0.99)
+        pairs = [(_AffineZ1(), mu), (_AffineZ1(), mu)]
+        swept = duality_sweep(pairs, grid)
+        assert (swept["min_re"], swept["argmin"]) == self._witness_scan(pairs, grid)
+        assert swept["argmin"]["pair"] == 0 and swept["argmin"]["atom"] == 0
+        assert swept["argmin"]["r"] == 0.99
+
     def test_generated_members_have_nonnegative_real_part(self):
         rng = np.random.default_rng(22)
         for k in range(20):
             kind = ("M+", "R+", "S+")[k % 3]
             m = generate_member(kind, np.random.default_rng(1100 + k), d=2, n=4)
-            pts = random_pointset(2, 60, np.random.default_rng(1200 + k)).points
+            pts = random_pointset(2, 60, np.random.default_rng(1200 + k))
             assert m.values_at(pts).real.min() >= -1e-10
 
     def test_rplus_members_pass_splus_test(self):

@@ -734,6 +734,21 @@ class TestContract:
         assert epilog.startswith("trials=200, d=2, r_grid=[0.05, 0.1,")
         assert epilog.endswith("0.99], identity_trials=20")
 
+    @pytest.mark.parametrize("command,formats", [
+        ("pair", ["series", "measure"]), ("herglotz", ["datum"]),
+        ("membership", ["target"]), ("growth", ["target"]),
+        ("duality", []), ("davidson-pitts", [])])
+    def test_help_lists_the_object_formats_of_its_kinds(self, capsys, command, formats):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        listed = out.partition("KEY=JSON): ")[2]
+        assert [name for name in ("series", "measure", "datum", "target")
+                if re.search(rf" {name} format( \(inline JSON only\))?: {{", listed)] == formats
+        if command == "pair":
+            assert '"coeffs": [{"alpha": [int, ...], "re": float, "im": float}, ...]' in listed
+            assert '"support": "boundary" | "interior"' in listed
+
     def test_params_do_not_carry_over_between_calls(self, tmp_path):
         # main reuses one parser, whose --param default list is shared
         code, first = run_cli(["davidson-pitts", "--param", "N_sym=2",

@@ -46,7 +46,7 @@ class TestSphereSample:
         dirs = sphere_sample(2, 50, rng)
         radii = 0.95 * rng.random(50) ** (1.0 / 4)
         assert np.array_equal(dirs, sphere_sample(2, 50, np.random.default_rng(9)))
-        assert np.array_equal(random_pointset(2, 50, np.random.default_rng(9)).points,
+        assert np.array_equal(random_pointset(2, 50, np.random.default_rng(9)),
                               dirs * radii[:, None])
 
 

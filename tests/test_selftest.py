@@ -11,7 +11,6 @@ import pytest
 from scipy.sparse.linalg import aslinearoperator
 
 from herglotzlab.classes import (
-    PointSet,
     ShiftedBoundaryKernel,
     boundary_biased_pointset,
     boundary_kernel,
@@ -365,7 +364,7 @@ def _checks():
         fant = schur_test(zero(2, 2), pts)
         neg = schur_test(TruncatedSeries.constant(2, 2, 2.0), pts)
         return (null.verdict == "pass" and fant.verdict == "pass"
-                and neg.verdict == "fail" and len(neg.witness) == len(pts.points))
+                and neg.verdict == "fail" and len(neg.witness) == len(pts))
     yield ("gram reports", gram_checks)
 
     def splus_checks():
@@ -376,7 +375,7 @@ def _checks():
         # Re of (1+2z1)/(1-2z1), the transform of T = (2, 0) and xi = 1,
         # turns negative past z1 = -1/2
         bad = HerglotzDatum(OperatorTuple(np.array([[[2.0]], [[0.0]]])), [1.0])
-        rep_bad = splus_test(bad, PointSet(np.array([[-0.6 + 0j, 0.0 + 0j]]), 0.95))
+        rep_bad = splus_test(bad, np.array([[-0.6 + 0j, 0.0 + 0j]]))
         return (one.verdict == "pass" and h.verdict == "pass"
                 and rep_bad.verdict == "fail" and rep_bad.witness is not None)
     yield ("positive-class kernel tests", splus_checks)
@@ -386,7 +385,7 @@ def _checks():
         flat = schur_test(zero(2, 4), pts)
         coord = schur_test(coordinate(2, 4, 0), pts)
         amplified = schur_test(make_series(2, 2, {(1, 0): 1.1}),
-                               PointSet(np.array([[0.95, 0.0]]), 0.95))
+                               np.array([[0.95, 0.0]]))
         return (flat.verdict == "pass" and coord.verdict == "pass"
                 and amplified.verdict == "fail")
     yield ("schur kernel tests", schur_checks)
@@ -463,7 +462,7 @@ def _checks():
 
     def opool_spot():
         f = ShiftedBoundaryKernel()
-        pts = random_pointset(2, 400, np.random.default_rng(37)).points
+        pts = random_pointset(2, 400, np.random.default_rng(37))
         return float(f.values_at(pts).real.min()) > -1e-12
     yield ("shifted boundary kernel stays positive", opool_spot)
 
