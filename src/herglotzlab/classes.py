@@ -17,7 +17,7 @@ import numpy as np
 
 from .optuple import HerglotzDatum, OperatorTuple, require_commuting
 from .pairing import R_GRID, AtomicMeasure, herglotz_of_measure, sphere_sample
-from .series import TruncatedSeries
+from .series import DimensionMismatchError, TruncatedSeries
 
 DEFAULT_POINTS = 25
 DEFAULT_RADIUS_CAP = 0.95
@@ -25,6 +25,7 @@ BOUNDARY_BIASED_RANGE = (0.9, 0.99)
 GRAM_TOL_SCALE = 1e-8
 MEMBER_KINDS = ("M+", "R+", "S+")
 MAX_ATOMS = 8                 # an M+ sample has 1 to MAX_ATOMS atoms
+MEMBER_N = 4                  # an R+ or S+ sample is n x n with n = MEMBER_N
 KT_ETA_SAMPLES = 8            # compression vectors per kT_test
 
 
@@ -160,12 +161,12 @@ class ShiftedBoundaryKernel:
 
 
 # -- class generators -------------------------------------------------------
-
-
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+#
+# A tuple member is drawn in two steps: its raw numbers from rng, one member
+# at a time and in order; then its linear algebra (the row-block SVD of an
+# S+ tuple, the unitary QR and conjugation of an R+ tuple), stacked over the
+# members of a chunk with one kind and shape.  One member is a chunk of one,
+# and a member's bits do not depend on its chunk.
 
 
 def random_boundary_measure(d: int, rng: np.random.Generator) -> AtomicMeasure:
@@ -173,17 +174,24 @@ def random_boundary_measure(d: int, rng: np.random.Generator) -> AtomicMeasure:
     return AtomicMeasure(sphere_sample(d, n, rng), rng.uniform(0.2, 1.0, n), "boundary")
 
 
-def random_row_contraction(d: int, n: int, rng: np.random.Generator) -> OperatorTuple:
-    """Gaussian tuple scaled so the row block [T_1 ... T_d] has norm drawn
-    uniformly from [0.3, 1.0]."""
+def _row_draws(d: int, n: int, rng: np.random.Generator) -> tuple:
+    """A Gaussian tuple, then the norm its row block is scaled to."""
     mats = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-    return OperatorTuple(mats * (rng.uniform(0.3, 1.0) / np.linalg.norm(np.hstack(mats), 2)))
+    return mats, rng.uniform(0.3, 1.0)
 
 
-def random_commuting_contraction(d: int, n: int, rng: np.random.Generator) -> OperatorTuple:
-    """Either a unitary conjugation of a diagonal tuple whose rows lie in the
-    closed ball, or a conjugated nilpotent pair; the latter gives members
-    that are not the transform of a boundary measure."""
+def _row_finish(mats: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The (k, d, n, n) tuples scaled so each row block [T_1 ... T_d] has its
+    norm: one stacked SVD."""
+    k, d, n, _ = mats.shape
+    blocks = mats.transpose(0, 2, 1, 3).reshape(k, n, d * n)
+    top = np.linalg.svd(blocks, compute_uv=False).max(axis=-1)
+    return mats * (norms / top)[:, None, None, None]
+
+
+def _commuting_draws(d: int, n: int, rng: np.random.Generator) -> tuple:
+    """A diagonal tuple whose rows lie in the closed ball, or a nilpotent
+    pair, then the Gaussian matrix of the unitary that conjugates it."""
     mats = np.zeros((d, n, n), dtype=complex)
     if rng.random() < 0.5 or d < 2:
         i = np.arange(n)
@@ -192,41 +200,126 @@ def random_commuting_contraction(d: int, n: int, rng: np.random.Generator) -> Op
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         a /= np.linalg.norm(a) / rng.uniform(0.3, 1.0)
         mats[:2, 0, 1] = a
-    U = _random_unitary(rng, n)
-    return OperatorTuple(U @ mats @ U.conj().T)
+    return mats, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-TUPLE_SAMPLERS = {"R+": random_commuting_contraction, "S+": random_row_contraction}
+def _commuting_finish(mats: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """U T U* for each (d, n, n) tuple T of the stack, U the unitary factor
+    of its Gaussian matrix with the phases of R's diagonal taken into it:
+    one stacked QR and one stacked conjugation."""
+    q, r = np.linalg.qr(gauss)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    U = (q * (diag / np.abs(diag))[:, None, :])[:, None]
+    return U @ mats @ np.conj(U).swapaxes(-1, -2)
 
 
-def generate_member(kind: str, rng: np.random.Generator, d: int = 2,
-                    n: int = 4) -> AtomicMeasure | HerglotzDatum:
-    """Sample a member of M+ (its measure), or of R+ or S+ (its Herglotz
-    datum: the tuple, then xi), from its generator family."""
+TUPLE_SAMPLERS = {"R+": (_commuting_draws, _commuting_finish),
+                  "S+": (_row_draws, _row_finish)}
+
+
+def _finish_tuples(kind: str, draws: list) -> np.ndarray:
+    """The (k, d, n, n) tuples of k members of one kind and shape from their
+    raw draws."""
+    return TUPLE_SAMPLERS[kind][1](*(np.stack(part) for part in zip(*draws)))
+
+
+def random_row_contraction(d: int, n: int, rng: np.random.Generator) -> OperatorTuple:
+    """Gaussian tuple scaled so the row block [T_1 ... T_d] has norm drawn
+    uniformly from [0.3, 1.0]."""
+    return OperatorTuple(_finish_tuples("S+", [_row_draws(d, n, rng)])[0])
+
+
+def random_commuting_contraction(d: int, n: int, rng: np.random.Generator) -> OperatorTuple:
+    """Either a unitary conjugation of a diagonal tuple whose rows lie in the
+    closed ball, or a conjugated nilpotent pair; the latter gives members
+    that are not the transform of a boundary measure."""
+    return OperatorTuple(_finish_tuples("R+", [_commuting_draws(d, n, rng)])[0])
+
+
+@dataclass(frozen=True)
+class _DrawnDatum:
+    """An R+ or S+ member whose tuple awaits its stacked finish."""
+
+    kind: str
+    draws: tuple
+    xi: np.ndarray
+
+
+def _draw_member(kind: str, rng: np.random.Generator, d: int, n: int = MEMBER_N):
+    """The draws of one member: an M+ measure is complete as drawn; an R+ or
+    S+ datum draws its tuple, then xi."""
     if kind == "M+":
         return random_boundary_measure(d, rng)
     if kind not in TUPLE_SAMPLERS:
         raise ValueError(f"unknown class kind {kind!r}")
-    T = TUPLE_SAMPLERS[kind](d, n, rng)
+    draws = TUPLE_SAMPLERS[kind][0](d, n, rng)
     xi = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(n)
-    return HerglotzDatum(T, xi, 0.0)
+    return _DrawnDatum(kind, draws, xi)
+
+
+def _draw_pool_member(k: int, rng: np.random.Generator, d: int):
+    """The draws of the k-th O+ pool member (see ``opool_member``)."""
+    slot = k % 5
+    if slot < 3:
+        return _draw_member(("S+", "R+", "M+")[slot], rng, d)
+    if slot == 3:
+        zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        zeta /= np.linalg.norm(zeta)
+        return boundary_kernel(zeta)
+    return ShiftedBoundaryKernel() if d == 2 else _draw_member("S+", rng, d)
+
+
+def _finish_members(drawn: list) -> list:
+    """The members, in order, of a list of draws: the data of each kind and
+    tuple shape are finished by one stacked call; other members pass."""
+    groups = {}
+    for i, item in enumerate(drawn):
+        if isinstance(item, _DrawnDatum):
+            groups.setdefault((item.kind, item.draws[0].shape), []).append(i)
+    members = list(drawn)
+    for (kind, _), idx in groups.items():
+        tuples = _finish_tuples(kind, [drawn[i].draws for i in idx])
+        for i, mats in zip(idx, tuples):
+            members[i] = HerglotzDatum(OperatorTuple(mats), drawn[i].xi, 0.0)
+    return members
+
+
+def generate_member(kind: str, rng: np.random.Generator, d: int = 2,
+                    n: int = MEMBER_N) -> AtomicMeasure | HerglotzDatum:
+    """Sample a member of M+ (its measure), or of R+ or S+ (its Herglotz
+    datum: the tuple, then xi), from its generator family."""
+    return _finish_members([_draw_member(kind, rng, d, n)])[0]
 
 
 def opool_member(k: int, rng: np.random.Generator, d: int = 2):
     """The k-th positive-real-part sample: slot k % 5 rotates through the
     class generators, boundary kernels, and (for d = 2) the shifted boundary
     kernel that has neither a measure nor a datum."""
-    slot = k % 5
-    if slot < 3:
-        return generate_member(("S+", "R+", "M+")[slot], rng, d=d)
-    if slot == 3:
-        zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        zeta /= np.linalg.norm(zeta)
-        return boundary_kernel(zeta)
-    return ShiftedBoundaryKernel() if d == 2 else generate_member("S+", rng, d=d)
+    return _finish_members([_draw_pool_member(k, rng, d)])[0]
 
 
 # -- duality sweeps ---------------------------------------------------------
+
+# The byte budget of one chunk of duality pairs: the sweep stacks the
+# resolvents of a chunk's datum pairs, (n_f n_g)^2 complex entries per pair
+# and radius, and holds the tables of its other pairs, up to this many bytes
+# and at least one pair.
+CHUNK_BYTES = 2 ** 20
+
+
+def _resolvent_bytes(n_f: int, n_g: int, radii: int) -> int:
+    return 16 * radii * (n_f * n_g) ** 2
+
+
+# pairs per sampler chunk: a sweep chunk of sampled datum pairs on the
+# default grid (12 pairs)
+SAMPLE_CHUNK = max(1, CHUNK_BYTES // _resolvent_bytes(MEMBER_N, MEMBER_N, len(R_GRID)))
+
+
+def _require_same_d(f, g) -> None:
+    if f.d != g.d:
+        raise DimensionMismatchError(f"f has d = {f.d} and g has d = {g.d}: a pairing needs "
+                                     f"one number of variables")
 
 
 def qr_exact_vs_atoms(f, mu: AtomicMeasure, r_grid: Sequence[float]) -> np.ndarray:
@@ -236,23 +329,97 @@ def qr_exact_vs_atoms(f, mu: AtomicMeasure, r_grid: Sequence[float]) -> np.ndarr
     return 2.0 * f.values_at(rp.reshape(-1, rp.shape[2])).reshape(rp.shape[:2])
 
 
-def qr_exact_vs_commuting(f: HerglotzDatum, g: HerglotzDatum,
-                          r_grid: Sequence[float]) -> np.ndarray:
-    """Q_r(f, g) at each r of the grid, as an array, for a datum f and a
-    datum g with a commuting tuple, through the joint resolvent: the
+def qr_exact_vs_commuting_many(pairs: Sequence[tuple], r_grid: Sequence[float]) -> np.ndarray:
+    """Q_r(f, g) at each r of the grid, a (pair, radius) array, for datum
+    pairs (f, g) with commuting g, through the joint resolvent: the
     reflected dilate of f evaluated on T_g is the compression of the kernel
     at the Kronecker tuple sum_j T_gj (x) conj(T_fj), and the pairing is
     twice the conjugate of that quadratic form.  Exact while the joint
     spectral radius is below 1/r, as for weak-contractive f and ball-spectrum
-    g.  The tuple is built once and solved for the whole grid in one stack.
-    A non-commuting g raises NonCommutingError: the reduction fails for it.
+    g.  The pairs are grouped by (d, n_f, n_g); each group gets one
+    broadcast Kronecker build and one solve over (pair, radius), and each
+    row equals its one-pair value bit for bit.  Different d of f and g
+    raise DimensionMismatchError and a non-commuting g NonCommutingError,
+    both before any solve: the reduction fails for them.
     """
-    Tf, Tg = f.tuple, g.tuple
-    require_commuting(Tg)
-    M = sum(np.kron(Tg.matrices[j], np.conj(Tf.matrices[j])) for j in range(Tg.d))
-    v = np.kron(g.xi, np.conj(f.xi))
-    ys = np.linalg.solve(np.eye(M.shape[0]) - np.multiply.outer(r_grid, M), v)
-    return 2.0 * np.conj(2.0 * np.array([np.vdot(v, y) for y in ys]) - np.vdot(v, v))
+    groups = {}
+    for p, (f, g) in enumerate(pairs):
+        _require_same_d(f, g)
+        groups.setdefault((f.d, f.tuple.n, g.tuple.n), []).append(p)
+    radii = np.asarray(r_grid, dtype=float)
+    out = np.empty((len(pairs), len(radii)), dtype=complex)
+    for (d, nf, ng), idx in groups.items():
+        fs, gs = zip(*(pairs[p] for p in idx))
+        Tg = np.stack([g.tuple.matrices for g in gs])
+        require_commuting(Tg)
+        Tf = np.conj(np.stack([f.tuple.matrices for f in fs]))
+        m = nf * ng
+        # M[p] = sum_j kron(Tg[p, j], conj(Tf[p, j])), v[p] = kron(xi_g, conj(xi_f))
+        M = (Tg[..., :, None, :, None] * Tf[..., None, :, None, :]).reshape(-1, d, m, m).sum(axis=1)
+        v = (np.stack([g.xi for g in gs])[:, :, None]
+             * np.conj(np.stack([f.xi for f in fs]))[:, None, :]).reshape(-1, m)
+        pencils = radii[:, None, None] * M[:, None]
+        np.subtract(np.eye(m), pencils, out=pencils)
+        ys = np.linalg.solve(pencils, v[:, None, :, None])
+        for p, vp, yp in zip(idx, v, ys[..., 0]):
+            # one vdot per radius: a stacked contraction rounds differently
+            quad = np.array([np.vdot(vp, y) for y in yp])
+            out[p] = 2.0 * np.conj(2.0 * quad - np.vdot(vp, vp))
+    return out
+
+
+def qr_exact_vs_commuting(f: HerglotzDatum, g: HerglotzDatum,
+                          r_grid: Sequence[float]) -> np.ndarray:
+    """Q_r(f, g) at each r of the grid, as an array: the one-pair case of
+    ``qr_exact_vs_commuting_many``."""
+    return qr_exact_vs_commuting_many([(f, g)], r_grid)[0]
+
+
+def _pair_tables(pairs: Iterable[tuple], r_grid: Sequence[float]) -> Iterator[np.ndarray]:
+    """Each pair's table, in pair order: a row per radius, the whole pairing
+    in column 0 and, for a boundary g, atom j in column j + 1.
+
+    A measure pair's table is made as the pair arrives; a datum pair waits
+    for the stacked solve of its chunk.  The chunk is solved once its
+    resolvent stack and held tables would pass CHUNK_BYTES with the next
+    pair, and a pair that finds no datum pair waiting goes out at once.
+    """
+    chunk, waiting, size = [], [], 0
+    for f, g in pairs:
+        _require_same_d(f, g)
+        if isinstance(g, AtomicMeasure):
+            atom_rows = qr_exact_vs_atoms(f, g, r_grid)
+            table = (g.weights * atom_rows).sum(axis=1, keepdims=True)
+            if g.support == "boundary":
+                table = np.hstack([table, atom_rows])
+        elif isinstance(f, AtomicMeasure):
+            table = np.conj((f.weights * qr_exact_vs_atoms(g, f, r_grid))
+                            .sum(axis=1, keepdims=True))
+        elif isinstance(f, HerglotzDatum) and isinstance(g, HerglotzDatum):
+            table = None
+        else:
+            raise TypeError("sweep needs a measure f or g, or a datum for both")
+        nbytes = (table.nbytes if table is not None
+                  else _resolvent_bytes(f.tuple.n, g.tuple.n, len(r_grid)))
+        if waiting and size + nbytes > CHUNK_BYTES:
+            yield from _solved(chunk, waiting, r_grid)
+            chunk, waiting, size = [], [], 0
+        if table is None:
+            waiting.append((len(chunk), f, g))
+        chunk.append(table)
+        size += nbytes
+        if not waiting:
+            yield from chunk
+            chunk, size = [], 0
+    yield from _solved(chunk, waiting, r_grid)
+
+
+def _solved(chunk: list, waiting: list, r_grid: Sequence[float]) -> list:
+    """The chunk's tables with those of its waiting datum pairs filled in."""
+    qs = qr_exact_vs_commuting_many([(f, g) for _, f, g in waiting], r_grid)
+    for (slot, _, _), q in zip(waiting, qs):
+        chunk[slot] = q[:, None]
+    return chunk
 
 
 def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> dict:
@@ -260,7 +427,8 @@ def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> d
     a measure g, and the r grid.
 
     f and g are each an ``AtomicMeasure`` or a ``HerglotzDatum``; f may also
-    be any function with ``values_at``.  Q_r is exact on the whole r grid at
+    be any function with ``values_at`` and ``d``.  f and g of different d
+    raise DimensionMismatchError.  Q_r is exact on the whole r grid at
     once, where a finite-degree partial sum can dip negative near the
     boundary: the atom sum of 2 f(r p_j) for a measure g; its Hermitian
     mirror, the conjugate atom sum of 2 g(r p_j), for a measure f and any g;
@@ -270,7 +438,8 @@ def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> d
     extreme ray of M+, so the other atoms cannot average a negative region
     of f away.  Interior atoms and a datum g are paired whole only.
 
-    ``pairs`` is consumed once and no pair is kept, so a generator streams.
+    ``pairs`` is consumed once, and a pair is held only until its chunk of
+    at most CHUNK_BYTES is solved, so a generator streams in bounded memory.
     A negative minimum, with its witness ``argmin`` (pair index, atom index
     or None for a whole pairing, r), certifies that f lies outside the dual
     of M+; a non-negative one is evidence only.  A tie goes to the first
@@ -279,22 +448,8 @@ def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> d
     boundary atoms tested, each at every r.
     """
     min_re, argmin, atoms, k = math.inf, None, 0, -1
-    for k, (f, g) in enumerate(pairs):
-        # one table per pair: a row per radius, the whole pairing in column
-        # 0 and, for a boundary g, atom j in column j + 1
-        if isinstance(g, AtomicMeasure):
-            atom_rows = qr_exact_vs_atoms(f, g, r_grid)
-            table = (g.weights * atom_rows).sum(axis=1, keepdims=True)
-            if g.support == "boundary":
-                atoms += len(g.weights)
-                table = np.hstack([table, atom_rows])
-        elif isinstance(f, AtomicMeasure):
-            table = np.conj((f.weights * qr_exact_vs_atoms(g, f, r_grid))
-                            .sum(axis=1, keepdims=True))
-        elif isinstance(f, HerglotzDatum) and isinstance(g, HerglotzDatum):
-            table = qr_exact_vs_commuting(f, g, r_grid)[:, None]
-        else:
-            raise TypeError("sweep needs a measure f or g, or a datum for both")
+    for k, table in enumerate(_pair_tables(pairs, r_grid)):
+        atoms += table.shape[1] - 1
         # the first minimum in row-major order: r, then the whole before atoms
         i, c = np.unravel_index(np.argmin(table.real), table.shape)
         if table[i, c].real < min_re:
@@ -309,10 +464,16 @@ def sample_duality_pairs(kind_f: str, kind_g: str, trials: int,
                          rng: np.random.Generator, d: int = 2) -> Iterator[tuple]:
     """The (f, g) sample pairs of the class-duality sweeps, yielded one at a
     time and drawn in order from rng: f (the k-th O+ pool member for kind_f
-    "O+"), then g, for k < trials.  Fewer trials give a prefix of the pairs."""
-    for k in range(trials):
-        f = opool_member(k, rng, d=d) if kind_f == "O+" else generate_member(kind_f, rng, d=d)
-        yield f, generate_member(kind_g, rng, d=d)
+    "O+"), then g, for k < trials.  The draws of SAMPLE_CHUNK pairs are
+    finished together, so fewer trials give a prefix of the pairs."""
+    for start in range(0, trials, SAMPLE_CHUNK):
+        drawn = []
+        for k in range(start, min(start + SAMPLE_CHUNK, trials)):
+            drawn.append(_draw_pool_member(k, rng, d) if kind_f == "O+"
+                         else _draw_member(kind_f, rng, d))
+            drawn.append(_draw_member(kind_g, rng, d))
+        members = _finish_members(drawn)
+        yield from zip(members[::2], members[1::2])
 
 
 # -- rigidity probe ----------------------------------------------------------

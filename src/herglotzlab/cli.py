@@ -83,7 +83,7 @@ TOLERANCES = {
     "duality_min_re": -1e-9,
 }
 
-# duality builds 2 trials + identity_trials members, one at a time
+# duality builds 2 trials + identity_trials members, in chunks of bounded bytes
 DUALITY_MEMBER_CAP = 16384
 # a datum pair's resolvent stack holds one (n^2 x n^2) matrix per radius
 RADII_CAP = 1024

@@ -25,6 +25,7 @@ from .series import (
     _json_int,
     _json_keys,
     _shifts,
+    grade_array,
     grade_slices,
     simplex_size,
 )
@@ -172,15 +173,18 @@ def is_weak_row_contraction(T: OperatorTuple, rng: np.random.Generator,
     return WeakContractionReport(best_val <= 1.0 + WEAK_TOL, best_val, best_zeta)
 
 
-def _commutators(T: OperatorTuple):
-    for i in range(T.d):
-        for j in range(i + 1, T.d):
-            yield T.matrices[i] @ T.matrices[j] - T.matrices[j] @ T.matrices[i]
+def _commutators(mats: np.ndarray):
+    """T_i T_j - T_j T_i for i < j, each over a (..., d, n, n) stack of tuples."""
+    d = mats.shape[-3]
+    for i in range(d):
+        for j in range(i + 1, d):
+            Ti, Tj = mats[..., i, :, :], mats[..., j, :, :]
+            yield Ti @ Tj - Tj @ Ti
 
 
 def is_commuting(T: OperatorTuple, tol: float = 1e-10):
     """Max over i < j of ||T_i T_j - T_j T_i|| in operator norm."""
-    worst = max([0.0] + [float(np.linalg.norm(comm, 2)) for comm in _commutators(T)])
+    worst = max([0.0] + [float(np.linalg.norm(comm, 2)) for comm in _commutators(T.matrices)])
     return worst <= tol, worst
 
 
@@ -235,11 +239,18 @@ def herglotz_taylor(D: HerglotzDatum, N: int) -> TruncatedSeries:
 # -- commuting functional calculus ---------------------------------------
 
 
-def require_commuting(T: OperatorTuple, tol: float = 1e-10) -> None:
-    """NonCommutingError unless ``is_commuting(T, tol)``; a commutator within
+def require_commuting(T: OperatorTuple | np.ndarray, tol: float = 1e-10) -> None:
+    """NonCommutingError unless ``is_commuting(T, tol)`` for the tuple T, or
+    for every tuple of a (k, d, n, n) stack, checked in one pass; the error
+    names the first offending commutator in stack order.  A commutator within
     tol in Frobenius norm, which bounds the operator norm, needs no SVD."""
-    for comm in _commutators(T):
-        if np.linalg.norm(comm) > tol and (norm := float(np.linalg.norm(comm, 2))) > tol:
+    mats = T.matrices if isinstance(T, OperatorTuple) else T
+    comms = list(_commutators(mats))
+    if not comms:
+        return
+    comms = np.stack(comms, axis=-3)                # (..., commutator, n, n)
+    for at in np.argwhere(np.linalg.norm(comms, axis=(-2, -1)) > tol):
+        if (norm := float(np.linalg.norm(comms[tuple(at)], 2))) > tol:
             raise NonCommutingError(f"tuple is not commuting: a commutator has norm {norm:.3e}")
 
 
@@ -259,20 +270,24 @@ def rs_duality_residual(f: TruncatedSeries, D: HerglotzDatum,
                         r_grid: float | Sequence[float]) -> float:
     """Max over r in r_grid (one float is a one-radius grid) of |Q_r(f, g) -
     (2 conj(<f_check_r(T) xi, xi>) - 2 i t f(0))| for a commuting datum, with
-    g the Taylor truncation of the transform at f's degree; g and the
-    monomial table of T are built once for the whole grid.
+    g the Taylor truncation of the transform at f's degree; g, the monomial
+    table of T, the pairings and the reflected dilations are built once for
+    the whole grid, one row per radius.
 
     Direct expansion of the pairing gives the conjugate of the calculus side
     (real parts agree, which is what the duality uses); the residual asserts
     the conjugated identity, plus the imaginary-constant correction that the
     unconjugated statement silently drops.
     """
+    radii = np.atleast_1d(np.asarray(r_grid, dtype=float))
     g = herglotz_taylor(D, f.N)
     powers = _commuting_powers(D.tuple, f.d, f.N)
+    lhs = qr_pair(f, g, radii)
+    # row i holds the coefficients of f_check_r for r = radii[i]
+    reflected = np.conj(f.coeffs) * np.power(radii[:, None], grade_array(f.d, f.N).astype(float))
     residuals = []
-    for r in [r_grid] if np.ndim(r_grid) == 0 else r_grid:
-        lhs = qr_pair(f, g, r)
-        M = np.tensordot(f.reflect().dilate(r).coeffs, powers, axes=(0, 0))
+    for q, coeffs in zip(lhs, reflected):
+        M = np.tensordot(coeffs, powers, axes=(0, 0))
         rhs = 2.0 * np.conj(np.vdot(D.xi, M @ D.xi)) - 2j * D.t * f.constant_term
-        residuals.append(float(abs(lhs - rhs)))
+        residuals.append(float(abs(q - rhs)))
     return max(residuals)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,19 +135,25 @@ def _check_radius(f: TruncatedSeries, g: TruncatedSeries, r: float) -> None:
             "analytic-past-boundary arguments")
 
 
-def qr_pair(f: TruncatedSeries, g: TruncatedSeries, r: float) -> complex:
+def qr_pair(f: TruncatedSeries, g: TruncatedSeries,
+            r: float | Sequence[float]) -> complex | np.ndarray:
     """Sum_alpha c_a conj(d_a) r^|a| a!/|a|!  +  f(0) conj(g(0)).
 
     The alpha = 0 term appears both in the sum and in the extra product, so
     constants pair to twice their plain product.  r = 1 is allowed only when
-    neither argument is backed by a boundary-supported measure.
+    neither argument is backed by a boundary-supported measure.  For a
+    sequence of radii the result is the array of pairings on that grid, from
+    one table of coefficient products, each entry equal to its one-radius
+    value.
     """
-    _check_radius(f, g, r)
+    radii = np.asarray(r, dtype=float)
+    for x in radii.reshape(-1).tolist():
+        _check_radius(f, g, x)
     N, cf, cg = _common_prefix(f, g)
     ratios = weight_ratio_array(f.d, N)
-    rpow = np.power(r, grade_array(f.d, N).astype(float))
-    s = np.sum(cf * np.conj(cg) * rpow * ratios)
-    return complex(s + cf[0] * np.conj(cg[0]))
+    rpow = np.power(radii[..., None], grade_array(f.d, N).astype(float))
+    s = np.sum(cf * np.conj(cg) * rpow * ratios, axis=-1) + cf[0] * np.conj(cg[0])
+    return complex(s) if radii.ndim == 0 else s
 
 
 def h2d_inner_series(f: TruncatedSeries, g: TruncatedSeries) -> complex:

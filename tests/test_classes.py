@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from herglotzlab import classes
 from herglotzlab.classes import (
+    CHUNK_BYTES,
+    SAMPLE_CHUNK,
     PreconditionError,
     ShiftedBoundaryKernel,
     boundary_biased_pointset,
@@ -14,7 +17,11 @@ from herglotzlab.classes import (
     kT_test,
     opool_member,
     qr_exact_vs_commuting,
+    qr_exact_vs_commuting_many,
+    random_boundary_measure,
+    random_commuting_contraction,
     random_pointset,
+    random_row_contraction,
     sample_duality_pairs,
     schur_test,
     schwarz_probe,
@@ -34,7 +41,7 @@ from herglotzlab.pairing import (
     R_GRID,
     qr_pair,
 )
-from herglotzlab.series import TruncatedSeries
+from herglotzlab.series import DimensionMismatchError, TruncatedSeries
 
 from test_series import coordinate, make_series, zero
 
@@ -100,6 +107,19 @@ def duality_sweep_per_r(pairs, r_grid=R_GRID):
             "atoms": atoms, "r_grid": list(r_grid)}
 
 
+def sweep_pair_by_pair(pairs, r_grid=R_GRID):
+    """The sweep with each pair in a chunk of its own, the minima combined
+    in pair order: an oracle for the chunked sweep."""
+    min_re, argmin, atoms = math.inf, None, 0
+    for k, pair in enumerate(pairs):
+        out = duality_sweep([pair], r_grid)
+        atoms += out["atoms"]
+        if out["min_re"] < min_re:
+            min_re, argmin = out["min_re"], dict(out["argmin"], pair=k)
+    return {"min_re": min_re, "argmin": argmin, "pairs": len(pairs),
+            "atoms": atoms, "r_grid": list(r_grid)}
+
+
 def _commuting_per_r(f, g, r_grid):
     """Q_r(f, g) for a datum g with a commuting tuple, one resolvent solve
     per r and term: the Kronecker pencil for a datum f, and for a measure f
@@ -122,6 +142,73 @@ def _commuting_per_r(f, g, r_grid):
             total += wgt * (2.0 * np.vdot(v, y) - np.vdot(v, v))
         out.append(complex(2.0 * np.conj(total)))
     return out
+
+
+# -- the per-member samplers ------------------------------------------------
+# The samplers as they were written before members were finished in stacked
+# chunks: one QR, one SVD and one conjugation per member.  The library must
+# give the same members bit for bit.
+
+
+def _unitary_per_member(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _row_contraction_per_member(d, n, rng):
+    mats = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    return OperatorTuple(mats * (rng.uniform(0.3, 1.0) / np.linalg.norm(np.hstack(mats), 2)))
+
+
+def _commuting_contraction_per_member(d, n, rng):
+    mats = np.zeros((d, n, n), dtype=complex)
+    if rng.random() < 0.5 or d < 2:
+        i = np.arange(n)
+        mats[:, i, i] = random_pointset(d, n, rng, 1.0).T
+    else:
+        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a /= np.linalg.norm(a) / rng.uniform(0.3, 1.0)
+        mats[:2, 0, 1] = a
+    U = _unitary_per_member(rng, n)
+    return OperatorTuple(U @ mats @ U.conj().T)
+
+
+def member_per_member(kind, rng, d=2, n=4):
+    if kind == "M+":
+        return random_boundary_measure(d, rng)
+    T = {"R+": _commuting_contraction_per_member, "S+": _row_contraction_per_member}[kind](d, n, rng)
+    xi = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(n)
+    return HerglotzDatum(T, xi, 0.0)
+
+
+def pool_member_per_member(k, rng, d=2):
+    slot = k % 5
+    if slot < 3:
+        return member_per_member(("S+", "R+", "M+")[slot], rng, d=d)
+    if slot == 3:
+        zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        zeta /= np.linalg.norm(zeta)
+        return boundary_kernel(zeta)
+    return ShiftedBoundaryKernel() if d == 2 else member_per_member("S+", rng, d=d)
+
+
+def pairs_per_member(kind_f, kind_g, trials, rng, d=2):
+    for k in range(trials):
+        f = pool_member_per_member(k, rng, d) if kind_f == "O+" else member_per_member(kind_f, rng, d)
+        yield f, member_per_member(kind_g, rng, d)
+
+
+def assert_same_member(x, y):
+    assert type(x) is type(y)
+    if isinstance(x, AtomicMeasure):
+        assert np.array_equal(x.points, y.points)
+        assert np.array_equal(x.weights, y.weights)
+        assert x.support == y.support
+    elif isinstance(x, HerglotzDatum):
+        assert np.array_equal(x.tuple.matrices, y.tuple.matrices)
+        assert np.array_equal(x.xi, y.xi)
+        assert x.t == y.t
 
 
 class _AffineZ1:
@@ -422,13 +509,16 @@ class TestDualitySweeps:
             qr_exact_vs_commuting(*pairs[0], (0.5,))
 
     def test_commuting_tuples_built_once_per_pair(self, monkeypatch):
+        # a pair's resolvent is built once for the whole grid, never once per
+        # radius: the 3 pairs share a chunk, and one solve over (pair, radius)
+        # serves all 20 radii of all three
         calls = []
-        kron = np.kron
-        monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: calls.append(a.shape) or solve(a, b))
         pairs = sample_duality_pairs("S+", "R+", 3, np.random.default_rng(5), d=2)
         out = duality_sweep(pairs)
-        # d terms of the Kronecker tuple and one vector per pair, for all r
-        assert len(calls) == 3 * (2 + 1)
+        assert calls == [(3, 20, 16, 16)]
         assert len(out["r_grid"]) == 20
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -468,13 +558,7 @@ class TestDualitySweeps:
         long = list(sample_duality_pairs(*kinds, 200, np.random.default_rng(3), d=2))
         for a, b in zip(short, long[:50], strict=True):
             for x, y in zip(a, b):
-                assert type(x) is type(y)
-                if isinstance(x, AtomicMeasure):
-                    assert np.array_equal(x.points, y.points)
-                    assert np.array_equal(x.weights, y.weights)
-                elif isinstance(x, HerglotzDatum):
-                    assert np.array_equal(x.tuple.matrices, y.tuple.matrices)
-                    assert np.array_equal(x.xi, y.xi)
+                assert_same_member(x, y)
 
     def test_pairs_are_streamed(self):
         # the sampler yields pairs one at a time and the sweep counts them
@@ -517,6 +601,117 @@ class TestBatchedSweepMatchesPerRadius:
         grid = (0.0, 0.3, 0.99, 1.0)
         for subset in (pairs[:1], pairs):
             assert duality_sweep(subset, grid) == duality_sweep_per_r(subset, grid)
+
+
+
+def _counting_solve(monkeypatch):
+    """Record the shape of every np.linalg.solve matrix stack."""
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+    return calls
+
+
+class TestStackedChunks:
+    """Members and datum pairs finished in stacked chunks, against the
+    per-member samplers and the per-radius resolvents, compared with ==."""
+
+    @pytest.mark.parametrize("trials", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 200])
+    @pytest.mark.parametrize("kinds", [("O+", "M+"), ("S+", "R+")])
+    def test_sampled_pairs_are_the_per_member_draws(self, kinds, trials):
+        stacked = list(sample_duality_pairs(*kinds, trials, np.random.default_rng(trials), d=2))
+        oracle = list(pairs_per_member(*kinds, trials, np.random.default_rng(trials), d=2))
+        assert len(stacked) == len(oracle) == trials
+        for a, b in zip(stacked, oracle):
+            for x, y in zip(a, b):
+                assert_same_member(x, y)
+
+    @pytest.mark.parametrize("kinds", [("O+", "R+"), ("S+", "M+")])
+    def test_sampled_pairs_at_d3(self, kinds):
+        # at d = 3 the fifth pool slot is an S+ datum, and R+ takes both branches
+        trials = SAMPLE_CHUNK + 3
+        stacked = sample_duality_pairs(*kinds, trials, np.random.default_rng(9), d=3)
+        oracle = pairs_per_member(*kinds, trials, np.random.default_rng(9), d=3)
+        for a, b in zip(stacked, oracle, strict=True):
+            for x, y in zip(a, b):
+                assert_same_member(x, y)
+
+    def test_one_member_samplers(self):
+        for seed in range(10):
+            for d, n in ((1, 3), (2, 4), (3, 5)):
+                for kind in ("M+", "R+", "S+"):
+                    assert_same_member(generate_member(kind, np.random.default_rng(seed), d, n),
+                                       member_per_member(kind, np.random.default_rng(seed), d, n))
+                for stacked, oracle in ((random_row_contraction, _row_contraction_per_member),
+                                        (random_commuting_contraction,
+                                         _commuting_contraction_per_member)):
+                    assert np.array_equal(stacked(d, n, np.random.default_rng(seed)).matrices,
+                                          oracle(d, n, np.random.default_rng(seed)).matrices)
+            for d in (2, 3):
+                assert_same_member(opool_member(seed, np.random.default_rng(seed), d),
+                                   pool_member_per_member(seed, np.random.default_rng(seed), d))
+
+    def test_stacked_resolvents_are_the_one_pair_calls(self):
+        # one call groups the pairs by (d, n_f, n_g): a sampled chunk, mixed
+        # sizes n_f = 3 and n_g = 4, and d = 3
+        rng = np.random.default_rng(31)
+        pairs = list(sample_duality_pairs("S+", "R+", SAMPLE_CHUNK, rng, d=2))
+        for d, nf, ng in ((2, 3, 4), (3, 4, 2), (2, 3, 4)):
+            pairs.append((generate_member("S+", rng, d, nf), generate_member("R+", rng, d, ng)))
+        stacked = qr_exact_vs_commuting_many(pairs, R_GRID)
+        assert stacked.shape == (len(pairs), len(R_GRID))
+        for q, (f, g) in zip(stacked, pairs):
+            assert np.array_equal(q, qr_exact_vs_commuting(f, g, R_GRID))
+            assert q.tolist() == _commuting_per_r(f, g, R_GRID)
+
+    @pytest.mark.parametrize("radii, trials, chunks", [(20, 30, [12, 12, 6]), (1024, 3, [1, 1, 1])])
+    def test_chunks_are_bounded_in_bytes(self, monkeypatch, radii, trials, chunks):
+        # 12 pairs of 20 (16 x 16) pencils fit 1 MiB; one pair of 1024 is
+        # over it, so it is solved alone
+        grid = tuple(np.linspace(0.0, 0.99, radii).tolist())
+        pairs = list(sample_duality_pairs("S+", "R+", trials, np.random.default_rng(8), d=2))
+        calls = _counting_solve(monkeypatch)
+        out = duality_sweep(iter(pairs), grid)
+        assert [shape[0] for shape in calls] == chunks
+        assert all(shape[1:] == (radii, 16, 16) for shape in calls)
+        assert all(16 * math.prod(shape) <= CHUNK_BYTES or shape[0] == 1 for shape in calls)
+        monkeypatch.undo()
+        assert out == duality_sweep_per_r(pairs, grid)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_mixed_chunk_keeps_pair_order(self, seed):
+        # measure pairs pass straight through unless a datum pair waits for
+        # its chunk; the witness and the atom count keep the pair order
+        pairs = list(sample_duality_pairs("O+", "R+", 3 * SAMPLE_CHUNK, np.random.default_rng(seed)))
+        pairs = [(f, g) for f, g in pairs if not isinstance(f, ShiftedBoundaryKernel)]
+        pairs += list(sample_duality_pairs("O+", "M+", 10, np.random.default_rng(seed)))
+        assert duality_sweep(pairs) == sweep_pair_by_pair(pairs)
+
+    def test_mismatched_dimensions_raise_before_any_solve(self, monkeypatch):
+        # a d = 3 f against a d = 2 g used to pair T_f1, T_f2 only (Q = 5.504
+        # here), and a measure of another d failed inside numpy
+        calls = _counting_solve(monkeypatch)
+        f = generate_member("S+", np.random.default_rng(1), d=3)
+        g = generate_member("R+", np.random.default_rng(2), d=2)
+        mu = generate_member("M+", np.random.default_rng(3), d=3)
+        f2 = generate_member("S+", np.random.default_rng(4), d=2)
+        for call in (lambda: qr_exact_vs_commuting(f, g, R_GRID),
+                     lambda: duality_sweep([(f, g)]),
+                     lambda: duality_sweep([(f2, mu)]),
+                     lambda: duality_sweep([(mu, g)])):
+            with pytest.raises(DimensionMismatchError, match=r"f has d = \d and g has d = \d"):
+                call()
+        with pytest.raises(DimensionMismatchError, match="f has d = 3 and g has d = 2"):
+            duality_sweep([(f2, g), (f, g)])
+        assert calls == []
+
+    def test_non_commuting_g_in_a_stack_refused_before_any_solve(self, monkeypatch):
+        calls = _counting_solve(monkeypatch)
+        good = next(sample_duality_pairs("S+", "R+", 1, np.random.default_rng(2)))
+        bad = next(sample_duality_pairs("S+", "S+", 1, np.random.default_rng(7)))
+        with pytest.raises(NonCommutingError):
+            qr_exact_vs_commuting_many([good, good, bad], R_GRID)
+        assert calls == []
 
 
 class TestExtremePoints:

@@ -91,6 +91,20 @@ class TestQrPair:
         g_int = herglotz_of_measure(mu_int, 4)
         qr_pair(f, g_int, 1.0)
 
+    def test_grid_is_the_one_radius_pairings(self):
+        # a grid gives the array of one-radius pairings, bit for bit, with
+        # every radius checked
+        for seed in range(5):
+            f, g = random_series(2, 6, 30 + seed), random_series(2, 4 + seed % 3, 40 + seed)
+            q = qr_pair(f, g, R_GRID)
+            assert q.shape == (len(R_GRID),)
+            assert q.tolist() == [qr_pair(f, g, r) for r in R_GRID]
+        g = herglotz_of_measure(boundary_atoms(2, 2, 3), 4)
+        with pytest.raises(SeriesDomainError):
+            qr_pair(f, g, (0.5, 1.0))
+        with pytest.raises(SeriesDomainError):
+            qr_pair(f, f, (0.5, -0.1))
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from([0.1, 0.5, 0.9, 0.99]))
     def test_hermitian_symmetry(self, seed, r):
