@@ -165,8 +165,8 @@ class ShiftedBoundaryKernel:
 # A tuple member is drawn in two steps: its raw numbers from rng, one member
 # at a time and in order; then its linear algebra (the row-block SVD of an
 # S+ tuple, the unitary QR and conjugation of an R+ tuple), stacked over the
-# members of a chunk with one kind and shape.  One member is a chunk of one,
-# and a member's bits do not depend on its chunk.
+# members of a chunk with one kind and shape.  ``generate_member`` finishes
+# a chunk of one, and a member's bits do not depend on its chunk.
 
 
 def random_boundary_measure(d: int, rng: np.random.Generator) -> AtomicMeasure:
@@ -190,10 +190,12 @@ def _row_finish(mats: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def _commuting_draws(d: int, n: int, rng: np.random.Generator) -> tuple:
-    """A diagonal tuple whose rows lie in the closed ball, or a nilpotent
-    pair, then the Gaussian matrix of the unitary that conjugates it."""
+    """A diagonal tuple whose rows lie in the closed ball, or (for d, n >= 2)
+    a nilpotent pair, which gives members that are not the transform of a
+    boundary measure; then the Gaussian matrix of the unitary that
+    conjugates it."""
     mats = np.zeros((d, n, n), dtype=complex)
-    if rng.random() < 0.5 or d < 2:
+    if rng.random() < 0.5 or d < 2 or n < 2:
         i = np.arange(n)
         mats[:, i, i] = random_pointset(d, n, rng, 1.0).T
     else:
@@ -215,25 +217,6 @@ def _commuting_finish(mats: np.ndarray, gauss: np.ndarray) -> np.ndarray:
 
 TUPLE_SAMPLERS = {"R+": (_commuting_draws, _commuting_finish),
                   "S+": (_row_draws, _row_finish)}
-
-
-def _finish_tuples(kind: str, draws: list) -> np.ndarray:
-    """The (k, d, n, n) tuples of k members of one kind and shape from their
-    raw draws."""
-    return TUPLE_SAMPLERS[kind][1](*(np.stack(part) for part in zip(*draws)))
-
-
-def random_row_contraction(d: int, n: int, rng: np.random.Generator) -> OperatorTuple:
-    """Gaussian tuple scaled so the row block [T_1 ... T_d] has norm drawn
-    uniformly from [0.3, 1.0]."""
-    return OperatorTuple(_finish_tuples("S+", [_row_draws(d, n, rng)])[0])
-
-
-def random_commuting_contraction(d: int, n: int, rng: np.random.Generator) -> OperatorTuple:
-    """Either a unitary conjugation of a diagonal tuple whose rows lie in the
-    closed ball, or a conjugated nilpotent pair; the latter gives members
-    that are not the transform of a boundary measure."""
-    return OperatorTuple(_finish_tuples("R+", [_commuting_draws(d, n, rng)])[0])
 
 
 @dataclass(frozen=True)
@@ -258,7 +241,10 @@ def _draw_member(kind: str, rng: np.random.Generator, d: int, n: int = MEMBER_N)
 
 
 def _draw_pool_member(k: int, rng: np.random.Generator, d: int):
-    """The draws of the k-th O+ pool member (see ``opool_member``)."""
+    """The draws of the k-th positive-real-part sample of the O+ pool: slot
+    k % 5 rotates through the class generators, boundary kernels, and (for
+    d = 2) the shifted boundary kernel that has neither a measure nor a
+    datum."""
     slot = k % 5
     if slot < 3:
         return _draw_member(("S+", "R+", "M+")[slot], rng, d)
@@ -278,7 +264,8 @@ def _finish_members(drawn: list) -> list:
             groups.setdefault((item.kind, item.draws[0].shape), []).append(i)
     members = list(drawn)
     for (kind, _), idx in groups.items():
-        tuples = _finish_tuples(kind, [drawn[i].draws for i in idx])
+        parts = zip(*(drawn[i].draws for i in idx))
+        tuples = TUPLE_SAMPLERS[kind][1](*map(np.stack, parts))
         for i, mats in zip(idx, tuples):
             members[i] = HerglotzDatum(OperatorTuple(mats), drawn[i].xi, 0.0)
     return members
@@ -289,13 +276,6 @@ def generate_member(kind: str, rng: np.random.Generator, d: int = 2,
     """Sample a member of M+ (its measure), or of R+ or S+ (its Herglotz
     datum: the tuple, then xi), from its generator family."""
     return _finish_members([_draw_member(kind, rng, d, n)])[0]
-
-
-def opool_member(k: int, rng: np.random.Generator, d: int = 2):
-    """The k-th positive-real-part sample: slot k % 5 rotates through the
-    class generators, boundary kernels, and (for d = 2) the shifted boundary
-    kernel that has neither a measure nor a datum."""
-    return _finish_members([_draw_pool_member(k, rng, d)])[0]
 
 
 # -- duality sweeps ---------------------------------------------------------
@@ -338,7 +318,7 @@ def qr_exact_vs_commuting_many(pairs: Sequence[tuple], r_grid: Sequence[float]) 
     spectral radius is below 1/r, as for weak-contractive f and ball-spectrum
     g.  The pairs are grouped by (d, n_f, n_g); each group gets one
     broadcast Kronecker build and one solve over (pair, radius), and each
-    row equals its one-pair value bit for bit.  Different d of f and g
+    row equals, bit for bit, the row of a call with that pair alone.  Different d of f and g
     raise DimensionMismatchError and a non-commuting g NonCommutingError,
     both before any solve: the reduction fails for them.
     """
@@ -366,13 +346,6 @@ def qr_exact_vs_commuting_many(pairs: Sequence[tuple], r_grid: Sequence[float]) 
             quad = np.array([np.vdot(vp, y) for y in yp])
             out[p] = 2.0 * np.conj(2.0 * quad - np.vdot(vp, vp))
     return out
-
-
-def qr_exact_vs_commuting(f: HerglotzDatum, g: HerglotzDatum,
-                          r_grid: Sequence[float]) -> np.ndarray:
-    """Q_r(f, g) at each r of the grid, as an array: the one-pair case of
-    ``qr_exact_vs_commuting_many``."""
-    return qr_exact_vs_commuting_many([(f, g)], r_grid)[0]
 
 
 def _pair_tables(pairs: Iterable[tuple], r_grid: Sequence[float]) -> Iterator[np.ndarray]:

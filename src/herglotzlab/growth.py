@@ -179,7 +179,7 @@ def growth_profile(f, p: float, rng: np.random.Generator,
     r_grid = tuple(r_grid)
     if any(not 0.0 < r < 1.0 for r in r_grid) or len(r_grid) < 2:
         raise ValueError("need a grid of at least two radii in (0, 1)")
-    if sorted(r_grid) != list(r_grid):
+    if any(a >= b for a, b in zip(r_grid, r_grid[1:])):
         raise ValueError("radius grid must be increasing")
     if isinstance(f, AtomicMeasure) and len(f.weights) == 1:
         means, terms, tails = zip(*(series_radial_mean(f, p, r) for r in r_grid))

@@ -173,18 +173,17 @@ def is_weak_row_contraction(T: OperatorTuple, rng: np.random.Generator,
     return WeakContractionReport(best_val <= 1.0 + WEAK_TOL, best_val, best_zeta)
 
 
-def _commutators(mats: np.ndarray):
-    """T_i T_j - T_j T_i for i < j, each over a (..., d, n, n) stack of tuples."""
-    d = mats.shape[-3]
-    for i in range(d):
-        for j in range(i + 1, d):
-            Ti, Tj = mats[..., i, :, :], mats[..., j, :, :]
-            yield Ti @ Tj - Tj @ Ti
+def _commutator_norms(mats: np.ndarray) -> np.ndarray:
+    """||T_i T_j - T_j T_i|| in operator norm, for i < j in the last axis,
+    of each tuple of a (..., d, n, n) stack: one stacked SVD."""
+    i, j = np.triu_indices(mats.shape[-3], 1)
+    Ti, Tj = mats[..., i, :, :], mats[..., j, :, :]
+    return np.linalg.norm(Ti @ Tj - Tj @ Ti, 2, axis=(-2, -1))
 
 
 def is_commuting(T: OperatorTuple, tol: float = 1e-10):
     """Max over i < j of ||T_i T_j - T_j T_i|| in operator norm."""
-    worst = max([0.0] + [float(np.linalg.norm(comm, 2)) for comm in _commutators(T.matrices)])
+    worst = float(_commutator_norms(T.matrices).max(initial=0.0))
     return worst <= tol, worst
 
 
@@ -242,16 +241,10 @@ def herglotz_taylor(D: HerglotzDatum, N: int) -> TruncatedSeries:
 def require_commuting(T: OperatorTuple | np.ndarray, tol: float = 1e-10) -> None:
     """NonCommutingError unless ``is_commuting(T, tol)`` for the tuple T, or
     for every tuple of a (k, d, n, n) stack, checked in one pass; the error
-    names the first offending commutator in stack order.  A commutator within
-    tol in Frobenius norm, which bounds the operator norm, needs no SVD."""
-    mats = T.matrices if isinstance(T, OperatorTuple) else T
-    comms = list(_commutators(mats))
-    if not comms:
-        return
-    comms = np.stack(comms, axis=-3)                # (..., commutator, n, n)
-    for at in np.argwhere(np.linalg.norm(comms, axis=(-2, -1)) > tol):
-        if (norm := float(np.linalg.norm(comms[tuple(at)], 2))) > tol:
-            raise NonCommutingError(f"tuple is not commuting: a commutator has norm {norm:.3e}")
+    names the first offending commutator in stack order."""
+    norms = _commutator_norms(T.matrices if isinstance(T, OperatorTuple) else T)
+    if (over := norms[norms > tol]).size:
+        raise NonCommutingError(f"tuple is not commuting: a commutator has norm {over[0]:.3e}")
 
 
 def _commuting_powers(T: OperatorTuple, d: int, N: int, tol: float = 1e-10) -> np.ndarray:

@@ -15,13 +15,9 @@ from herglotzlab.classes import (
     extreme_h,
     generate_member,
     kT_test,
-    opool_member,
-    qr_exact_vs_commuting,
     qr_exact_vs_commuting_many,
     random_boundary_measure,
-    random_commuting_contraction,
     random_pointset,
-    random_row_contraction,
     sample_duality_pairs,
     schur_test,
     schwarz_probe,
@@ -386,6 +382,20 @@ class TestGenerators:
             assert is_commuting(m.tuple, 1e-9)[0]
             assert is_row_contraction(m.tuple, 1e-9)[0]
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rplus_one_by_one_is_diagonal(self, d):
+        # the nilpotent pair needs n >= 2: at n = 1 it raised IndexError for
+        # seeds 0, 1, 4 and 5; now a 1 x 1 tuple is drawn diagonal, after the
+        # same coin, so the streams of n >= 2 are unchanged
+        for seed in range(10):
+            m = generate_member("R+", np.random.default_rng(seed), d=d, n=1)
+            rng = np.random.default_rng(seed)
+            rng.random()
+            point = random_pointset(d, 1, rng, 1.0)[0]
+            assert m.tuple.matrices.shape == (d, 1, 1)
+            assert np.allclose(m.tuple.matrices[:, 0, 0], point, rtol=0.0, atol=1e-15)
+            assert is_row_contraction(m.tuple, 1e-9)[0]
+
     def test_splus_contracts(self):
         for k in range(10):
             m = generate_member("S+", np.random.default_rng(800 + k), d=3, n=5)
@@ -419,16 +429,16 @@ class TestGenerators:
     def test_opool_rotation(self):
         # slots 0-2 are the S+, R+ and M+ generators, slot 3 a unit point
         # mass, slot 4 the shifted boundary kernel (at d = 2) or an S+ datum
-        for s in range(10):
-            m = opool_member(s, np.random.default_rng(s), d=2)
-            slot = s % 5
+        for k, (m, _) in enumerate(sample_duality_pairs("O+", "M+", 10, np.random.default_rng(0))):
+            slot = k % 5
             if slot < 2:
                 assert isinstance(m, HerglotzDatum)
             elif slot == 4:
                 assert isinstance(m, ShiftedBoundaryKernel)
             else:
                 assert isinstance(m, AtomicMeasure) and m.support == "boundary"
-        assert isinstance(opool_member(4, np.random.default_rng(4), d=3), HerglotzDatum)
+        pool = [f for f, _ in sample_duality_pairs("O+", "M+", 5, np.random.default_rng(4), d=3)]
+        assert isinstance(pool[4], HerglotzDatum)
 
 
 class TestMemberTypes:
@@ -442,13 +452,15 @@ class TestMemberTypes:
         pts = 0.5 * mu.points
         assert np.allclose(mu.values_at(pts), 0.7 * kernel.values_at(pts))
         assert isinstance(generate_member("M+", np.random.default_rng(3)), AtomicMeasure)
-        assert isinstance(opool_member(3, np.random.default_rng(3)), AtomicMeasure)
+        pool = [f for f, _ in sample_duality_pairs("O+", "M+", 4, np.random.default_rng(3))]
+        assert isinstance(pool[3], AtomicMeasure)
 
     def test_measure_members_evaluate_their_transform(self):
         # M+ members and the O+ pool's point masses (slot 3) are measures,
         # evaluated as sum_j w_j (1 + <z, p_j>) / (1 - <z, p_j>)
         members = [generate_member("M+", np.random.default_rng(s)) for s in range(3)]
-        members += [opool_member(s, np.random.default_rng(s)) for s in (3, 8, 13)]
+        pool = [f for f, _ in sample_duality_pairs("O+", "M+", 14, np.random.default_rng(3))]
+        members += pool[3::5]
         pts = random_pointset(2, 50, np.random.default_rng(23))
         for m in members:
             assert isinstance(m, AtomicMeasure)
@@ -460,7 +472,7 @@ class TestMemberTypes:
     def test_datum_and_sample_members(self):
         m = generate_member("R+", np.random.default_rng(4))
         assert isinstance(m, HerglotzDatum)
-        sample = opool_member(4, np.random.default_rng(4))
+        sample = [f for f, _ in sample_duality_pairs("O+", "M+", 5, np.random.default_rng(4))][4]
         assert isinstance(sample, ShiftedBoundaryKernel)
         with pytest.raises(TypeError):
             duality_sweep([(sample, m)], (0.5,))
@@ -493,7 +505,7 @@ class TestDualitySweeps:
         for k in range(4):
             f = generate_member("S+", np.random.default_rng(40 + k), d=2, n=3)
             g = generate_member("R+", np.random.default_rng(50 + k), d=2, n=3)
-            exact = qr_exact_vs_commuting(f, g, grid)
+            exact = qr_exact_vs_commuting_many([(f, g)], grid)[0]
             fs, gs = member_series(f, 16), member_series(g, 16)
             for r, q in zip(grid, exact):
                 assert abs(q - qr_pair(fs, gs, r)) < 1e-10
@@ -506,7 +518,7 @@ class TestDualitySweeps:
         with pytest.raises(NonCommutingError):
             duality_sweep(pairs)
         with pytest.raises(NonCommutingError):
-            qr_exact_vs_commuting(*pairs[0], (0.5,))
+            qr_exact_vs_commuting_many([pairs[0]], (0.5,))
 
     def test_commuting_tuples_built_once_per_pair(self, monkeypatch):
         # a pair's resolvent is built once for the whole grid, never once per
@@ -642,14 +654,14 @@ class TestStackedChunks:
                 for kind in ("M+", "R+", "S+"):
                     assert_same_member(generate_member(kind, np.random.default_rng(seed), d, n),
                                        member_per_member(kind, np.random.default_rng(seed), d, n))
-                for stacked, oracle in ((random_row_contraction, _row_contraction_per_member),
-                                        (random_commuting_contraction,
-                                         _commuting_contraction_per_member)):
-                    assert np.array_equal(stacked(d, n, np.random.default_rng(seed)).matrices,
-                                          oracle(d, n, np.random.default_rng(seed)).matrices)
             for d in (2, 3):
-                assert_same_member(opool_member(seed, np.random.default_rng(seed), d),
-                                   pool_member_per_member(seed, np.random.default_rng(seed), d))
+                # ten O+ pool members, each of the five slots twice, against
+                # pool_member_per_member drawn from the same stream
+                stacked = sample_duality_pairs("O+", "M+", 10, np.random.default_rng(seed), d)
+                oracle = pairs_per_member("O+", "M+", 10, np.random.default_rng(seed), d)
+                for a, b in zip(stacked, oracle, strict=True):
+                    for x, y in zip(a, b):
+                        assert_same_member(x, y)
 
     def test_stacked_resolvents_are_the_one_pair_calls(self):
         # one call groups the pairs by (d, n_f, n_g): a sampled chunk, mixed
@@ -661,7 +673,7 @@ class TestStackedChunks:
         stacked = qr_exact_vs_commuting_many(pairs, R_GRID)
         assert stacked.shape == (len(pairs), len(R_GRID))
         for q, (f, g) in zip(stacked, pairs):
-            assert np.array_equal(q, qr_exact_vs_commuting(f, g, R_GRID))
+            assert np.array_equal(q, qr_exact_vs_commuting_many([(f, g)], R_GRID)[0])
             assert q.tolist() == _commuting_per_r(f, g, R_GRID)
 
     @pytest.mark.parametrize("radii, trials, chunks", [(20, 30, [12, 12, 6]), (1024, 3, [1, 1, 1])])
@@ -695,7 +707,7 @@ class TestStackedChunks:
         g = generate_member("R+", np.random.default_rng(2), d=2)
         mu = generate_member("M+", np.random.default_rng(3), d=3)
         f2 = generate_member("S+", np.random.default_rng(4), d=2)
-        for call in (lambda: qr_exact_vs_commuting(f, g, R_GRID),
+        for call in (lambda: qr_exact_vs_commuting_many([(f, g)], R_GRID),
                      lambda: duality_sweep([(f, g)]),
                      lambda: duality_sweep([(f2, mu)]),
                      lambda: duality_sweep([(mu, g)])):

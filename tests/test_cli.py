@@ -502,6 +502,14 @@ class TestGrowthCommand:
         assert code == 0
         assert csv_path.read_text().startswith("r,mean,stderr")
 
+    @pytest.mark.parametrize("grid", ["[0.5, 0.5]", "[0.5, 0.5, 0.9]", "[0.9, 0.5]"])
+    def test_repeated_or_decreasing_radii_exit_2(self, tmp_path, capsys, grid):
+        # [0.5, 0.5] used to end in a ZeroDivisionError traceback from the
+        # tail slope over the last segment
+        code, report = run_cli(["growth", "--param", f"grid={grid}"], tmp_path)
+        assert code == 2 and report is None
+        assert "radius grid must be increasing" in capsys.readouterr().err
+
 
 class TestContract:
     @pytest.mark.parametrize("args", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,14 @@ def commuting_powers_by_index(T: OperatorTuple, N: int) -> np.ndarray:
     return powers
 
 
+def commutator_norms_by_pair(T: OperatorTuple) -> list:
+    """||T_i T_j - T_j T_i|| in operator norm for i < j, one commutator at a
+    time."""
+    M = T.matrices
+    return [float(np.linalg.norm(M[i] @ M[j] - M[j] @ M[i], 2))
+            for i in range(T.d) for j in range(i + 1, T.d)]
+
+
 def random_row_tuple(d, n, seed, target=None):
     rng = np.random.default_rng(seed)
     mats = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
@@ -190,6 +199,33 @@ class TestPredicates:
         assert not ok and abs(worst - 1.0) < 1e-12   # commutator E11 - E22
         single = OperatorTuple(np.array([E12]))
         assert is_commuting(single)[0]
+
+    @pytest.mark.parametrize("kind", ["R+", "S+"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_commuting_value_is_the_per_commutator_norm(self, kind, d):
+        # the stacked norms against one SVD per commutator, compared with ==;
+        # an R+ commutator is rounding-sized, not zero
+        from herglotzlab.classes import generate_member
+        for seed in range(20):
+            T = generate_member(kind, np.random.default_rng(seed), d, 2 + seed % 5).tuple
+            ok, worst = is_commuting(T)
+            assert worst == max([0.0] + commutator_norms_by_pair(T))
+            assert ok == (worst <= 1e-10)
+
+    def test_require_commuting_over_a_stack(self):
+        # a (k, d, n, n) stack passes when every tuple commutes; otherwise the
+        # error names the first commutator over tol in stack order
+        from herglotzlab.classes import generate_member
+        rng = np.random.default_rng(21)
+        stack = np.stack([generate_member("R+", rng, 3, 4).tuple.matrices for _ in range(6)])
+        require_commuting(stack)
+        stack[4] = generate_member("S+", rng, 3, 4).tuple.matrices
+        with pytest.raises(NonCommutingError):
+            require_commuting(stack)
+        stack[2] = generate_member("S+", rng, 3, 4).tuple.matrices
+        first = next(v for v in commutator_norms_by_pair(OperatorTuple(stack[2])) if v > 1e-10)
+        with pytest.raises(NonCommutingError, match=re.escape(f"norm {first:.3e}")):
+            require_commuting(stack)
 
 
 class TestKernel:
@@ -349,8 +385,8 @@ class TestGradeBatchedRecursions:
     @pytest.mark.parametrize("d,N", GRADE_BATCH_SIZES)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_commuting_powers_bit_identical_to_per_index_loop(self, d, N, seed):
-        from herglotzlab.classes import random_commuting_contraction
-        T = random_commuting_contraction(d, 3 + seed % 2, np.random.default_rng(40 * d + seed))
+        from herglotzlab.classes import generate_member
+        T = generate_member("R+", np.random.default_rng(40 * d + seed), d, 3 + seed % 2).tuple
         assert np.array_equal(_commuting_powers(T, d, N), commuting_powers_by_index(T, N))
 
 
