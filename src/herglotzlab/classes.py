@@ -17,7 +17,7 @@ import numpy as np
 
 from .optuple import HerglotzDatum, OperatorTuple, require_commuting
 from .pairing import R_GRID, AtomicMeasure, herglotz_of_measure, sphere_sample
-from .series import DimensionMismatchError, TruncatedSeries
+from .series import TruncatedSeries, _check_same_d
 
 DEFAULT_POINTS = 25
 DEFAULT_RADIUS_CAP = 0.95
@@ -280,10 +280,9 @@ def generate_member(kind: str, rng: np.random.Generator, d: int = 2,
 
 # -- duality sweeps ---------------------------------------------------------
 
-# The byte budget of one chunk of duality pairs: the sweep stacks the
-# resolvents of a chunk's datum pairs, (n_f n_g)^2 complex entries per pair
-# and radius, and holds the tables of its other pairs, up to this many bytes
-# and at least one pair.
+# The byte budget of one run of consecutive datum pairs: the sweep stacks
+# their resolvents, (n_f n_g)^2 complex entries per pair and radius, up to
+# this many bytes and at least one pair.
 CHUNK_BYTES = 2 ** 20
 
 
@@ -291,15 +290,9 @@ def _resolvent_bytes(n_f: int, n_g: int, radii: int) -> int:
     return 16 * radii * (n_f * n_g) ** 2
 
 
-# pairs per sampler chunk: a sweep chunk of sampled datum pairs on the
+# pairs per sampler chunk: a sweep run of sampled datum pairs on the
 # default grid (12 pairs)
 SAMPLE_CHUNK = max(1, CHUNK_BYTES // _resolvent_bytes(MEMBER_N, MEMBER_N, len(R_GRID)))
-
-
-def _require_same_d(f, g) -> None:
-    if f.d != g.d:
-        raise DimensionMismatchError(f"f has d = {f.d} and g has d = {g.d}: a pairing needs "
-                                     f"one number of variables")
 
 
 def qr_exact_vs_atoms(f, mu: AtomicMeasure, r_grid: Sequence[float]) -> np.ndarray:
@@ -324,7 +317,7 @@ def qr_exact_vs_commuting_many(pairs: Sequence[tuple], r_grid: Sequence[float]) 
     """
     groups = {}
     for p, (f, g) in enumerate(pairs):
-        _require_same_d(f, g)
+        _check_same_d(f, g)
         groups.setdefault((f.d, f.tuple.n, g.tuple.n), []).append(p)
     radii = np.asarray(r_grid, dtype=float)
     out = np.empty((len(pairs), len(radii)), dtype=complex)
@@ -341,58 +334,51 @@ def qr_exact_vs_commuting_many(pairs: Sequence[tuple], r_grid: Sequence[float]) 
         pencils = radii[:, None, None] * M[:, None]
         np.subtract(np.eye(m), pencils, out=pencils)
         ys = np.linalg.solve(pencils, v[:, None, :, None])
-        for p, vp, yp in zip(idx, v, ys[..., 0]):
-            # one vdot per radius: a stacked contraction rounds differently
-            quad = np.array([np.vdot(vp, y) for y in yp])
-            out[p] = 2.0 * np.conj(2.0 * quad - np.vdot(vp, vp))
+        quad = (np.conj(v)[:, None, None, :] @ ys)[..., 0, 0]
+        norm2 = (np.conj(v)[:, None, :] @ v[:, :, None])[:, 0, 0]
+        out[idx] = 2.0 * np.conj(2.0 * quad - norm2[:, None])
     return out
+
+
+def _measure_table(f, g, r_grid: Sequence[float]) -> np.ndarray:
+    """A measure pair's table: the atom sum of a measure g, with a column per
+    atom for a boundary g, or the Hermitian mirror for a measure f."""
+    if isinstance(g, AtomicMeasure):
+        atom_rows = qr_exact_vs_atoms(f, g, r_grid)
+        table = (g.weights * atom_rows).sum(axis=1, keepdims=True)
+        if g.support == "boundary":
+            table = np.hstack([table, atom_rows])
+        return table
+    if isinstance(f, AtomicMeasure):
+        return np.conj((f.weights * qr_exact_vs_atoms(g, f, r_grid))
+                       .sum(axis=1, keepdims=True))
+    raise TypeError("sweep needs a measure f or g, or a datum for both")
 
 
 def _pair_tables(pairs: Iterable[tuple], r_grid: Sequence[float]) -> Iterator[np.ndarray]:
     """Each pair's table, in pair order: a row per radius, the whole pairing
     in column 0 and, for a boundary g, atom j in column j + 1.
 
-    A measure pair's table is made as the pair arrives; a datum pair waits
-    for the stacked solve of its chunk.  The chunk is solved once its
-    resolvent stack and held tables would pass CHUNK_BYTES with the next
-    pair, and a pair that finds no datum pair waiting goes out at once.
+    A run of consecutive datum pairs is solved stacked when the next pair
+    would take its resolvents past CHUNK_BYTES, or is a measure pair, whose
+    table goes out at once.
     """
-    chunk, waiting, size = [], [], 0
+    run, size = [], 0
     for f, g in pairs:
-        _require_same_d(f, g)
-        if isinstance(g, AtomicMeasure):
-            atom_rows = qr_exact_vs_atoms(f, g, r_grid)
-            table = (g.weights * atom_rows).sum(axis=1, keepdims=True)
-            if g.support == "boundary":
-                table = np.hstack([table, atom_rows])
-        elif isinstance(f, AtomicMeasure):
-            table = np.conj((f.weights * qr_exact_vs_atoms(g, f, r_grid))
-                            .sum(axis=1, keepdims=True))
-        elif isinstance(f, HerglotzDatum) and isinstance(g, HerglotzDatum):
-            table = None
+        _check_same_d(f, g)
+        if isinstance(f, HerglotzDatum) and isinstance(g, HerglotzDatum):
+            nbytes = _resolvent_bytes(f.tuple.n, g.tuple.n, len(r_grid))
+            if run and size + nbytes > CHUNK_BYTES:
+                yield from qr_exact_vs_commuting_many(run, r_grid)[:, :, None]
+                run, size = [], 0
+            run.append((f, g))
+            size += nbytes
         else:
-            raise TypeError("sweep needs a measure f or g, or a datum for both")
-        nbytes = (table.nbytes if table is not None
-                  else _resolvent_bytes(f.tuple.n, g.tuple.n, len(r_grid)))
-        if waiting and size + nbytes > CHUNK_BYTES:
-            yield from _solved(chunk, waiting, r_grid)
-            chunk, waiting, size = [], [], 0
-        if table is None:
-            waiting.append((len(chunk), f, g))
-        chunk.append(table)
-        size += nbytes
-        if not waiting:
-            yield from chunk
-            chunk, size = [], 0
-    yield from _solved(chunk, waiting, r_grid)
-
-
-def _solved(chunk: list, waiting: list, r_grid: Sequence[float]) -> list:
-    """The chunk's tables with those of its waiting datum pairs filled in."""
-    qs = qr_exact_vs_commuting_many([(f, g) for _, f, g in waiting], r_grid)
-    for (slot, _, _), q in zip(waiting, qs):
-        chunk[slot] = q[:, None]
-    return chunk
+            table = _measure_table(f, g, r_grid)
+            yield from qr_exact_vs_commuting_many(run, r_grid)[:, :, None]
+            run, size = [], 0
+            yield table
+    yield from qr_exact_vs_commuting_many(run, r_grid)[:, :, None]
 
 
 def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> dict:
@@ -411,8 +397,9 @@ def duality_sweep(pairs: Iterable[tuple], r_grid: Sequence[float] = R_GRID) -> d
     extreme ray of M+, so the other atoms cannot average a negative region
     of f away.  Interior atoms and a datum g are paired whole only.
 
-    ``pairs`` is consumed once, and a pair is held only until its chunk of
-    at most CHUNK_BYTES is solved, so a generator streams in bounded memory.
+    ``pairs`` is consumed once, and a datum pair is held only until its run
+    of at most CHUNK_BYTES is solved, so a generator streams in bounded
+    memory.
     A negative minimum, with its witness ``argmin`` (pair index, atom index
     or None for a whole pairing, r), certifies that f lies outside the dual
     of M+; a non-negative one is evidence only.  A tie goes to the first

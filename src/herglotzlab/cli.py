@@ -87,6 +87,8 @@ TOLERANCES = {
 DUALITY_MEMBER_CAP = 16384
 # a datum pair's resolvent stack holds one (n^2 x n^2) matrix per radius
 RADII_CAP = 1024
+# bytes of the membership Gram matrix, the herglotz pencils, the growth directions
+ARRAY_BYTES_CAP = 2 ** 27
 
 DEFAULT_TARGET = {"kind": "extreme", "zeta": ((1.0, 0.0), (0.0, 0.0))}
 
@@ -139,6 +141,12 @@ def _streams(seed: int, roles: int) -> list:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(roles)]
 
 
+def _check_bytes(what: str, nbytes: int, param: str) -> None:
+    if nbytes > ARRAY_BYTES_CAP:
+        raise SizeCapError(f"{what} would take {nbytes} bytes, over the cap of "
+                           f"{ARRAY_BYTES_CAP}: lower {param!r}")
+
+
 def Dimension(value, what: str) -> int:
     """An integer within the dimension cap of the series layer."""
     d = Int(value, what)
@@ -185,8 +193,8 @@ TARGET_KEYS = {"extreme": ("zeta",), "series": ("series",), "datum": ("datum",),
 
 
 def Target(value, what: str):
-    """The function of a Generator that gives the target: a measure, a
-    datum, a series, or a class sample (a measure or a datum) drawn from it."""
+    """The target's d and ``draw``, the function of a Generator that gives a
+    measure, a datum, a series, or a class sample drawn from it."""
     kind = value.get("kind") if isinstance(value, dict) else None
     if kind not in TARGET_KEYS:
         raise ValueError(f"{what} must be an object whose kind is one of "
@@ -196,12 +204,12 @@ def Target(value, what: str):
     if kind == "sample":
         cls = ClassKind(value.get("class", "S+"), "class")
         d = Dimension(value.get("d", 2), "d")
-        return lambda rng: generate_member(cls, rng, d=d)
+        return SimpleNamespace(d=d, draw=lambda rng: generate_member(cls, rng, d=d))
     if kind == "extreme":
         func = boundary_kernel(_json_complex(value["zeta"], "zeta", 1))
     else:
         func = {"series": Series, "datum": Datum}[kind](value[kind], kind)
-    return lambda rng: func
+    return SimpleNamespace(d=func.d, draw=lambda rng: func)
 
 
 # the JSON format of each object kind, listed by a command's --help; each
@@ -229,21 +237,15 @@ def cmd_pair(seed: Seed, f: Series, g: Series, r_grid: Radii = R_GRID,
              measure: Measure = None, mode: Mode = "full"):
     if measure is not None and min(r_grid) >= 1.0:
         raise ValueError(f"pair: 'measure' needs a radius below 1 in 'r_grid', got {r_grid}")
-    q_values, identity_res, hermitian_res = [], 0.0, 0.0
-    for r in r_grid:
-        q = qr_pair(f, g, r)
-        q_values.append(_c2(q))
-        sr = math.sqrt(r)
-        N = min(f.N, g.N)
-        ft, gt = f.truncate(N).dilate(sr), g.truncate(N).dilate(sr)
-        ident = h2d_inner_series(ft, gt) + f.constant_term * np.conj(g.constant_term)
-        identity_res = max(identity_res, abs(q - ident))
-        hermitian_res = max(hermitian_res, abs(q - np.conj(qr_pair(g, f, r))))
+    q = qr_pair(f, g, r_grid)
+    fN, gN = f.truncate(g.N), g.truncate(f.N)         # both of degree min(f.N, g.N)
+    ident = [h2d_inner_series(fN.dilate(math.sqrt(r)), gN.dilate(math.sqrt(r)))
+             + f.constant_term * np.conj(g.constant_term) for r in r_grid]
     results = {
         "r_grid": list(r_grid),
-        "q_values": q_values,
-        "identity_residual_max": identity_res,
-        "hermitian_residual_max": hermitian_res,
+        "q_values": [_c2(v) for v in q],
+        "identity_residual_max": float(np.abs(q - ident).max()),
+        "hermitian_residual_max": float(np.abs(q - np.conj(qr_pair(g, f, r_grid))).max()),
     }
     if measure is not None:
         res = max(pairing_vs_measure_check(f, measure, r, mode=mode)
@@ -254,6 +256,7 @@ def cmd_pair(seed: Seed, f: Series, g: Series, r_grid: Radii = R_GRID,
 
 def cmd_herglotz(seed: Seed, datum: Datum, N: Int = DEFAULT_DEGREE, points: Count = 200):
     _check_caps(datum.d, N)
+    _check_bytes(f"herglotz: {points} pencils", 16 * points * datum.tuple.n ** 2, "points")
     weak_rng, points_rng = _streams(seed, 2)
     row_ok, row_eig = is_row_contraction(datum.tuple)
     weak = is_weak_row_contraction(datum.tuple, weak_rng)
@@ -333,7 +336,7 @@ def cmd_duality(seed: Seed, trials: Count = 200, d: Dimension = 2, r_grid: Radii
     worst_ident = 0.0
     m = simplex_size(d, 6)
     for _ in range(identity_trials):
-        datum = generate_member("R+", rng, d=d, n=4)
+        datum = generate_member("R+", rng, d=d)
         f = TruncatedSeries(d, 6, rng.standard_normal(m) + 1j * rng.standard_normal(m))
         worst_ident = max(worst_ident, rs_duality_residual(f, datum, r_grid))
     return {
@@ -346,8 +349,9 @@ def cmd_duality(seed: Seed, trials: Count = 200, d: Dimension = 2, r_grid: Radii
 
 def cmd_membership(seed: Seed, target: Target = DEFAULT_TARGET, points: Count = 25,
                    trials: Count = 8):
+    _check_bytes(f"membership: the {points} x {points} Gram matrix", 16 * points ** 2, "points")
     target_rng, points_rng = _streams(seed, 2)
-    func = target(target_rng)
+    func = target.draw(target_rng)
 
     def cayley_values(points):
         v = values_at(func, points)
@@ -364,8 +368,9 @@ def cmd_membership(seed: Seed, target: Target = DEFAULT_TARGET, points: Count = 
 
 def cmd_growth(seed: Seed, target: Target = DEFAULT_TARGET, p: Float = 1.0,
                grid: Radii = DEFAULT_R_GRID, samples: Count = DEFAULT_SAMPLES):
+    _check_bytes(f"growth: {samples} directions", 16 * samples * target.d, "samples")
     target_rng, directions_rng = _streams(seed, 2)
-    profile = growth_profile(target(target_rng), p, directions_rng, r_grid=grid, n=samples)
+    profile = growth_profile(target.draw(target_rng), p, directions_rng, r_grid=grid, n=samples)
     return {"profile": profile.to_json()}
 
 

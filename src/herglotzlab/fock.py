@@ -31,7 +31,6 @@ LANCZOS_TOL = 1e-10
 LANCZOS_MAX_STEPS = 300
 LANCZOS_BREAKDOWN = 1e-12      # relative size of the new Krylov direction
 
-DP_POLY_NAME = "z1 + z1*z2"
 # Word algebra for p = z1 + z1 z2 on isometries with orthogonal ranges:
 # (p^sym)*(p^sym) = (3/2) I + (1/2)(V2 + V2*), so the limiting norm is
 # sqrt(5/2).  The truncated value is sqrt(3/2 + cos(pi/(L+2))).

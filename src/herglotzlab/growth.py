@@ -41,6 +41,14 @@ SERIES_MAX_TERMS = 10 ** 6
 _CHUNK = 50000
 
 
+def _check_mean(p: float, r: float) -> None:
+    """ValueError unless p > 0 and 0 < r < 1; a NaN fails both."""
+    if not p > 0.0:
+        raise ValueError("exponent must be positive")
+    if not 0.0 < r < 1.0:
+        raise ValueError("radius must be in (0, 1)")
+
+
 def hp_radial_mean(f, p: float, r: float, rng: np.random.Generator,
                    n: int = DEFAULT_SAMPLES):
     """Monte Carlo estimate of the surface mean of |f(r zeta)|^p, the n
@@ -48,10 +56,7 @@ def hp_radial_mean(f, p: float, r: float, rng: np.random.Generator,
 
     Returns (mean, stderr).  Evaluation failures propagate.
     """
-    if p <= 0.0:
-        raise ValueError("exponent must be positive")
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must be in (0, 1)")
+    _check_mean(p, r)
     zetas = sphere_sample(f.d, n, rng)
     total = 0.0
     total_sq = 0.0
@@ -118,10 +123,7 @@ def series_radial_mean(mu: AtomicMeasure, p: float, r: float):
     over SERIES_MAX_TERMS raises SizeCapError once that many terms are
     summed, unless the sum has overflowed to inf by then.
     """
-    if not p > 0.0:
-        raise ValueError("exponent must be positive")
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must be in (0, 1)")
+    _check_mean(p, r)
     if len(mu.weights) != 1:
         raise ValueError(f"series means need one atom, got {len(mu.weights)}")
     y = r * float(np.linalg.norm(mu.points[0]))

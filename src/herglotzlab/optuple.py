@@ -9,6 +9,7 @@ by a vector recursion over multi-indices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,7 @@ from .series import (
     DimensionMismatchError,
     TruncatedSeries,
     _check_caps,
+    _check_same_d,
     _grade_steps,
     _json_complex,
     _json_float,
@@ -173,10 +175,17 @@ def is_weak_row_contraction(T: OperatorTuple, rng: np.random.Generator,
     return WeakContractionReport(best_val <= 1.0 + WEAK_TOL, best_val, best_zeta)
 
 
+@functools.cache
+def _index_pairs(d: int) -> np.ndarray:
+    idx = np.array(np.triu_indices(d, 1))
+    idx.setflags(write=False)
+    return idx
+
+
 def _commutator_norms(mats: np.ndarray) -> np.ndarray:
     """||T_i T_j - T_j T_i|| in operator norm, for i < j in the last axis,
     of each tuple of a (..., d, n, n) stack: one stacked SVD."""
-    i, j = np.triu_indices(mats.shape[-3], 1)
+    i, j = _index_pairs(mats.shape[-3])
     Ti, Tj = mats[..., i, :, :], mats[..., j, :, :]
     return np.linalg.norm(Ti @ Tj - Tj @ Ti, 2, axis=(-2, -1))
 
@@ -247,14 +256,12 @@ def require_commuting(T: OperatorTuple | np.ndarray, tol: float = 1e-10) -> None
         raise NonCommutingError(f"tuple is not commuting: a commutator has norm {over[0]:.3e}")
 
 
-def _commuting_powers(T: OperatorTuple, d: int, N: int, tol: float = 1e-10) -> np.ndarray:
-    """T^alpha, |alpha| <= N, of a commuting d-tuple; rejects non-commuting T."""
+def _commuting_powers(T: OperatorTuple, N: int, tol: float = 1e-10) -> np.ndarray:
+    """T^alpha, |alpha| <= N, of a commuting tuple; rejects non-commuting T."""
     require_commuting(T, tol)
-    if d != T.d:
-        raise DimensionMismatchError(f"dimension mismatch: {d} vs {T.d}")
-    powers = np.empty((simplex_size(d, N), T.n, T.n), dtype=complex)
+    powers = np.empty((simplex_size(T.d, N), T.n, T.n), dtype=complex)
     powers[0] = np.eye(T.n)
-    for j, a, b, pa, pb in _grade_steps(d, N):
+    for j, a, b, pa, pb in _grade_steps(T.d, N):
         np.matmul(T.matrices[j], powers[pa:pb], out=powers[a:b])
     return powers
 
@@ -272,9 +279,10 @@ def rs_duality_residual(f: TruncatedSeries, D: HerglotzDatum,
     the conjugated identity, plus the imaginary-constant correction that the
     unconjugated statement silently drops.
     """
+    _check_same_d(f, D)
     radii = np.atleast_1d(np.asarray(r_grid, dtype=float))
     g = herglotz_taylor(D, f.N)
-    powers = _commuting_powers(D.tuple, f.d, f.N)
+    powers = _commuting_powers(D.tuple, f.N)
     lhs = qr_pair(f, g, radii)
     # row i holds the coefficients of f_check_r for r = radii[i]
     reflected = np.conj(f.coeffs) * np.power(radii[:, None], grade_array(f.d, f.N).astype(float))

@@ -20,6 +20,7 @@ from .series import (
     SeriesDomainError,
     TruncatedSeries,
     _check_caps,
+    _check_same_d,
     _grade_values,
     _json_complex,
     _json_float,
@@ -118,14 +119,6 @@ class AtomicMeasure:
                    obj["support"])
 
 
-def _common_prefix(f: TruncatedSeries, g: TruncatedSeries):
-    if f.d != g.d:
-        raise DimensionMismatchError(f"dimension mismatch: {f.d} vs {g.d}")
-    N = min(f.N, g.N)
-    m = simplex_size(f.d, N)
-    return N, f.coeffs[:m], g.coeffs[:m]
-
-
 def _check_radius(f: TruncatedSeries, g: TruncatedSeries, r: float) -> None:
     if not 0.0 <= r <= 1.0:
         raise SeriesDomainError(f"pairing radius must be in [0, 1], got {r}")
@@ -149,7 +142,10 @@ def qr_pair(f: TruncatedSeries, g: TruncatedSeries,
     radii = np.asarray(r, dtype=float)
     for x in radii.reshape(-1).tolist():
         _check_radius(f, g, x)
-    N, cf, cg = _common_prefix(f, g)
+    _check_same_d(f, g)
+    N = min(f.N, g.N)
+    m = simplex_size(f.d, N)
+    cf, cg = f.coeffs[:m], g.coeffs[:m]
     ratios = weight_ratio_array(f.d, N)
     rpow = np.power(radii[..., None], grade_array(f.d, N).astype(float))
     s = np.sum(cf * np.conj(cg) * rpow * ratios, axis=-1) + cf[0] * np.conj(cg[0])
@@ -158,8 +154,7 @@ def qr_pair(f: TruncatedSeries, g: TruncatedSeries,
 
 def h2d_inner_series(f: TruncatedSeries, g: TruncatedSeries) -> complex:
     """Coefficient form of the ball inner product: sum c conj(d) a!/|a|!."""
-    if f.d != g.d:
-        raise DimensionMismatchError(f"dimension mismatch: {f.d} vs {g.d}")
+    _check_same_d(f, g)
     if f.N != g.N:
         raise DimensionMismatchError(f"degree mismatch: {f.N} vs {g.N}")
     ratios = weight_ratio_array(f.d, f.N)
@@ -214,8 +209,7 @@ def h2d_inner_integral(f: TruncatedSeries, g: TruncatedSeries,
 
     Returns the estimate and a standard-error proxy over directions.
     """
-    if f.d != g.d:
-        raise DimensionMismatchError(f"dimension mismatch: {f.d} vs {g.d}")
+    _check_same_d(f, g)
     d = f.d
     dirs = sphere_sample(d, q.sphere_samples, np.random.default_rng(q.seed))
     x, w = np.polynomial.legendre.leggauss(q.radial_nodes)
@@ -266,8 +260,7 @@ def pairing_vs_measure_check(f: TruncatedSeries, mu: AtomicMeasure, r: float,
     The factor kappa on the measure side comes from the doubled constant
     term of the pairing; with it the identity is exact for polynomials.
     """
-    if mu.d != f.d:
-        raise DimensionMismatchError(f"dimension mismatch: series {f.d} vs measure {mu.d}")
+    _check_same_d(f, mu)
     g = herglotz_of_measure(mu, f.N, mode)
     lhs = qr_pair(f, g, r)
     kappa = 2.0 if mode == "full" else 1.0

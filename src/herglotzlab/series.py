@@ -255,6 +255,13 @@ def _check_dimension(d: int, what: str = "dimension") -> None:
         raise SizeCapError(f"{what} = {d} exceeds the cap {MAX_DIMENSION}")
 
 
+def _check_same_d(f, g) -> None:
+    """DimensionMismatchError unless f and g have one number of variables."""
+    if f.d != g.d:
+        raise DimensionMismatchError(f"f has d = {f.d} and g has d = {g.d}: f and g need "
+                                     f"one number of variables")
+
+
 def _check_caps(d: int, N: int) -> None:
     """Dimension and degree caps of a truncation; callers that build
     tables for a (d, N) from user input check these first."""
@@ -327,9 +334,7 @@ class TruncatedSeries:
     def _match(self, other: "TruncatedSeries") -> None:
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
-        if self.d != other.d:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {self.d} vs {other.d}")
+        _check_same_d(self, other)
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)

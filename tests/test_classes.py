@@ -699,6 +699,22 @@ class TestStackedChunks:
         pairs += list(sample_duality_pairs("O+", "M+", 10, np.random.default_rng(seed)))
         assert duality_sweep(pairs) == sweep_pair_by_pair(pairs)
 
+    def test_measure_pair_ends_a_run_and_goes_out_at_once(self, monkeypatch):
+        # [D, D, M, D, D]: each run of datum pairs is one stacked solve, and
+        # the measure pair's table comes out before the second run is solved
+        data = list(sample_duality_pairs("S+", "R+", 4, np.random.default_rng(9)))
+        rng = np.random.default_rng(10)
+        mu = (generate_member("M+", rng), generate_member("M+", rng))
+        pairs = data[:2] + [mu] + data[2:]
+        calls = _counting_solve(monkeypatch)
+        seen = [(table.shape, len(calls)) for table in classes._pair_tables(iter(pairs), R_GRID)]
+        assert calls == [(2, len(R_GRID), 16, 16)] * 2
+        R = len(R_GRID)
+        assert seen == [((R, 1), 1), ((R, 1), 1), ((R, 1 + len(mu[1].weights)), 1),
+                        ((R, 1), 2), ((R, 1), 2)]
+        monkeypatch.undo()
+        assert duality_sweep(pairs) == duality_sweep_per_r(pairs) == sweep_pair_by_pair(pairs)
+
     def test_mismatched_dimensions_raise_before_any_solve(self, monkeypatch):
         # a d = 3 f against a d = 2 g used to pair T_f1, T_f2 only (Q = 5.504
         # here), and a measure of another d failed inside numpy

@@ -434,6 +434,47 @@ class TestDualityCommand:
         assert code == 3 and report is None
         assert "over the cap of 1024" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, nbytes", [
+        (["membership", "--param", "points=1000000"], 16 * 10 ** 12),
+        (["membership", "--param", "points=2897"], 16 * 2897 ** 2),
+        (["herglotz", "--param", "points=8388609"], 16 * 8388609),
+        (["growth", "--param", "samples=1000000000", "--param",
+          'target={"kind": "sample", "class": "S+", "d": 2}'], 16 * 10 ** 9 * 2),
+        (["growth", "--param", "samples=2097153", "--param",
+          'target={"kind": "sample", "class": "M+", "d": 4}'], 16 * 2097153 * 4),
+    ])
+    def test_array_bytes_capped_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                args, nbytes):
+        # the Gram matrix, the pencils or the directions over ARRAY_BYTES_CAP
+        # exit 3 before the command splits its seed, so before any draw
+        def streams(*_):
+            raise AssertionError("drew before the cap check")
+        monkeypatch.setattr(cli, "_streams", streams)
+        if args[0] == "herglotz":
+            args = args + ["--param", f"datum={SMALL_DATUM}"]
+        code, report = run_cli(args, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 3 and report is None
+        assert err.startswith("error: ") and f"would take {nbytes} bytes" in err
+
+    def test_array_bytes_cap_admits_the_largest_sizes(self, monkeypatch):
+        # one below each cap, and the README and benchmark settings, reach the draw
+        class Drawn(Exception):
+            pass
+
+        def streams(*_):
+            raise Drawn
+        monkeypatch.setattr(cli, "_streams", streams)
+        datum = cli.Datum(json.loads(SMALL_DATUM), "datum")
+        sample = lambda d: cli.Target({"kind": "sample", "class": "S+", "d": d}, "target")
+        for call in (lambda: cli.cmd_membership(0, points=2896),
+                     lambda: cli.cmd_membership(0, points=100),
+                     lambda: cli.cmd_herglotz(0, datum, points=8388608),
+                     lambda: cli.cmd_growth(0, sample(4), samples=2097152),
+                     lambda: cli.cmd_growth(0, sample(4), samples=200000)):
+            with pytest.raises(Drawn):
+                call()
+
     @pytest.mark.parametrize("command, key", [("pair", "r_grid"), ("growth", "grid")])
     def test_radii_cap_covers_pair_and_growth(self, tmp_path, capsys, command, key):
         radii = [0.5] * (cli.RADII_CAP + 1)

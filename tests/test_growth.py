@@ -103,6 +103,20 @@ class TestRadialMean:
         with pytest.raises(ValueError):
             hp_radial_mean(one, 1.0, 1.0, np.random.default_rng(0))
 
+    def test_nan_exponent_or_radius_has_no_verdict(self):
+        # the Monte Carlo path of an S+ member refuses a NaN p as the series
+        # path of a one-atom measure does, before any direction is drawn
+        member = generate_member("S+", np.random.default_rng(3))
+        rng = np.random.default_rng(0)
+        for p, r in ((math.nan, 0.5), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                hp_radial_mean(member, p, r, rng, n=100)
+            with pytest.raises(ValueError):
+                series_radial_mean(e1_kernel(2), p, r)
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            growth_profile(member, math.nan, rng, n=100)
+        assert rng.random() == np.random.default_rng(0).random()
+
 
 class TestGrowthProfile:
     def test_constant_flat(self):

@@ -23,6 +23,7 @@ from herglotzlab.pairing import qr_pair
 from herglotzlab.series import (
     DimensionMismatchError,
     TruncatedSeries,
+    _check_same_d,
     enumerate_multiindices,
     simplex_size,
 )
@@ -98,8 +99,10 @@ def sym_poly(p: TruncatedSeries, T: OperatorTuple) -> np.ndarray:
 def commuting_calculus(p: TruncatedSeries, T: OperatorTuple,
                        tol: float = 1e-10) -> np.ndarray:
     """p(T) on a commuting tuple, from the monomial table T^alpha;
-    rejects non-commuting input."""
-    return np.tensordot(p.coeffs, _commuting_powers(T, p.d, p.N, tol), axes=(0, 0))
+    rejects non-commuting input and a tuple of another d."""
+    powers = _commuting_powers(T, p.N, tol)
+    _check_same_d(p, T)
+    return np.tensordot(p.coeffs, powers, axes=(0, 0))
 
 
 # -- per-index recursions -------------------------------------------------
@@ -387,7 +390,7 @@ class TestGradeBatchedRecursions:
     def test_commuting_powers_bit_identical_to_per_index_loop(self, d, N, seed):
         from herglotzlab.classes import generate_member
         T = generate_member("R+", np.random.default_rng(40 * d + seed), d, 3 + seed % 2).tuple
-        assert np.array_equal(_commuting_powers(T, d, N), commuting_powers_by_index(T, N))
+        assert np.array_equal(_commuting_powers(T, N), commuting_powers_by_index(T, N))
 
 
 class TestSymCalculus:

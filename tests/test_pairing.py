@@ -380,3 +380,20 @@ class TestDualityPositivitySample:
         exact = duality_sweep(pairs, r_grid=(0.3, 0.6, 0.9))
         series = duality_sweep_series(pairs, N=16, r_grid=(0.3, 0.6, 0.9))
         assert abs(exact["min_re"] - series["min_re"]) < 1e-5
+
+
+def test_one_dimension_mismatch_message():
+    # one check for every pairing of f and g, with one wording
+    from herglotzlab.classes import generate_member
+    from herglotzlab.optuple import rs_duality_residual
+    f, g = random_series(3, 4, 1), random_series(2, 4, 2)
+    mu = boundary_atoms(2, 3, 3)
+    datum = generate_member("R+", np.random.default_rng(4), d=2)
+    message = "f has d = 3 and g has d = 2: f and g need one number of variables"
+    for call in (lambda: qr_pair(f, g, 0.5), lambda: qr_pair(f, g, R_GRID),
+                 lambda: h2d_inner_series(f, g), lambda: h2d_inner_integral(f, g),
+                 lambda: pairing_vs_measure_check(f, mu, 0.5), lambda: f.multiply(g),
+                 lambda: rs_duality_residual(f, datum, R_GRID)):
+        with pytest.raises(DimensionMismatchError) as info:
+            call()
+        assert str(info.value) == message
