@@ -87,7 +87,7 @@ TOLERANCES = {
 DUALITY_MEMBER_CAP = 16384
 # a datum pair's resolvent stack holds one (n^2 x n^2) matrix per radius
 RADII_CAP = 1024
-# bytes of the membership Gram matrix, the herglotz pencils, the growth directions
+# the byte cap of the membership Gram matrix, the herglotz pencils, the growth directions
 ARRAY_BYTES_CAP = 2 ** 27
 
 DEFAULT_TARGET = {"kind": "extreme", "zeta": ((1.0, 0.0), (0.0, 0.0))}

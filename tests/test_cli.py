@@ -458,7 +458,7 @@ class TestDualityCommand:
         assert err.startswith("error: ") and f"would take {nbytes} bytes" in err
 
     def test_array_bytes_cap_admits_the_largest_sizes(self, monkeypatch):
-        # one below each cap, and the README and benchmark settings, reach the draw
+        # the largest size each cap allows, and the README and benchmark settings, reach the draw
         class Drawn(Exception):
             pass
 
